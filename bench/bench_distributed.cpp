@@ -80,7 +80,6 @@ class LiveServer {
 
   bool ok() const { return ok_; }
   const std::string& address() const { return server_->address(); }
-  net::Server& server() { return *server_; }
 
  private:
   std::unique_ptr<net::Server> server_;
@@ -133,10 +132,23 @@ RunResult run_distributed(const net::DecideRequest& req, int num_workers) {
       out.seconds > 0
           ? static_cast<double>(out.report.configs_explored) / out.seconds
           : 0.0;
+  // Worker counters over the wire: Server::stats() is poll-thread-only.
   for (const auto& w : workers) {
-    const net::ServerStats s = w->server().stats();
-    out.worker_store_bytes.push_back(s.dist_store_bytes);
-    out.total_store_bytes += s.dist_store_bytes;
+    net::Client stats_client;
+    if (!stats_client.connect(w->address(), &error)) {
+      std::fprintf(stderr, "connect: %s\n", error.c_str());
+      return out;
+    }
+    const auto stats = stats_client.cache_stats(&error);
+    const obs::JsonValue* bytes =
+        stats ? stats->get("dist_store_bytes") : nullptr;
+    if (bytes == nullptr) {
+      std::fprintf(stderr, "cache_stats (worker): %s\n", error.c_str());
+      return out;
+    }
+    const auto store_bytes = static_cast<std::uint64_t>(bytes->as_int());
+    out.worker_store_bytes.push_back(store_bytes);
+    out.total_store_bytes += store_bytes;
   }
   out.ok = true;
   return out;

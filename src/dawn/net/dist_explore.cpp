@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string_view>
 #include <utility>
 
@@ -610,13 +611,9 @@ class WorkerSession {
       }
       if (!flush()) return;
     }
-    {
-      const char end = static_cast<char>(kResultEnd);
-      if (!send_frame(Action::ShardResult, FrameKind::Response,
-                      std::string_view(&end, 1))) {
-        return;
-      }
-    }
+    // Count the session before the end marker: once the coordinator has
+    // seen it (and so once its client has the report), the worker's
+    // CacheStats already include this session's configs.
     if (hooks_.dist_configs != nullptr) {
       hooks_.dist_configs->fetch_add(store_.size(),
                                      std::memory_order_relaxed);
@@ -625,6 +622,9 @@ class WorkerSession {
       hooks_.dist_store_bytes->fetch_add(store_bytes,
                                          std::memory_order_relaxed);
     }
+    const char end = static_cast<char>(kResultEnd);
+    send_frame(Action::ShardResult, FrameKind::Response,
+               std::string_view(&end, 1));
   }
 
   int fd_;
@@ -998,7 +998,7 @@ class Coordinator {
           static_cast<std::int32_t>(gid >> 6));
     };
     std::vector<Verdict> verdicts(total, Verdict::Neutral);
-    std::vector<std::vector<std::int32_t>> adj(total);
+    CsrGraph graph;
     {
       obs::SpanScope merge_span(opts_.spans, obs::Phase::ExploreMerge, total);
       for (const auto& Lp : links_) {
@@ -1018,18 +1018,17 @@ class Coordinator {
           }
         }
       }
-      for (const auto& [src, dst] : edges_raw_) {
-        const std::size_t s = dense(src);
-        const std::size_t d = dense(dst);
-        if (s >= total || d >= total) {
-          return refuse(WireError::Internal, "edge gid out of range");
-        }
-        adj[s].push_back(static_cast<std::int32_t>(d));
+      if (!build_csr(total, std::span<GidEdges>(&edges_raw_, 1), dense,
+                     graph)) {
+        return refuse(WireError::Internal, "edge gid out of range");
       }
     }
-    const BottomClassification cls = classify_bottom_sccs(
-        adj, [&](std::size_t i) { return verdicts[i]; },
-        explore_threads(*machine_, req_.budget));
+    BottomClassification cls;
+    {
+      obs::SpanScope scc_span(opts_.spans, obs::Phase::ExploreScc, total);
+      cls = classify_bottom_sccs(graph,
+                                 [&](std::size_t i) { return verdicts[i]; });
+    }
 
     if (opts_.progress != nullptr) {
       for (std::size_t sh = 0; sh < 64; ++sh) {
@@ -1426,7 +1425,7 @@ class Coordinator {
   bool packed_ = false;
   bool tiered_ = false;
   Config initial_;
-  std::vector<std::pair<std::int64_t, std::int64_t>> edges_raw_;
+  GidEdges edges_raw_;
   WireError fail_error_ = WireError::None;
   std::string fail_detail_;
   bool classify_stage_ = false;

@@ -157,6 +157,11 @@ class Server {
   // valid after start(). Ephemeral tcp ports are resolved here.
   const std::string& address() const { return address_; }
 
+  // A snapshot of the counters. Poll-thread state (connection table,
+  // inflight count, request/error metrics) is read unlocked, so call this
+  // only from the thread running run(), or after run() has returned. Other
+  // threads ask over the wire: a CacheStats request is answered by the poll
+  // thread, after the byte accounting of every reply it sent before.
   ServerStats stats() const;
 
   // Live progress of the distributed decision this server is currently

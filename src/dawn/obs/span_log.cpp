@@ -14,6 +14,7 @@ const char* name(Phase p) {
     case Phase::DecideTotal: return "decide";
     case Phase::ExploreExpand: return "explore.expand";
     case Phase::ExploreMerge: return "explore.merge";
+    case Phase::ExploreScc: return "explore.scc";
     case Phase::ExploreSccTrim: return "explore.scc.trim";
     case Phase::ExploreSccFb: return "explore.scc.fb";
     case Phase::ExploreSpill: return "explore.spill";

@@ -48,8 +48,9 @@ enum class Phase : std::uint8_t {
   DecideTotal,     // one decide() facade call
   ExploreExpand,   // one BFS level of the frontier-parallel exploration
   ExploreMerge,    // post-exploration buffer merge + dense remap
-  ExploreSccTrim,  // SCC pass: the in/out-degree peel
-  ExploreSccFb,    // SCC pass: forward-backward partitioning workers
+  ExploreScc,      // in-memory SCC pass: Tarjan + bottom-SCC classification
+  ExploreSccTrim,  // tiered SCC pass: the in/out-degree peel
+  ExploreSccFb,    // tiered SCC pass: forward-backward rounds
   ExploreSpill,    // tiered store: one level-boundary spill pass
   Canonicalize,    // one symmetry-canonicalised expansion
   TrialsBlock,     // one SoA batched trial block

@@ -11,8 +11,9 @@
 //    (semantics/trials.hpp), workers claiming fixed-size chunks through an
 //    atomic cursor; successors, edges and verdicts land in per-worker
 //    buffers, so the hot path takes no lock but the owning shard's;
-//  * the resulting graph is condensed by the parallel-friendly SCC pass in
-//    semantics/scc.{hpp,cpp} and classified by the bottom-SCC rule.
+//  * the per-worker edge buffers are merged into one CSR by counting sort,
+//    condensed by the iterative Tarjan in semantics/scc.{hpp,cpp} and
+//    classified by the bottom-SCC rule.
 //
 // Determinism contract: the decision, the number of reachable
 // configurations, and the number of bottom SCCs are properties of the
@@ -33,6 +34,7 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -138,7 +140,10 @@ class ShardedConfigStore {
     std::lock_guard<std::mutex> lock(s.mu);
     const auto local = static_cast<std::int32_t>(s.ids.size());
     const auto [it, fresh] = s.ids.try_emplace(value, local);
-    if (fresh) total_.fetch_add(1, std::memory_order_relaxed);
+    if (fresh) {
+      s.entry_bytes += entry_bytes(it->first);
+      total_.fetch_add(1, std::memory_order_relaxed);
+    }
     return {pack(it->second, shard_idx), fresh};
   }
 
@@ -196,27 +201,34 @@ class ShardedConfigStore {
   // on different processes equals one process measuring all 64 — the
   // distributed engine relies on this for bit-identical ledgers.
   std::size_t bytes_for_shard_range(std::size_t begin, std::size_t end) const {
-    using MapT = std::unordered_map<ConfigT, std::int32_t, Hash>;
     std::size_t total = 0;
     for (std::size_t sh = begin; sh < end; ++sh) {
       const Shard& s = shards_[sh];
-      total += s.ids.bucket_count() * sizeof(void*);
-      for (const auto& entry : s.ids) {
-        total += sizeof(typename MapT::value_type) + 2 * sizeof(void*);
-        if constexpr (requires { entry.first.capacity(); }) {
-          total += entry.first.capacity() *
-                   sizeof(typename ConfigT::value_type);
-        }
-      }
+      total += s.ids.bucket_count() * sizeof(void*) + s.entry_bytes;
     }
     return total;
   }
 
  private:
+  using Map = std::unordered_map<ConfigT, std::int32_t, Hash>;
+
   struct alignas(64) Shard {
     std::mutex mu;
-    std::unordered_map<ConfigT, std::int32_t, Hash> ids;
+    Map ids;
+    std::size_t entry_bytes = 0;  // sum of entry_bytes() over ids
   };
+
+  // One entry's share of bytes(): the stored key (with a vector key's heap
+  // block) and id, plus the hash node's next pointer and cached hash. Keys
+  // are immutable once stored, so summing this at insert time equals a walk
+  // over the nodes.
+  static std::size_t entry_bytes(const ConfigT& key) {
+    std::size_t bytes = sizeof(typename Map::value_type) + 2 * sizeof(void*);
+    if constexpr (requires { key.capacity(); }) {
+      bytes += key.capacity() * sizeof(typename ConfigT::value_type);
+    }
+    return bytes;
+  }
 
   static std::int64_t pack(std::int32_t local, std::size_t shard) {
     return (static_cast<std::int64_t>(local) << kShardBits) |
@@ -280,7 +292,6 @@ ExploreOutcome explore_and_classify_in(Store& store, const ConfigT& initial,
   };
   struct WorkerBuffers {
     std::vector<FrontierEntry> next;
-    std::vector<std::pair<std::int64_t, std::int64_t>> edges;  // src, dst
     std::vector<std::pair<std::int64_t, Verdict>> verdicts;
     std::size_t steals = 0;
   };
@@ -288,6 +299,7 @@ ExploreOutcome explore_and_classify_in(Store& store, const ConfigT& initial,
   WorkerPool pool(threads);
   const auto num_workers = static_cast<std::size_t>(pool.num_workers());
   std::vector<WorkerBuffers> buffers(num_workers);
+  std::vector<GidEdges> edges(num_workers);  // per worker, build_csr's input
   std::vector<decltype(make_expander(0))> expanders;
   expanders.reserve(num_workers);
   for (std::size_t w = 0; w < num_workers; ++w) {
@@ -329,6 +341,7 @@ ExploreOutcome explore_and_classify_in(Store& store, const ConfigT& initial,
     pool.run([&, tel](int worker) {
       const obs::TelemetryScope telemetry_scope(tel);
       WorkerBuffers& buf = buffers[static_cast<std::size_t>(worker)];
+      GidEdges& out_edges = edges[static_cast<std::size_t>(worker)];
       auto& expander = expanders[static_cast<std::size_t>(worker)];
       for (;;) {
         // Overshooting workers only waste a capped level's tail; the
@@ -346,7 +359,7 @@ ExploreOutcome explore_and_classify_in(Store& store, const ConfigT& initial,
           const FrontierEntry& entry = frontier[i];
           expander(entry.config, [&](const ConfigT& succ) {
             const auto interned = store.intern(succ);
-            buf.edges.emplace_back(entry.gid, interned.gid);
+            out_edges.emplace_back(entry.gid, interned.gid);
             if (interned.fresh) {
               buf.verdicts.emplace_back(interned.gid, verdict_of(succ));
               buf.next.push_back({interned.gid, succ});
@@ -363,7 +376,7 @@ ExploreOutcome explore_and_classify_in(Store& store, const ConfigT& initial,
     if (progress != nullptr) {
       progress->configs.store(store.size(), std::memory_order_relaxed);
       std::uint64_t edges_so_far = 0;
-      for (const auto& buf : buffers) edges_so_far += buf.edges.size();
+      for (const auto& out_edges : edges) edges_so_far += out_edges.size();
       progress->edges.store(edges_so_far, std::memory_order_relaxed);
     }
     if (store.size() > budget.max_configs) {
@@ -406,26 +419,22 @@ ExploreOutcome explore_and_classify_in(Store& store, const ConfigT& initial,
 
   store.finalize();
   const std::size_t total = store.size();
-  std::vector<std::vector<std::int32_t>> adj(total);
   std::vector<Verdict> verdicts(total, Verdict::Neutral);
-  std::size_t num_edges = 0;
+  CsrGraph graph;
   {
     obs::SpanScope merge_span(tel.spans, obs::Phase::ExploreMerge, total);
     for (auto& buf : buffers) {
       for (const auto& [gid, verdict] : buf.verdicts) {
         verdicts[static_cast<std::size_t>(store.dense(gid))] = verdict;
       }
-      num_edges += buf.edges.size();
-      for (const auto& [src, dst] : buf.edges) {
-        adj[static_cast<std::size_t>(store.dense(src))].push_back(
-            store.dense(dst));
-      }
-      buf.edges.clear();
-      buf.edges.shrink_to_fit();
-      buf.verdicts.clear();
-      buf.verdicts.shrink_to_fit();
+      decltype(buf.verdicts)().swap(buf.verdicts);
     }
+    const bool in_range = build_csr(
+        total, std::span<GidEdges>(edges),
+        [&store](std::int64_t gid) { return store.dense(gid); }, graph);
+    DAWN_CHECK_MSG(in_range, "edge endpoint outside the finalized store");
   }
+  const std::size_t num_edges = graph.targets.size();
 
   stats.configs = total;
   stats.edges = num_edges;
@@ -454,8 +463,12 @@ ExploreOutcome explore_and_classify_in(Store& store, const ConfigT& initial,
                         num_edges * 2 * sizeof(std::int64_t));
   }
 
-  const BottomClassification cls = classify_bottom_sccs(
-      adj, [&](std::size_t i) { return verdicts[i]; }, threads);
+  BottomClassification cls;
+  {
+    obs::SpanScope scc_span(tel.spans, obs::Phase::ExploreScc, total);
+    cls = classify_bottom_sccs(graph,
+                               [&](std::size_t i) { return verdicts[i]; });
+  }
 
   outcome.decision = cls.decision;
   outcome.num_configs = total;

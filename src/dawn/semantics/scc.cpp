@@ -1,387 +1,119 @@
 #include "dawn/semantics/scc.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
-#include <deque>
-#include <mutex>
-#include <utility>
-
-#include "dawn/obs/telemetry.hpp"
-#include "dawn/semantics/trials.hpp"
 
 namespace dawn {
 
 namespace {
 
-using Adj = std::vector<std::vector<std::int32_t>>;
+// Iterative Tarjan in Pearce's one-word-per-node form ("A space-efficient
+// algorithm for finding strongly connected components", IPL 2016): rindex
+// is 0 for an unvisited node, the DFS index (lowered to the smallest index
+// it reaches) while the node is live, and, once its component is emitted,
+// a component value counting down from n - 1 that is never below a live
+// index. So a finished node never lowers a live one, and one array read
+// per edge does the work of Tarjan's index, lowlink and on-stack arrays.
+// Components are renumbered to [0, count) in emission order. Returns
+// count; `component` doubles as the rindex array.
+std::size_t tarjan(const CsrGraph& g, std::vector<std::int32_t>& component) {
+  const auto n = static_cast<std::int32_t>(g.num_nodes());
+  std::vector<std::int32_t>& rindex = component;
+  rindex.assign(static_cast<std::size_t>(n), 0);
+  std::vector<std::int32_t> stack;  // live non-root nodes
+  std::int32_t index = 1;
+  std::int32_t c = n - 1;
 
-constexpr std::int32_t kUnvisited = -1;
-
-// Below this node count the parallel machinery costs more than Tarjan.
-constexpr std::size_t kParallelSccThreshold = 1u << 15;
-
-// FB subproblems below this size finish with sequential Tarjan instead of
-// further pivot splits.
-constexpr std::size_t kTarjanFallback = 25'000;
-
-SccInfo compute_sccs_tarjan(const Adj& adj) {
-  const auto n = adj.size();
-  SccInfo info;
-  info.component.assign(n, kUnvisited);
-  std::vector<std::int32_t> index(n, kUnvisited), low(n, 0);
-  std::vector<bool> on_stack(n, false);
-  std::vector<std::int32_t> stack;
-  std::int32_t next_index = 0;
-  std::int32_t next_scc = 0;
-
-  // Iterative Tarjan: an explicit call stack of (node, next child) frames.
+  // The explicit call stack: a node, its next edge, and whether it is
+  // still a candidate component root.
   struct Frame {
     std::int32_t v;
-    std::size_t child;
+    std::uint32_t edge;
+    bool root;
   };
   std::vector<Frame> call_stack;
+  const auto visit = [&](std::int32_t v) {
+    rindex[static_cast<std::size_t>(v)] = index++;
+    call_stack.push_back({v, g.offsets[static_cast<std::size_t>(v)], true});
+  };
+  // v's DFS reached w (an edge or a finished child): inherit a lower index.
+  const auto reach = [&](Frame& f, std::int32_t w) {
+    auto& rv = rindex[static_cast<std::size_t>(f.v)];
+    const std::int32_t rw = rindex[static_cast<std::size_t>(w)];
+    if (rw < rv) {
+      rv = rw;
+      f.root = false;
+    }
+  };
 
-  for (std::size_t root = 0; root < n; ++root) {
-    if (index[root] != kUnvisited) continue;
-    call_stack.push_back({static_cast<std::int32_t>(root), 0});
+  for (std::int32_t r = 0; r < n; ++r) {
+    if (rindex[static_cast<std::size_t>(r)] != 0) continue;
+    visit(r);
     while (!call_stack.empty()) {
       Frame& f = call_stack.back();
-      const auto v = static_cast<std::size_t>(f.v);
-      if (f.child == 0) {
-        index[v] = low[v] = next_index++;
-        stack.push_back(f.v);
-        on_stack[v] = true;
-      }
+      const std::uint32_t end = g.offsets[static_cast<std::size_t>(f.v) + 1];
       bool descended = false;
-      while (f.child < adj[v].size()) {
-        const std::int32_t w = adj[v][f.child++];
-        const auto wu = static_cast<std::size_t>(w);
-        if (index[wu] == kUnvisited) {
-          call_stack.push_back({w, 0});
+      while (f.edge < end) {
+        const std::int32_t w = g.targets[f.edge];
+        if (rindex[static_cast<std::size_t>(w)] == 0) {
+          visit(w);  // invalidates f; the edge is finished on return
           descended = true;
           break;
         }
-        if (on_stack[wu]) low[v] = std::min(low[v], index[wu]);
+        ++f.edge;
+        reach(f, w);
       }
       if (descended) continue;
-      if (low[v] == index[v]) {
-        while (true) {
-          const std::int32_t w = stack.back();
+      const std::int32_t v = f.v;
+      auto& rv = rindex[static_cast<std::size_t>(v)];
+      if (f.root) {
+        --index;
+        while (!stack.empty() &&
+               rv <= rindex[static_cast<std::size_t>(stack.back())]) {
+          rindex[static_cast<std::size_t>(stack.back())] = c;
           stack.pop_back();
-          on_stack[static_cast<std::size_t>(w)] = false;
-          info.component[static_cast<std::size_t>(w)] = next_scc;
-          if (w == f.v) break;
+          --index;
         }
-        ++next_scc;
+        rv = c--;
+      } else {
+        stack.push_back(v);
       }
-      const std::int32_t finished = f.v;
       call_stack.pop_back();
       if (!call_stack.empty()) {
-        const auto parent = static_cast<std::size_t>(call_stack.back().v);
-        low[parent] =
-            std::min(low[parent], low[static_cast<std::size_t>(finished)]);
+        Frame& parent = call_stack.back();
+        ++parent.edge;
+        reach(parent, v);
       }
     }
   }
-  info.count = static_cast<std::size_t>(next_scc);
-  return info;
-}
-
-void mark_bottoms(const Adj& adj, SccInfo& info) {
-  info.is_bottom.assign(info.count, true);
-  for (std::size_t v = 0; v < adj.size(); ++v) {
-    for (std::int32_t w : adj[v]) {
-      if (info.component[v] != info.component[static_cast<std::size_t>(w)]) {
-        info.is_bottom[static_cast<std::size_t>(info.component[v])] = false;
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Forward–backward SCC partitioning.
-//
-// Shared per-node scratch is race-free without locks because the live nodes
-// are partitioned into disjoint subproblems, each processed by exactly one
-// worker, and a node's next subproblem is only created after its current
-// one finishes. Marks use the subproblem id as an epoch, so they never need
-// clearing.
-// ---------------------------------------------------------------------------
-
-struct FbTask {
-  std::int32_t pid = 0;                // subproblem id; also the mark epoch
-  std::vector<std::int32_t> nodes;
-};
-
-struct FbState {
-  const Adj& adj;
-  Adj radj;
-
-  std::vector<std::int32_t> owner;     // live node -> current subproblem id
-  std::vector<std::int32_t> fwd_mark;  // epoch == pid when reached forward
-  std::vector<std::int32_t> bwd_mark;  // epoch == pid when reached backward
-  std::vector<std::int32_t> index;     // Tarjan-fallback scratch
-  std::vector<std::int32_t> low;
-  std::vector<std::uint8_t> on_stack;  // uint8, not vector<bool>: no shared
-                                       // bit-packing across workers
-  std::vector<std::int32_t> component;
-  std::atomic<std::int32_t> next_scc{0};
-  std::atomic<std::int32_t> next_pid{0};
-
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<FbTask> queue;
-  std::size_t pending = 0;  // queued + in-flight tasks
-
-  explicit FbState(const Adj& a) : adj(a) {
-    const auto n = a.size();
-    radj.resize(n);
-    for (std::size_t v = 0; v < n; ++v) {
-      for (std::int32_t w : a[v]) {
-        radj[static_cast<std::size_t>(w)].push_back(
-            static_cast<std::int32_t>(v));
-      }
-    }
-    owner.assign(n, kUnvisited);
-    fwd_mark.assign(n, kUnvisited);
-    bwd_mark.assign(n, kUnvisited);
-    index.assign(n, kUnvisited);
-    low.assign(n, 0);
-    on_stack.assign(n, 0);
-    component.assign(n, kUnvisited);
-  }
-};
-
-// Sequential Tarjan over the subgraph induced by owner[v] == pid; SCC ids
-// come from the shared atomic counter.
-void fb_tarjan(FbState& s, const FbTask& task) {
-  struct Frame {
-    std::int32_t v;
-    std::size_t child;
-  };
-  std::vector<Frame> call_stack;
-  std::vector<std::int32_t> stack;
-  std::int32_t next_index = 0;
-
-  for (const std::int32_t root : task.nodes) {
-    if (s.index[static_cast<std::size_t>(root)] != kUnvisited) continue;
-    call_stack.push_back({root, 0});
-    while (!call_stack.empty()) {
-      Frame& f = call_stack.back();
-      const auto v = static_cast<std::size_t>(f.v);
-      if (f.child == 0) {
-        s.index[v] = s.low[v] = next_index++;
-        stack.push_back(f.v);
-        s.on_stack[v] = 1;
-      }
-      bool descended = false;
-      while (f.child < s.adj[v].size()) {
-        const std::int32_t w = s.adj[v][f.child++];
-        const auto wu = static_cast<std::size_t>(w);
-        if (s.owner[wu] != task.pid) continue;  // other subproblem / trimmed
-        if (s.index[wu] == kUnvisited) {
-          call_stack.push_back({w, 0});
-          descended = true;
-          break;
-        }
-        if (s.on_stack[wu]) s.low[v] = std::min(s.low[v], s.index[wu]);
-      }
-      if (descended) continue;
-      if (s.low[v] == s.index[v]) {
-        const std::int32_t scc = s.next_scc.fetch_add(1);
-        while (true) {
-          const std::int32_t w = stack.back();
-          stack.pop_back();
-          s.on_stack[static_cast<std::size_t>(w)] = 0;
-          s.component[static_cast<std::size_t>(w)] = scc;
-          if (w == f.v) break;
-        }
-      }
-      const std::int32_t finished = f.v;
-      call_stack.pop_back();
-      if (!call_stack.empty()) {
-        const auto parent = static_cast<std::size_t>(call_stack.back().v);
-        s.low[parent] =
-            std::min(s.low[parent], s.low[static_cast<std::size_t>(finished)]);
-      }
-    }
-  }
-}
-
-// BFS within the task's subproblem along `edges` (adj or radj), setting
-// `mark[v] = task.pid`. Returns the reached nodes.
-std::vector<std::int32_t> fb_reach(FbState& s, const FbTask& task,
-                                   const Adj& edges,
-                                   std::vector<std::int32_t>& mark,
-                                   std::int32_t pivot) {
-  std::vector<std::int32_t> reached{pivot};
-  mark[static_cast<std::size_t>(pivot)] = task.pid;
-  for (std::size_t head = 0; head < reached.size(); ++head) {
-    const auto v = static_cast<std::size_t>(reached[head]);
-    for (const std::int32_t w : edges[v]) {
-      const auto wu = static_cast<std::size_t>(w);
-      if (s.owner[wu] != task.pid || mark[wu] == task.pid) continue;
-      mark[wu] = task.pid;
-      reached.push_back(w);
-    }
-  }
-  return reached;
-}
-
-// One FB step: SCC(pivot) = F ∩ B; recurse on F\S, B\S, and the rest.
-void fb_split(FbState& s, const FbTask& task, std::vector<FbTask>& children) {
-  const std::int32_t pivot = task.nodes.front();
-  fb_reach(s, task, s.adj, s.fwd_mark, pivot);
-  fb_reach(s, task, s.radj, s.bwd_mark, pivot);
-
-  const std::int32_t scc = s.next_scc.fetch_add(1);
-  FbTask fwd_only, bwd_only, rest;
-  for (const std::int32_t v : task.nodes) {
-    const auto vu = static_cast<std::size_t>(v);
-    const bool in_f = s.fwd_mark[vu] == task.pid;
-    const bool in_b = s.bwd_mark[vu] == task.pid;
-    if (in_f && in_b) {
-      s.component[vu] = scc;
-    } else if (in_f) {
-      fwd_only.nodes.push_back(v);
-    } else if (in_b) {
-      bwd_only.nodes.push_back(v);
-    } else {
-      rest.nodes.push_back(v);
-    }
-  }
-  for (FbTask* child : {&fwd_only, &bwd_only, &rest}) {
-    if (child->nodes.empty()) continue;
-    child->pid = s.next_pid.fetch_add(1);
-    for (const std::int32_t v : child->nodes) {
-      s.owner[static_cast<std::size_t>(v)] = child->pid;
-    }
-    children.push_back(std::move(*child));
-  }
-}
-
-void fb_worker(FbState& s) {
-  std::vector<FbTask> children;
-  for (;;) {
-    FbTask task;
-    {
-      std::unique_lock<std::mutex> lock(s.mu);
-      s.cv.wait(lock, [&] { return !s.queue.empty() || s.pending == 0; });
-      if (s.queue.empty()) return;  // pending == 0: all work finished
-      task = std::move(s.queue.front());
-      s.queue.pop_front();
-    }
-    children.clear();
-    if (task.nodes.size() <= kTarjanFallback) {
-      fb_tarjan(s, task);
-    } else {
-      fb_split(s, task, children);
-    }
-    {
-      std::lock_guard<std::mutex> lock(s.mu);
-      for (auto& child : children) {
-        s.queue.push_back(std::move(child));
-        ++s.pending;
-      }
-      --s.pending;
-    }
-    s.cv.notify_all();
-  }
-}
-
-SccInfo compute_sccs_parallel(const Adj& adj, int threads) {
-  const auto n = adj.size();
-  const obs::Telemetry tel = obs::telemetry();
-  FbState s(adj);
-
-  // Trim: a node with no in-edges (or no out-edges) among the still-live
-  // nodes cannot lie on a cycle, so it is a singleton SCC. Monotone
-  // protocols produce near-DAG configuration graphs, so this peel usually
-  // resolves most of the graph in O(V+E) before any pivoting.
-  std::vector<std::uint8_t> trimmed(n, 0);
-  {
-    obs::SpanScope trim_span(tel.spans, obs::Phase::ExploreSccTrim, n);
-    std::vector<std::int32_t> in_deg(n, 0), out_deg(n, 0);
-    for (std::size_t v = 0; v < n; ++v) {
-      out_deg[v] = static_cast<std::int32_t>(adj[v].size());
-      for (const std::int32_t w : adj[v]) {
-        ++in_deg[static_cast<std::size_t>(w)];
-      }
-    }
-    std::vector<std::int32_t> peel;
-    for (std::size_t v = 0; v < n; ++v) {
-      if (in_deg[v] == 0 || out_deg[v] == 0) {
-        trimmed[v] = 1;
-        peel.push_back(static_cast<std::int32_t>(v));
-      }
-    }
-    std::int32_t trimmed_sccs = 0;
-    while (!peel.empty()) {
-      const auto v = static_cast<std::size_t>(peel.back());
-      peel.pop_back();
-      s.component[v] = trimmed_sccs++;
-      for (const std::int32_t w : adj[v]) {
-        const auto wu = static_cast<std::size_t>(w);
-        if (!trimmed[wu] && --in_deg[wu] == 0) {
-          trimmed[wu] = 1;
-          peel.push_back(w);
-        }
-      }
-      for (const std::int32_t w : s.radj[v]) {
-        const auto wu = static_cast<std::size_t>(w);
-        if (!trimmed[wu] && --out_deg[wu] == 0) {
-          trimmed[wu] = 1;
-          peel.push_back(w);
-        }
-      }
-    }
-    s.next_scc.store(trimmed_sccs, std::memory_order_relaxed);
-  }
-
-  FbTask root;
-  for (std::size_t v = 0; v < n; ++v) {
-    if (!trimmed[v]) root.nodes.push_back(static_cast<std::int32_t>(v));
-  }
-  if (!root.nodes.empty()) {
-    root.pid = s.next_pid.fetch_add(1);
-    for (const std::int32_t v : root.nodes) {
-      s.owner[static_cast<std::size_t>(v)] = root.pid;
-    }
-    const std::size_t live = root.nodes.size();
-    s.queue.push_back(std::move(root));
-    s.pending = 1;
-    obs::SpanScope fb_span(tel.spans, obs::Phase::ExploreSccFb, live);
-    WorkerPool pool(threads);
-    pool.run([&s, tel](int) {
-      const obs::TelemetryScope telemetry_scope(tel);
-      fb_worker(s);
-    });
-  }
-
-  SccInfo info;
-  info.component = std::move(s.component);
-  info.count =
-      static_cast<std::size_t>(s.next_scc.load(std::memory_order_relaxed));
-  return info;
+  for (std::int32_t& x : rindex) x = n - 1 - x;
+  return static_cast<std::size_t>(n - 1 - c);
 }
 
 }  // namespace
 
-SccInfo compute_sccs(const Adj& adj, int max_threads) {
-  SccInfo info = (max_threads > 1 && adj.size() >= kParallelSccThreshold)
-                     ? compute_sccs_parallel(adj, max_threads)
-                     : compute_sccs_tarjan(adj);
-  mark_bottoms(adj, info);
+SccInfo compute_sccs(const CsrGraph& g) {
+  SccInfo info;
+  info.count = tarjan(g, info.component);
+  // A component is bottom iff no edge leaves it.
+  info.is_bottom.assign(info.count, true);
+  for (std::size_t v = 0; v < g.num_nodes(); ++v) {
+    const std::int32_t c = info.component[v];
+    for (std::uint32_t e = g.offsets[v]; e < g.offsets[v + 1]; ++e) {
+      if (info.component[static_cast<std::size_t>(g.targets[e])] != c) {
+        info.is_bottom[static_cast<std::size_t>(c)] = false;
+        break;
+      }
+    }
+  }
   return info;
 }
 
 BottomClassification classify_bottom_sccs(
-    const Adj& adj, const std::function<Verdict(std::size_t)>& verdict_of,
-    int max_threads) {
-  const SccInfo info = compute_sccs(adj, max_threads);
+    const CsrGraph& graph,
+    const std::function<Verdict(std::size_t)>& verdict_of) {
+  const SccInfo info = compute_sccs(graph);
   std::vector<std::uint8_t> all_acc(info.count, 1), all_rej(info.count, 1);
-  for (std::size_t v = 0; v < adj.size(); ++v) {
+  for (std::size_t v = 0; v < graph.num_nodes(); ++v) {
     const auto s = static_cast<std::size_t>(info.component[v]);
     if (!info.is_bottom[s]) continue;
     const Verdict verdict = verdict_of(v);
@@ -409,6 +141,23 @@ BottomClassification classify_bottom_sccs(
     out.decision = Decision::Reject;
   }
   return out;
+}
+
+BottomClassification classify_bottom_sccs(
+    const std::vector<std::vector<std::int32_t>>& adj,
+    const std::function<Verdict(std::size_t)>& verdict_of,
+    int /*max_threads*/) {
+  CsrGraph graph;
+  graph.offsets.reserve(adj.size() + 1);
+  graph.offsets.push_back(0);
+  for (const auto& succ : adj) {
+    graph.targets.insert(graph.targets.end(), succ.begin(), succ.end());
+    DAWN_CHECK_MSG(
+        graph.targets.size() <= std::numeric_limits<std::uint32_t>::max(),
+        "CSR offsets are 32-bit");
+    graph.offsets.push_back(static_cast<std::uint32_t>(graph.targets.size()));
+  }
+  return classify_bottom_sccs(graph, verdict_of);
 }
 
 }  // namespace dawn

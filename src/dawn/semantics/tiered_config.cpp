@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "dawn/obs/telemetry.hpp"
+#include "dawn/semantics/scc.hpp"
 #include "dawn/util/check.hpp"
 #include "dawn/util/hash.hpp"
 #include "dawn/util/varint.hpp"
@@ -444,76 +445,6 @@ bool EdgeSpool::ScanCursor::next(std::int64_t* src, std::int64_t* dst) {
 // Semi-external bottom-SCC classification
 // ---------------------------------------------------------------------------
 
-namespace {
-
-// Iterative Tarjan over a CSR subgraph (same algorithm as scc.cpp's
-// compute_sccs_tarjan, restated over offset/target arrays so the fallback's
-// footprint is exactly the CSR bytes the resident-cap check admitted).
-// Returns the number of SCCs; comp_out gets ids in [0, count).
-std::size_t tarjan_csr(const std::vector<std::uint32_t>& off,
-                       const std::vector<std::int32_t>& dst,
-                       std::vector<std::int32_t>& comp_out) {
-  const std::size_t n = off.empty() ? 0 : off.size() - 1;
-  comp_out.assign(n, -1);
-  std::vector<std::int32_t> index(n, -1), low(n, 0);
-  std::vector<bool> on_stack(n, false);
-  std::vector<std::int32_t> stack;
-  std::int32_t next_index = 0;
-  std::int32_t next_scc = 0;
-
-  struct Frame {
-    std::int32_t v;
-    std::uint32_t child;
-  };
-  std::vector<Frame> call_stack;
-
-  for (std::size_t root = 0; root < n; ++root) {
-    if (index[root] != -1) continue;
-    call_stack.push_back({static_cast<std::int32_t>(root), 0});
-    while (!call_stack.empty()) {
-      Frame& f = call_stack.back();
-      const auto v = static_cast<std::size_t>(f.v);
-      if (f.child == 0) {
-        index[v] = low[v] = next_index++;
-        stack.push_back(f.v);
-        on_stack[v] = true;
-      }
-      bool descended = false;
-      while (off[v] + f.child < off[v + 1]) {
-        const std::int32_t w = dst[off[v] + f.child++];
-        const auto wu = static_cast<std::size_t>(w);
-        if (index[wu] == -1) {
-          call_stack.push_back({w, 0});
-          descended = true;
-          break;
-        }
-        if (on_stack[wu]) low[v] = std::min(low[v], index[wu]);
-      }
-      if (descended) continue;
-      if (low[v] == index[v]) {
-        for (;;) {
-          const std::int32_t w = stack.back();
-          stack.pop_back();
-          on_stack[static_cast<std::size_t>(w)] = false;
-          comp_out[static_cast<std::size_t>(w)] = next_scc;
-          if (w == f.v) break;
-        }
-        ++next_scc;
-      }
-      const std::int32_t finished = f.v;
-      call_stack.pop_back();
-      if (!call_stack.empty()) {
-        const auto parent = static_cast<std::size_t>(call_stack.back().v);
-        low[parent] =
-            std::min(low[parent], low[static_cast<std::size_t>(finished)]);
-      }
-    }
-  }
-  return static_cast<std::size_t>(next_scc);
-}
-
-}  // namespace
-
 ExternalClassification classify_bottom_sccs_external(
     const EdgeSpool& edges, const TieredConfigStore& store,
     const std::vector<Verdict>& verdicts, std::size_t resident_cap) {
@@ -613,7 +544,9 @@ ExternalClassification classify_bottom_sccs_external(
           nodes.push_back(static_cast<std::int32_t>(v));
         }
       }
-      std::vector<std::uint32_t> off(nodes.size() + 1, 0);
+      CsrGraph sub;
+      std::vector<std::uint32_t>& off = sub.offsets;
+      off.assign(nodes.size() + 1, 0);
       if (!scan([&](std::size_t u, std::size_t v) {
             if (u != v && comp[u] < 0 && comp[v] < 0) {
               ++off[static_cast<std::size_t>(subid[u]) + 1];
@@ -622,21 +555,21 @@ ExternalClassification classify_bottom_sccs_external(
         return give_up(UnknownReason::MemoryCap);
       }
       for (std::size_t i = 1; i < off.size(); ++i) off[i] += off[i - 1];
-      std::vector<std::int32_t> dst(active_edges);
+      sub.targets.resize(active_edges);
       std::vector<std::uint32_t> cursor(off.begin(), off.end() - 1);
       if (!scan([&](std::size_t u, std::size_t v) {
             if (u != v && comp[u] < 0 && comp[v] < 0) {
-              dst[cursor[static_cast<std::size_t>(subid[u])]++] = subid[v];
+              sub.targets[cursor[static_cast<std::size_t>(subid[u])]++] =
+                  subid[v];
             }
           })) {
         return give_up(UnknownReason::MemoryCap);
       }
-      std::vector<std::int32_t> subcomp;
-      const std::size_t count = tarjan_csr(off, dst, subcomp);
+      const SccInfo info = compute_sccs(sub);
       for (std::size_t i = 0; i < nodes.size(); ++i) {
-        comp[static_cast<std::size_t>(nodes[i])] = next_scc + subcomp[i];
+        comp[static_cast<std::size_t>(nodes[i])] = next_scc + info.component[i];
       }
-      next_scc += static_cast<std::int32_t>(count);
+      next_scc += static_cast<std::int32_t>(info.count);
       active = 0;
       break;
     }

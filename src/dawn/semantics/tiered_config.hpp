@@ -27,11 +27,11 @@
 //    append files; the SCC classification re-scans them instead of holding
 //    an in-memory adjacency.
 //
-// classify_bottom_sccs_external() then restructures the FB-SCC pass into
-// semi-external passes over the edge file: O(V) node arrays stay resident
-// (comp / partition / marks / degrees), each trim peel and each forward-
-// backward propagation step is one sequential scan, and subgraphs whose CSR
-// fits the classify resident cap are finished by in-memory Tarjan. If the
+// classify_bottom_sccs_external() then classifies in semi-external passes
+// over the edge file: O(V) node arrays stay resident (comp / partition /
+// marks / degrees), each trim peel and each forward-backward propagation
+// step is one sequential scan, and subgraphs whose CSR fits the classify
+// resident cap are finished by scc.hpp's in-memory Tarjan. If the
 // active subgraph never fits, the classification gives up deterministically
 // with UnknownReason::MemoryCap rather than silently blowing the budget.
 //
@@ -335,7 +335,7 @@ struct ExternalClassification {
 
 // Semi-external bottom-SCC classification over the spooled edges: resident
 // O(V) node arrays, trim peels and forward-backward propagation as repeated
-// sequential scans of the edge file, in-memory (CSR) Tarjan for active
+// sequential scans of the edge file, scc.hpp's CSR Tarjan for active
 // subgraphs whose footprint fits resident_cap bytes. Deterministic and
 // single-threaded by construction. Returns reason MemoryCap when the active
 // subgraph still exceeds resident_cap after the bounded streaming rounds,

@@ -37,7 +37,7 @@
 namespace dawn {
 
 // A persistent team of worker threads for phased parallel algorithms (the
-// level-synchronous frontier exploration, the FB-SCC partitioning). Unlike
+// level-synchronous frontier exploration, the trial runner). Unlike
 // the one-shot fan-out below, the threads survive between run() calls, so a
 // BFS with thousands of short levels pays thread start-up once, not per
 // level.

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "dawn/net/payload.hpp"
 #include "dawn/net/server.hpp"
 #include "dawn/net/wire.hpp"
+#include "dawn/obs/json.hpp"
 #include "dawn/semantics/decision.hpp"
 
 namespace {
@@ -534,6 +536,24 @@ TEST(ServerOptions, StartupValidationNamesTheBadOption) {
 
 // --- Counters and progress ---------------------------------------------------
 
+// A server's counters, read through a CacheStats round trip: its poll
+// thread answers only after the accounting of every reply it sent earlier.
+// (Server::stats() belongs to the poll thread; see server.hpp.)
+obs::JsonValue wire_stats(const std::string& address) {
+  net::Client client;
+  std::string error;
+  EXPECT_TRUE(client.connect(address, &error)) << error;
+  std::optional<obs::JsonValue> stats = client.cache_stats(&error);
+  EXPECT_TRUE(stats.has_value()) << error;
+  return stats.value_or(obs::JsonValue::object());
+}
+
+std::int64_t stat(const obs::JsonValue& stats, const char* key) {
+  const obs::JsonValue* value = stats.get(key);
+  EXPECT_NE(value, nullptr) << key;
+  return value == nullptr ? -1 : value->as_int();
+}
+
 TEST(DistDecide, ByteCountersSplitByConnectionClass) {
   DistCluster cluster(2);
   net::DecideRequest req = dist_request(41, make_line({0, 1, 0, 1, 0}));
@@ -542,33 +562,25 @@ TEST(DistDecide, ByteCountersSplitByConnectionClass) {
       decide_via(cluster.coordinator().address(), req, true, &error);
   ASSERT_TRUE(reply.has_value()) << error;
 
-  const net::ServerStats cs = cluster.coordinator().server().stats();
-  EXPECT_GT(cs.bytes_in_client, 0u);   // the Decide request itself
-  EXPECT_GT(cs.bytes_out_client, 0u);  // its reply
-  EXPECT_GT(cs.bytes_in_peer, 0u);     // worker frames on the peer links
-  EXPECT_GT(cs.bytes_out_peer, 0u);    // ShardInit + barriers out
+  const obs::JsonValue cs = wire_stats(cluster.coordinator().address());
+  EXPECT_GT(stat(cs, "bytes_in_client"), 0);   // the Decide request itself
+  EXPECT_GT(stat(cs, "bytes_out_client"), 0);  // its reply
+  EXPECT_GT(stat(cs, "bytes_in_peer"), 0);     // worker frames on peer links
+  EXPECT_GT(stat(cs, "bytes_out_peer"), 0);    // ShardInit + barriers out
+  EXPECT_GE(stat(cs, "dist_sessions"), 0);  // surfaced; 0 on a coordinator
 
-  std::uint64_t sessions = 0;
-  std::uint64_t dist_configs = 0;
+  std::int64_t sessions = 0;
+  std::int64_t dist_configs = 0;
   for (int i = 0; i < 2; ++i) {
-    const net::ServerStats ws = cluster.worker(i).server().stats();
-    EXPECT_GT(ws.bytes_in_peer, 0u) << "worker " << i;
-    EXPECT_GT(ws.bytes_out_peer, 0u) << "worker " << i;
-    sessions += ws.dist_sessions;
-    dist_configs += ws.dist_configs;
+    const obs::JsonValue ws = wire_stats(cluster.worker(i).address());
+    EXPECT_GT(stat(ws, "bytes_in_peer"), 0) << "worker " << i;
+    EXPECT_GT(stat(ws, "bytes_out_peer"), 0) << "worker " << i;
+    sessions += stat(ws, "dist_sessions");
+    dist_configs += stat(ws, "dist_configs");
   }
-  EXPECT_EQ(sessions, 2u);  // one session per worker for the one decide
-  EXPECT_EQ(dist_configs, reply->report.configs_explored);
-
-  // The stats surface through the CacheStats wire action too.
-  net::Client client;
-  ASSERT_TRUE(client.connect(cluster.coordinator().address(), &error))
-      << error;
-  const auto stats = client.cache_stats(&error);
-  ASSERT_TRUE(stats.has_value()) << error;
-  ASSERT_NE(stats->get("bytes_out_peer"), nullptr);
-  EXPECT_GT(stats->get("bytes_out_peer")->as_int(), 0);
-  ASSERT_NE(stats->get("dist_sessions"), nullptr);
+  EXPECT_EQ(sessions, 2);  // one session per worker for the one decide
+  EXPECT_EQ(dist_configs,
+            static_cast<std::int64_t>(reply->report.configs_explored));
 }
 
 TEST(DistDecide, CoordinatorProgressReflectsTheDecision) {

@@ -277,6 +277,12 @@ TEST(SpanLog, PhaseNamesAreUniqueAndNonEmpty) {
     names.insert(n);
   }
   EXPECT_EQ(names.size(), obs::kNumPhases);
+  // The exploration phases the engines and docs/OBSERVABILITY.md name.
+  for (const char* n : {"explore.expand", "explore.merge", "explore.scc",
+                        "explore.scc.trim", "explore.scc.fb", "explore.spill",
+                        "explore.dist.exchange"}) {
+    EXPECT_TRUE(names.count(n)) << n;
+  }
 }
 
 TEST(ChromeTrace, TightNestedSpansSurviveTimestampTies) {
@@ -369,7 +375,42 @@ TEST(ChromeTrace, FullDecideTraceIsValidAndCoversTheEnginePhases) {
   EXPECT_EQ(decide_spans, 1u);
   EXPECT_TRUE(phases.count(obs::Phase::ExploreExpand));
   EXPECT_TRUE(phases.count(obs::Phase::ExploreMerge));
+  EXPECT_TRUE(phases.count(obs::Phase::ExploreScc));
   expect_valid_chrome_trace(obs::chrome_trace_json(log));
+}
+
+// The in-memory SCC pass runs once per completed decide, at any worker
+// count, inside an explore.scc span whose items are the configurations it
+// classified; capped runs never reach it.
+TEST(ChromeTrace, OneSccSpanPerCompletedDecideCarriesTheConfigCount) {
+  const auto m = buggy_flooding();
+  const Graph g = make_cycle({0, 1, 0, 0, 1, 0, 0, 1});
+  for (const int threads : {1, 2, 8}) {
+    for (const std::size_t cap : {std::size_t{500'000}, std::size_t{50}}) {
+      obs::SpanLog log;
+      obs::Telemetry tel;
+      tel.spans = &log;
+      DecisionReport r;
+      {
+        const obs::TelemetryScope scope(tel);
+        DecisionRequest req;
+        req.budget = {.max_configs = cap, .max_threads = threads};
+        req.method = DecideMethod::Explicit;
+        r = decide(*m, g, req);
+      }
+      std::vector<std::uint64_t> scc_items;
+      for (const auto& rec : log.merged()) {
+        if (rec.phase == obs::Phase::ExploreScc) scc_items.push_back(rec.items);
+      }
+      ASSERT_EQ(r.decision == Decision::Unknown, cap == 50);
+      if (cap == 50) {
+        EXPECT_TRUE(scc_items.empty()) << threads << " threads, capped";
+      } else {
+        ASSERT_EQ(scc_items.size(), 1u) << threads << " threads";
+        EXPECT_EQ(scc_items[0], r.configs_explored) << threads << " threads";
+      }
+    }
+  }
 }
 
 TEST(Telemetry, ScopeInstallsTheBundleAndRestoresThePreviousOne) {
