@@ -198,7 +198,7 @@ int main(int argc, char** argv) {
 
   // Phase B: count_bound=5 sweeps through the budget-aware verifier. The
   // factory overload hands every worker its own compiled machine, so the
-  // sweep parallelises across instances even for non-parallel-safe stacks.
+  // sweep parallelises across instances for any machine.
   std::printf("\ncount_bound=5 verification sweeps (counted cliques):\n");
   struct Family {
     std::string name;

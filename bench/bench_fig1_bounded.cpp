@@ -50,8 +50,8 @@ int main(int argc, char** argv) {
 
   // Every (input × scheduler) cell is an independent long simulation; fan
   // them across the trial runner's thread pool. Each job owns its machine
-  // (compiled stacks intern lazily and are not shareable across threads) and
-  // its scheduler; results come back in cell order.
+  // (so its interner metrics are its own) and its scheduler; results come
+  // back in cell order.
   const std::size_t num_scheds = make_adversary_battery(17).size();
   std::vector<std::function<SimulateResult()>> jobs;
   for (std::size_t i = 0; i < inputs.size(); ++i) {

@@ -56,6 +56,10 @@ class TaggedMachine : public Machine {
   State pack(State inner, State tag) const;
   std::pair<State, State> unpack(State state) const;
 
+  bool parallel_step_safe() const override {
+    return spec_.inner->parallel_step_safe();
+  }
+
   void footprint(std::vector<LayerFootprint>& out) const override {
     spec_.inner->footprint(out);
     out.push_back({"tagged", states_.size()});
@@ -82,6 +86,10 @@ class RememberLastMachine : public Machine {
 
   State current_of(State state) const;  // inner current state
   State last_of(State state) const;     // inner last committed state
+
+  bool parallel_step_safe() const override {
+    return inner_->parallel_step_safe();
+  }
 
   void footprint(std::vector<LayerFootprint>& out) const override {
     inner_->footprint(out);
@@ -116,6 +124,9 @@ class VerdictOverrideMachine : public Machine {
   }
   std::string state_name(State state) const override {
     return inner_->state_name(state);
+  }
+  bool parallel_step_safe() const override {
+    return inner_->parallel_step_safe();
   }
   void footprint(std::vector<LayerFootprint>& out) const override {
     inner_->footprint(out);

@@ -8,7 +8,8 @@
 //
 // States are dense int32 ids local to a machine. Compiled machines (the
 // Section 4 simulations) intern structured states lazily, so `step` may
-// create new ids; state ids are stable once created.
+// create new ids; state ids are stable once created, but which id a state
+// gets may depend on the order in which threads first reach it.
 #pragma once
 
 #include <cstdint>
@@ -74,10 +75,13 @@ class Machine {
   virtual std::optional<int> num_states() const { return std::nullopt; }
 
   // Whether step()/verdict()/committed() may be called concurrently from
-  // several threads on this one instance. Compiled machines intern states
-  // lazily through mutable caches, so the default is false; the parallel
-  // exploration engines clamp such machines to one worker. Pure machines
-  // (FunctionMachine with side-effect-free callables) override to true.
+  // several threads on this one instance. The parallel exploration engines
+  // clamp machines that say no to one worker, and the default is false.
+  // Pure machines (FunctionMachine with side-effect-free callables) and
+  // the compiled layers say yes: their lazy interning goes through the
+  // concurrent util/interner.hpp, and a wrapper is safe when every machine
+  // it wraps is. Concurrent steps may then hand out state ids in any
+  // order. MemoizedMachine's unsynchronised caches keep it at false.
   virtual bool parallel_step_safe() const { return false; }
 
   // Debug name of a state.

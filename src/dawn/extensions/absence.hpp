@@ -91,6 +91,10 @@ class CompiledAbsenceMachine : public Machine {
   int degree_bound() const { return k_; }
   const AbsenceMachine& absence_machine() const { return *machine_; }
 
+  bool parallel_step_safe() const override {
+    return machine_->inner().parallel_step_safe();
+  }
+
   void footprint(std::vector<LayerFootprint>& out) const override {
     machine_->inner().footprint(out);
     out.push_back({"absence(L4.9)", states_.size()});

@@ -125,6 +125,10 @@ class CompiledBroadcastMachine : public Machine {
 
   const BroadcastOverlay& overlay() const { return *overlay_; }
 
+  bool parallel_step_safe() const override {
+    return overlay_->inner().parallel_step_safe();
+  }
+
   void footprint(std::vector<LayerFootprint>& out) const override {
     overlay_->inner().footprint(out);
     out.push_back({"broadcast(L4.7)", states_.size()});

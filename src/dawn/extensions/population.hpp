@@ -65,6 +65,9 @@ class CompiledPopulationMachine : public Machine {
 
   const GraphPopulationProtocol& protocol() const { return protocol_; }
 
+  // The protocol callables must be pure, as for FunctionMachine.
+  bool parallel_step_safe() const override { return true; }
+
   void footprint(std::vector<LayerFootprint>& out) const override {
     out.push_back({"population(L4.10)", states_.size()});
   }

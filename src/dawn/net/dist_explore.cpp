@@ -1399,20 +1399,8 @@ class Coordinator {
       rep.memory.set_max(obs::MemoryAccount::EdgeBytes,
                          num_edges * 2 * sizeof(std::int64_t));
     }
-    {
-      // decide.cpp's interner accounting; fuzz-built machines append
-      // nothing, so this is replicated for exactness, not effect.
-      constexpr std::size_t kBytesPerInternedState = 64;
-      std::vector<LayerFootprint> layers;
-      machine_->footprint(layers);
-      std::size_t states = 0;
-      for (const auto& layer : layers) states += layer.interned_states;
-      if (states > 0) {
-        rep.memory.set_max(obs::MemoryAccount::InternerBytes,
-                           states * kBytesPerInternedState);
-      }
-    }
     rep.budget_exhausted = is_exhaustion_reason(rep.unknown_reason);
+    account_interner_bytes(*machine_, rep);
   }
 
   const DecideRequest& req_;

@@ -15,9 +15,13 @@
 // bit-identical for every thread count and regardless of whether spans or
 // heartbeats are enabled. Engines do NOT fill store accounts on capped or
 // deadline-aborted runs — what the store holds at an abort is scheduling
-// noise. Values are estimates (container layouts are implementation-
-// defined) but are measured the same way everywhere, so ratios across
-// stores and PRs are meaningful.
+// noise — and account_interner_bytes (semantics/decision.hpp) leaves the
+// interner account empty on every budget-exhausted report for the same
+// reason. Compiled machines number their states in thread-timing order,
+// which moves configurations between store shards, so the vector store
+// charges per entry, not per-shard capacity. Values are estimates (container layouts are
+// implementation-defined) but are measured the same way everywhere, so
+// ratios across stores and PRs are meaningful.
 #pragma once
 
 #include <array>
@@ -28,9 +32,11 @@ namespace dawn::obs {
 class JsonValue;
 
 enum class MemoryAccount : std::uint8_t {
-  VectorStoreBytes,  // ShardedConfigStore occupancy (nodes + buckets + values)
+  VectorStoreBytes,  // ShardedConfigStore occupancy, per entry: node, value,
+                     // one bucket pointer
   PackedStoreBytes,  // PackedConfigStore arenas + hashes + index slots
-  InternerBytes,     // lazily-interned machine states, all compiled layers
+  InternerBytes,     // lazily-interned machine states, all compiled layers;
+                     // cumulative per machine instance
   FrontierBytes,     // peak BFS frontier (entries + config payloads)
   EdgeBytes,         // exploration edge buffers at merge time
   TrialBlockBytes,   // one SoA batched-trial workspace (lanes, memo, CSR)

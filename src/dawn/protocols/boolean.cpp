@@ -58,6 +58,10 @@ class ProductMachine : public Machine {
     return "<" + left_->state_name(l) + " x " + right_->state_name(r) + ">";
   }
 
+  bool parallel_step_safe() const override {
+    return left_->parallel_step_safe() && right_->parallel_step_safe();
+  }
+
  private:
   State pack(State l, State r) const { return states_.id({l, r}); }
 

@@ -24,6 +24,11 @@ int FormulaMachine::num_labels() const {
   return components_.front()->num_labels();
 }
 
+bool FormulaMachine::parallel_step_safe() const {
+  return std::all_of(components_.begin(), components_.end(),
+                     [](const auto& c) { return c->parallel_step_safe(); });
+}
+
 State FormulaMachine::pack(std::vector<State> tuple) const {
   return states_.id(tuple);
 }

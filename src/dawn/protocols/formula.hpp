@@ -33,6 +33,7 @@ class FormulaMachine : public Machine {
   Verdict verdict(State state) const override;
   State committed(State state) const override;
   std::string state_name(State state) const override;
+  bool parallel_step_safe() const override;
 
   std::size_t num_components() const { return components_.size(); }
   State component_of(State state, std::size_t i) const;

@@ -512,8 +512,7 @@ std::string batched_trials_disqualifier(const MachineFactory& machine_factory,
   }
   const auto machine = machine_factory();
   if (!machine->parallel_step_safe()) {
-    return "machine is not parallel-step-safe (lazily-interning or stateful "
-           "step)";
+    return "machine is not parallel-step-safe (stateful step)";
   }
   const std::optional<int> num_states = machine->num_states();
   if (!num_states.has_value()) return "machine is not enumerable";

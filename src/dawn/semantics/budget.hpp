@@ -24,8 +24,8 @@ struct ExploreBudget {
 
   // Worker threads for the parallel exploration paths. 1 = sequential (the
   // default: bit-compatible with the pre-parallel deciders); 0 = all
-  // hardware threads. Machines whose step() is not thread-safe (lazily
-  // interning compiled stacks) are transparently clamped to 1.
+  // hardware threads. Machines whose step() is not thread-safe (see
+  // Machine::parallel_step_safe) are transparently clamped to 1.
   int max_threads = 1;
 
   // Wall-clock deadline in milliseconds; 0 = none. Deadline aborts report

@@ -196,26 +196,24 @@ DecisionReport decide(const Machine& machine, const Graph& g,
     }
   }
 
-  // Interner accounting: lazily-interning compilation layers report their
-  // interned-state counts through Machine::footprint(). Such machines are
-  // clamped to one exploration worker (explore_threads), so the counts —
-  // and hence this account — are thread-count-invariant. Plain machines
-  // append nothing and the account stays empty. The per-state cost is a
-  // nominal estimate (vector slot + hash node), like the stores' bytes().
-  {
-    constexpr std::size_t kBytesPerInternedState = 64;
-    std::vector<LayerFootprint> layers;
-    machine.footprint(layers);
-    std::size_t states = 0;
-    for (const auto& layer : layers) states += layer.interned_states;
-    if (states > 0) {
-      report.memory.set_max(obs::MemoryAccount::InternerBytes,
-                            states * kBytesPerInternedState);
-    }
-  }
-
   report.budget_exhausted = is_exhaustion(report.unknown_reason);
+  account_interner_bytes(machine, report);
   return report;
+}
+
+void account_interner_bytes(const Machine& machine, DecisionReport& report) {
+  if (report.budget_exhausted) return;
+  // A nominal per-state cost (value slot + index slots), like the stores'
+  // bytes().
+  constexpr std::size_t kBytesPerInternedState = 64;
+  std::vector<LayerFootprint> layers;
+  machine.footprint(layers);
+  std::size_t states = 0;
+  for (const auto& layer : layers) states += layer.interned_states;
+  if (states > 0) {
+    report.memory.set_max(obs::MemoryAccount::InternerBytes,
+                          states * kBytesPerInternedState);
+  }
 }
 
 }  // namespace dawn

@@ -53,7 +53,9 @@ namespace dawn {
 // Occupancy / scheduling counters for one exploration, reported through the
 // obs::RunMetrics sink and surfaced by bench_explicit_parallel. `steals` —
 // chunk claims that deviate from a static round-robin split — depends on
-// scheduling and is OUTSIDE the determinism contract; everything else is
+// scheduling and is OUTSIDE the determinism contract; so do `shard_peak`
+// and `shard_chi2` for compiled machines, whose state ids (and hence
+// configuration hashes) follow thread timing. Everything else is
 // thread-count-invariant (frontier sizes are per-level reachable sets).
 struct ExploreStats {
   std::size_t configs = 0;
@@ -81,8 +83,9 @@ struct ExploreStats {
 
 // Chi-square statistic of `num_shards` occupancy counts against the uniform
 // expectation. Sum((o_i - e)^2 / e) with e = total / num_shards; 0 when the
-// store is empty. Thread-count-invariant: final shard occupancies are a
-// property of the reachable set and the hash, not of scheduling.
+// store is empty. Final shard occupancies are a property of the reachable
+// set and the hash, so the statistic is thread-count-invariant whenever
+// state ids are (table machines).
 inline double shard_chi_square(const std::size_t* occupancies,
                                std::size_t num_shards) {
   std::size_t total = 0;
@@ -189,22 +192,23 @@ class ShardedConfigStore {
 
   // Byte-level occupancy: per-entry value payload (including a vector
   // value's heap block), the hash-node overhead (next pointer + cached
-  // hash), and the bucket arrays. An estimate — node layouts are
-  // implementation-defined — but measured the same way for every store so
-  // packed-vs-vector ratios are meaningful. Single-threaded accounting:
-  // call after exploration, not during.
+  // hash), and one bucket pointer per entry. An estimate — node layouts
+  // and bucket growth are implementation-defined — but measured the same
+  // way for every store so packed-vs-vector ratios are meaningful.
+  // Single-threaded accounting: call after exploration, not during.
   std::size_t bytes() const { return bytes_for_shard_range(0, kNumShards); }
 
-  // Byte-level occupancy of shards [begin, end). Each shard's contribution
-  // is a deterministic function of that shard's contents (bucket growth
-  // depends only on insertion count), so summing disjoint ranges measured
-  // on different processes equals one process measuring all 64 — the
+  // Byte-level occupancy of shards [begin, end). Every charge is per entry,
+  // so the total depends only on the stored values, not on how they spread
+  // over shards: that spread follows state ids, which a compiled machine
+  // assigns in thread-timing order. Summing disjoint ranges measured on
+  // different processes equals one process measuring all 64 — the
   // distributed engine relies on this for bit-identical ledgers.
   std::size_t bytes_for_shard_range(std::size_t begin, std::size_t end) const {
     std::size_t total = 0;
     for (std::size_t sh = begin; sh < end; ++sh) {
       const Shard& s = shards_[sh];
-      total += s.ids.bucket_count() * sizeof(void*) + s.entry_bytes;
+      total += s.ids.size() * sizeof(void*) + s.entry_bytes;
     }
     return total;
   }

@@ -8,9 +8,10 @@
 //
 //  * each trial's seed is a pure function of (base_seed, trial index) via a
 //    splitmix64 mix, never of scheduling order;
-//  * each trial owns its scheduler and — through the factory — its machine,
-//    so lazily-interning compiled machines (whose mutable interners are not
-//    thread-safe) are never shared across threads;
+//  * each trial owns its scheduler and — through the factory — its machine.
+//    Compiled machines are thread-safe, but one shared across trials would
+//    intern each state in whichever trial reached it first, and a trial's
+//    interner metrics would follow the other trials' timing;
 //  * results land in a preallocated slot indexed by trial, so the output
 //    order is the trial order, not the completion order.
 //
@@ -96,8 +97,8 @@ void parallel_for(std::size_t num_jobs, int num_threads,
                   const std::function<void(int, std::size_t)>& job);
 
 // Fresh machine per trial. Called on the worker thread that owns the trial;
-// must not share mutable state with other trials (compiled machines intern
-// states lazily and are not thread-safe).
+// must not share mutable state with other trials: a shared compiled machine
+// would credit each interned state to whichever trial reached it first.
 using MachineFactory = std::function<std::shared_ptr<const Machine>()>;
 
 // Fresh scheduler per trial, seeded with the trial's deterministic seed.

@@ -227,11 +227,12 @@ TEST(BatchedTrials, DisqualifierRejectsNonLockstepTriples) {
             "");
   EXPECT_NE(batched_trials_disqualifier(gossip_factory(), g, liberal, opts),
             "");
-  // Lazily-interning compiled machine: not enumerable, not step-safe.
+  // Lazily-interning compiled machine: step-safe, but not enumerable.
   const MachineFactory compiled = [] {
     return make_majority_bounded(2).machine;
   };
-  EXPECT_NE(batched_trials_disqualifier(compiled, g, exclusive, opts), "");
+  EXPECT_EQ(batched_trials_disqualifier(compiled, g, exclusive, opts),
+            "machine is not enumerable");
   // Tracing pins the scalar path (the batched engine emits no step events).
   auto traced = opts;
   obs::TraceLog* const dummy = reinterpret_cast<obs::TraceLog*>(0x1);

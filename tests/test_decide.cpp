@@ -3,16 +3,22 @@
 // determinism across thread counts, dispatch, budgets and UnknownReason.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "dawn/graph/generators.hpp"
+#include "dawn/obs/json.hpp"
 #include "dawn/props/predicates.hpp"
 #include "dawn/protocols/cutoff_construction.hpp"
 #include "dawn/protocols/exists_label.hpp"
 #include "dawn/protocols/halting_flood.hpp"
+#include "dawn/protocols/majority_bounded.hpp"
+#include "dawn/protocols/parity_strong.hpp"
+#include "dawn/protocols/pp_majority.hpp"
 #include "dawn/protocols/pp_mod.hpp"
 #include "dawn/protocols/threshold_daf.hpp"
 #include "dawn/semantics/clique_counted.hpp"
@@ -166,6 +172,64 @@ TEST(Decide, ReportsAreBitIdenticalAcrossThreadCounts) {
               << to_string(one.decision) << "/"
               << to_string(one.unknown_reason);
         }
+      }
+    }
+  }
+}
+
+// Compiled machines intern states in thread-timing order, so their state
+// ids, configuration hashes and shard split vary from run to run. Each
+// decide gets a fresh machine: reusing one would warm its interner and
+// hide a ledger that depends on how far workers overshot a cap.
+TEST(Decide, CompiledReportsAreBitIdenticalAcrossThreadCounts) {
+  struct Case {
+    std::string name;
+    std::function<std::shared_ptr<const Machine>()> build;
+    Graph graph;
+  };
+  const std::vector<Label> half = {0, 1, 0, 1, 1, 0, 1, 0, 1, 1, 0, 1};
+  std::vector<Label> clique31(31, 1);
+  std::fill_n(clique31.begin(), 15, 0);
+  const std::vector<Case> cases = {
+      {"majority-pp/clique31", [] { return make_majority_daf(0, 1, 2); },
+       make_clique(clique31)},
+      {"mod-pp/clique12",
+       [] { return make_mod_population_daf(3, 1, 0, 2); }, make_clique(half)},
+      {"mod-pp/star6",
+       [] { return make_mod_population_daf(3, 1, 0, 2); },
+       make_star(0, {1, 0, 1, 1, 1})},
+      {"threshold:1:2/cycle7", [] { return make_threshold_daf(2, 1, 2); },
+       make_cycle({0, 1, 0, 0, 1, 0, 0})},
+      {"majority:2/cycle5",
+       [] { return make_majority_bounded(2).machine; },
+       make_cycle({0, 1, 1, 0, 1})},
+      {"majority:2/line5",
+       [] { return make_majority_bounded(2).machine; },
+       make_line({1, 0, 1, 1, 0})},
+      {"mod:0:2/cycle4",
+       [] { return make_mod_counter_daf(2, 1, 0, 2).machine; },
+       make_cycle({0, 1, 1, 1})},
+  };
+  for (const Case& c : cases) {
+    const auto report = [&c](std::size_t cap, int threads) {
+      DecisionRequest req;
+      req.budget = {.max_configs = cap, .max_threads = threads,
+                    .deadline_ms = 0};
+      return decide(*c.build(), c.graph, req);
+    };
+    const DecisionReport full = report(2'000'000, 1);
+    ASSERT_NE(full.decision, Decision::Unknown) << c.name;
+    ASSERT_GT(full.memory.get(obs::MemoryAccount::InternerBytes), 0u)
+        << c.name;
+    for (std::size_t cap : {std::size_t{2'000'000}, std::size_t{20},
+                            std::size_t{300}, std::size_t{6000}}) {
+      const DecisionReport one = cap == 2'000'000 ? full : report(cap, 1);
+      for (int threads : {2, 8}) {
+        const DecisionReport many = report(cap, threads);
+        EXPECT_TRUE(many == one)
+            << c.name << " cap=" << cap << " threads=" << threads << ": "
+            << many.memory.to_json().dump() << " vs "
+            << one.memory.to_json().dump();
       }
     }
   }

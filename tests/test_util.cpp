@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <random>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dawn/util/check.hpp"
@@ -55,6 +57,111 @@ TEST(Interner, StableAcrossReallocation) {
     EXPECT_EQ(in.id({i, i * 2}), ids[static_cast<std::size_t>(i)]);
     EXPECT_EQ(in.value(ids[static_cast<std::size_t>(i)])[0], i);
   }
+}
+
+// Eight writers intern overlapping key ranges into one empty interner
+// (18k keys, so the index grows from 32 slots to 64k) while two readers
+// look keys up and read back the newest value. Afterwards the ids must be
+// dense, every key must have exactly one id, and value(id(k)) == k.
+template <typename Key, typename Hash, typename MakeKey>
+void stress_interner(MakeKey make_key) {
+  constexpr int kWriters = 8;
+  constexpr int kReaders = 2;
+  constexpr int kKeysPerWriter = 4000;
+  constexpr int kStride = kKeysPerWriter / 2;  // neighbours share half
+  constexpr int kDistinct = (kWriters - 1) * kStride + kKeysPerWriter;
+
+  Interner<Key, Hash> in;
+  std::vector<std::vector<std::int32_t>> ids(
+      kWriters, std::vector<std::int32_t>(kKeysPerWriter, -1));
+  std::atomic<int> waiting{kWriters + kReaders};
+  std::atomic<int> writing{kWriters};
+  std::atomic<int> bad_reads{0};
+  const auto start = [&waiting] {
+    waiting.fetch_sub(1);
+    while (waiting.load() > 0) std::this_thread::yield();
+  };
+
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      start();
+      for (int i = 0; i < kKeysPerWriter; ++i) {
+        // Odd writers walk their range backwards to meet their neighbours.
+        const int j = w % 2 == 0 ? i : kKeysPerWriter - 1 - i;
+        ids[static_cast<std::size_t>(w)][static_cast<std::size_t>(j)] =
+            in.id(make_key(w * kStride + j));
+      }
+      writing.fetch_sub(1);
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      start();
+      std::uint32_t k = static_cast<std::uint32_t>(r);
+      while (writing.load() > 0) {
+        k = k * 1664525u + 1013904223u;
+        const Key key = make_key(static_cast<int>(k % kDistinct));
+        const std::int32_t id = in.find(key);
+        if (id >= 0 && !(in.value(id) == key)) bad_reads.fetch_add(1);
+        // Every id below size() has its value; the index may publish the
+        // newest one a moment later, so find() may still miss it.
+        const std::size_t n = in.size();
+        if (n > 0) {
+          const auto last = static_cast<std::int32_t>(n - 1);
+          const std::int32_t found = in.find(in.value(last));
+          if (found != -1 && found != last) bad_reads.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(bad_reads.load(), 0);
+  // Dense ids, and no value holds two of them.
+  ASSERT_EQ(in.size(), static_cast<std::size_t>(kDistinct));
+  for (std::int32_t id = 0; id < kDistinct; ++id) {
+    ASSERT_EQ(in.find(in.value(id)), id);
+  }
+  for (int k = 0; k < kDistinct; ++k) {
+    const std::int32_t id = in.find(make_key(k));
+    ASSERT_GE(id, 0);
+    EXPECT_TRUE(in.value(id) == make_key(k));
+  }
+  for (int w = 0; w < kWriters; ++w) {
+    for (int i = 0; i < kKeysPerWriter; ++i) {
+      ASSERT_EQ(ids[static_cast<std::size_t>(w)][static_cast<std::size_t>(i)],
+                in.find(make_key(w * kStride + i)));
+    }
+  }
+}
+
+// The shape of the compiled layers' interned states (extensions/*.hpp).
+struct PackedKey {
+  std::int32_t q;
+  std::int8_t phase;
+  std::int32_t pending;
+  bool operator==(const PackedKey&) const = default;
+};
+
+struct PackedKeyHash {
+  std::size_t operator()(const PackedKey& p) const {
+    std::size_t seed = static_cast<std::size_t>(p.phase);
+    hash_combine(seed, static_cast<std::uint64_t>(p.q));
+    hash_combine(seed, static_cast<std::uint64_t>(p.pending));
+    return seed;
+  }
+};
+
+TEST(Interner, ConcurrentPackedKeysGetDenseUniqueIds) {
+  stress_interner<PackedKey, PackedKeyHash>([](int k) {
+    return PackedKey{k / 3, static_cast<std::int8_t>(k % 3), -k};
+  });
+}
+
+TEST(Interner, ConcurrentVectorKeysGetDenseUniqueIds) {
+  stress_interner<std::vector<std::int32_t>, VectorHash<std::int32_t>>(
+      [](int k) { return std::vector<std::int32_t>{k % 7, k / 7, k}; });
 }
 
 TEST(Rng, UniformInRange) {
