@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <chrono>
 #include <thread>
 
 #include "dawn/fuzz/artifact.hpp"
@@ -601,11 +604,27 @@ TEST(Server, WriteQueueCapDisconnectsNonReadingPipeliner) {
 
   // Never read: replies pile into kernel buffers, then the server-side
   // write queue, which trips the cap and RSTs us (close with unread data).
+  // Pipeline until a send fails. A fixed number of pings is no bound: the
+  // kernel can buffer megabytes of requests, so a burst may end before a
+  // slow server has answered enough of them to trip the cap. A deadline
+  // bounds the loop instead, and SO_SNDTIMEO bounds each blocked send; a
+  // send cut short by the timeout resumes mid-frame so framing stays valid.
   const auto ping =
       net::encode_frame(net::Action::Ping, net::FrameKind::Request, 9, "");
+  timeval send_timeout{1, 0};
+  setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout, sizeof(send_timeout));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
   bool closed = false;
-  for (int i = 0; i < 500'000 && !closed; ++i) {
-    if (send(fd, ping.data(), ping.size(), MSG_NOSIGNAL) < 0) closed = true;
+  std::size_t off = 0;
+  while (!closed && std::chrono::steady_clock::now() < deadline) {
+    const ssize_t n =
+        send(fd, ping.data() + off, ping.size() - off, MSG_NOSIGNAL);
+    if (n >= 0) {
+      off = (off + static_cast<std::size_t>(n)) % ping.size();
+    } else if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+      closed = true;
+    }
   }
   EXPECT_TRUE(closed);
   close(fd);
