@@ -182,9 +182,11 @@ std::optional<std::string> check_sync_replay(const FuzzCase& c) {
 
 // -------------------------------------------------------------------------
 // explore-par: the sequential explicit decider vs the frontier-parallel
-// sharded engine at 1, 2 and 8 threads. Completed runs must agree on
-// everything; capped runs on (decision, reason) with the parallel count
-// clamped to the cap.
+// sharded engine at 1, 2 and 8 threads. Fuzz machines advertise |Q|, so the
+// parallel side runs on the packed store and this pair is also the
+// vector-vs-packed differential. Completed runs must agree on everything;
+// capped runs on (decision, reason) with the parallel count clamped to the
+// cap.
 
 std::optional<std::string> check_explore_par(const FuzzCase& c) {
   const auto machine = build_machine(c.machine);
@@ -219,7 +221,8 @@ std::optional<std::string> check_explore_par(const FuzzCase& c) {
 
 // -------------------------------------------------------------------------
 // canonical-vs-plain: the plain parallel explicit engine vs the same engine
-// with symmetry reduction + bit packing enabled. The reduced run explores a
+// with symmetry reduction enabled; both sides run on the packed store, which
+// fuzz machines always engage. The reduced run explores a
 // quotient, so counts are only ordered (orbits <= configurations) but the
 // decision must be identical; both runs use the same budget, and a capped
 // side makes the case incomparable (the quotient can finish where the plain
@@ -232,10 +235,9 @@ std::optional<std::string> check_canonical_vs_plain(const FuzzCase& c) {
   ExploreBudget reduced_budget = sequential_budget();
   reduced_budget.max_threads = 2;
   reduced_budget.use_symmetry = true;
-  reduced_budget.use_packing = true;
   const ExplicitResult reduced =
       decide_pseudo_stochastic_parallel(*machine, c.graph, reduced_budget);
-  if (!reduced.packed_store) {
+  if (!plain.packed_store || !reduced.packed_store) {
     return std::string("fuzz machines advertise num_states(); the packed "
                        "store should always engage");
   }
@@ -490,12 +492,12 @@ std::vector<OraclePair> build_registry() {
                    "synchronous schedule",
                    always, check_sync_replay});
   pairs.push_back({"explore-par",
-                   "sequential explicit decider vs the sharded parallel "
-                   "engine at 1/2/8 threads",
+                   "sequential explicit decider (vector interner) vs the "
+                   "sharded parallel engine (packed store) at 1/2/8 threads",
                    small, check_explore_par});
   pairs.push_back({"canonical-vs-plain",
-                   "plain parallel explicit engine vs symmetry-reduced + "
-                   "bit-packed exploration",
+                   "plain parallel explicit engine vs symmetry-reduced "
+                   "exploration",
                    small, check_canonical_vs_plain});
   pairs.push_back({"tiered-vs-inmemory",
                    "in-memory parallel explicit engine vs the out-of-core "

@@ -22,7 +22,6 @@
 #include "dawn/semantics/scc.hpp"
 #include "dawn/semantics/symmetry.hpp"
 #include "dawn/semantics/tiered_config.hpp"
-#include "dawn/util/hash.hpp"
 #include "dawn/util/varint.hpp"
 
 namespace dawn::net {
@@ -187,8 +186,7 @@ std::optional<ShardInitRequest> shard_init_from_json(const JsonValue& v,
   const JsonValue* store = require(v, "store", Kind::String, error);
   if (store == nullptr) return std::nullopt;
   init.store = store->as_string();
-  if (init.store != "vector" && init.store != "packed" &&
-      init.store != "tiered") {
+  if (init.store != "packed" && init.store != "tiered") {
     fail(error, "unknown store mode: " + init.store);
     return std::nullopt;
   }
@@ -671,9 +669,10 @@ void run_worker_session(int fd, FrameReader reader, std::uint64_t nonce,
     ::close(fd);
     return;
   }
+  // Every shard store packs. Wire machines are fuzz specs, which always
+  // advertise |Q|; anything else is refused.
   const std::optional<int> nstates = machine->num_states();
-  if ((init.store == "packed" || init.store == "tiered") &&
-      !nstates.has_value()) {
+  if (!nstates.has_value()) {
     refuse(WireError::BadSchema,
            init.store + " store needs a machine with a state-space bound");
     ::close(fd);
@@ -711,7 +710,8 @@ void run_worker_session(int fd, FrameReader reader, std::uint64_t nonce,
       CanonExplicitExpander expander{*machine, init.graph, grp};
       run_with(store, expander);
     } else {
-      ExplicitExpander expander{*machine, init.graph};
+      ExplicitExpander expander{*machine, init.graph, Neighbourhood{},
+                                Config{}};
       run_with(store, expander);
     }
   };
@@ -724,11 +724,8 @@ void run_worker_session(int fd, FrameReader reader, std::uint64_t nonce,
     } else {
       run_store(store);
     }
-  } else if (init.store == "packed") {
-    PackedConfigStore store(PackedCodec(*nstates, init.graph.n()));
-    run_store(store);
   } else {
-    ShardedConfigStore<Config, VectorHash<State>> store;
+    PackedConfigStore store(PackedCodec(*nstates, init.graph.n()));
     run_store(store);
   }
   ::close(fd);
@@ -771,16 +768,16 @@ class Coordinator {
     if (machine_ == nullptr) {
       return refuse(WireError::BadSchema, "machine spec does not build");
     }
-    const std::optional<int> nstates = machine_->num_states();
     if (req_.budget.use_symmetry) {
       grp_ = compute_symmetry(req_.graph);
       sym_ = !grp_.trivial();
     }
     // Store-mode resolution mirrors the single-process explicit engine
     // (explicit_space.cpp), with the workers' spill dirs standing in for the
-    // single process's budget.spill_dir condition.
-    tiered_ = req_.budget.max_store_bytes > 0 && nstates.has_value();
-    packed_ = !tiered_ && req_.budget.use_packing && nstates.has_value();
+    // single process's budget.spill_dir condition. Wire machines always
+    // advertise |Q|, so the other shards pack; a worker refuses any machine
+    // that does not.
+    tiered_ = req_.budget.max_store_bytes > 0;
     initial_ = initial_config(*machine_, req_.graph);
     if (sym_) {
       CanonScratch scratch;
@@ -820,7 +817,7 @@ class Coordinator {
                             static_cast<std::size_t>(W),
                         1)
                   : 0;
-      init.store = tiered_ ? "tiered" : (packed_ ? "packed" : "vector");
+      init.store = tiered_ ? "tiered" : "packed";
       init.symmetry = sym_;
       Lp->link.queue(encode_frame(Action::ShardInit, FrameKind::Request,
                                   Lp->link.nonce,
@@ -1380,18 +1377,20 @@ class Coordinator {
   // Mirrors decide.cpp's report assembly for the Explicit branch: the
   // ledger is filled only for completed, non-tiered runs, from the same
   // formulas the engine uses — which is what keeps the distributed report
-  // bit-identical to the single-process one.
-  void fill_report(DecisionReport& rep, bool completed,
-                   std::uint64_t store_bytes, std::uint64_t frontier_peak,
-                   std::uint64_t num_edges) {
+  // bit-identical to the single-process one. The engine writes those
+  // accounts through the ambient ledger, which -DDAWN_OBS=OFF compiles out,
+  // so that build skips them here too.
+  void fill_report(DecisionReport& rep, [[maybe_unused]] bool completed,
+                   [[maybe_unused]] std::uint64_t store_bytes,
+                   [[maybe_unused]] std::uint64_t frontier_peak,
+                   [[maybe_unused]] std::uint64_t num_edges) {
     rep.method = DecideMethod::Explicit;
     rep.symmetry_reduced = sym_;
-    rep.packed_store = packed_ || tiered_;
+    rep.packed_store = true;
     rep.exact = true;
+#ifndef DAWN_OBS_DISABLED
     if (completed && !tiered_) {
-      rep.memory.set_max(packed_ ? obs::MemoryAccount::PackedStoreBytes
-                                 : obs::MemoryAccount::VectorStoreBytes,
-                         store_bytes);
+      rep.memory.set_max(obs::MemoryAccount::PackedStoreBytes, store_bytes);
       const std::size_t frontier_entry_bytes =
           sizeof(FrontierEntry) + initial_.capacity() * sizeof(State);
       rep.memory.set_max(obs::MemoryAccount::FrontierBytes,
@@ -1399,6 +1398,7 @@ class Coordinator {
       rep.memory.set_max(obs::MemoryAccount::EdgeBytes,
                          num_edges * 2 * sizeof(std::int64_t));
     }
+#endif
     rep.budget_exhausted = is_exhaustion_reason(rep.unknown_reason);
     account_interner_bytes(*machine_, rep);
   }
@@ -1410,7 +1410,6 @@ class Coordinator {
   std::shared_ptr<Machine> machine_;
   SymmetryGroup grp_;
   bool sym_ = false;
-  bool packed_ = false;
   bool tiered_ = false;
   Config initial_;
   GidEdges edges_raw_;

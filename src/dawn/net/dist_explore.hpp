@@ -66,7 +66,7 @@ struct ShardInitRequest {
   fuzz::MachineSpec machine;
   Graph graph;
   ExploreBudget budget;
-  std::string store = "vector";  // "vector" | "packed" | "tiered"
+  std::string store = "packed";  // "packed" | "tiered"
   bool symmetry = false;
 };
 

@@ -59,7 +59,6 @@ obs::JsonValue budget_to_json(const ExploreBudget& b) {
   out.set("max_threads", obs::JsonValue(b.max_threads));
   out.set("deadline_ms", obs::JsonValue(b.deadline_ms));
   out.set("use_symmetry", obs::JsonValue(b.use_symmetry));
-  out.set("use_packing", obs::JsonValue(b.use_packing));
   // Emitted only when set so spec-v1 request bytes without spilling stay
   // pinned. spill_dir never crosses the wire: the server substitutes its
   // own --spill-dir, and the path cannot change a decision.
@@ -104,11 +103,12 @@ bool budget_from_json(const obs::JsonValue& v, ExploreBudget* out,
     }
     out->use_symmetry = f->as_bool();
   }
+  // Spec-v1 clients may still send the retired packing flag; the engine now
+  // packs whenever the machine allows, so a boolean is accepted and ignored.
   if (const obs::JsonValue* f = v.get("use_packing")) {
     if (f->kind() != Kind::Bool) {
       return fail(error, "missing or mistyped field: use_packing");
     }
-    out->use_packing = f->as_bool();
   }
   if (const obs::JsonValue* f = v.get("max_store_bytes")) {
     if (f->kind() != Kind::Int || f->as_int() < 0) {

@@ -8,7 +8,7 @@
 //     "machine": { ...fuzz MachineSpec... },
 //     "graph":   { "labels": [...], "edges": [[a,b], ...] },
 //     "budget":  { "max_configs": N, "max_threads": N, "deadline_ms": N,
-//                  "use_symmetry": b, "use_packing": b },   // all optional
+//                  "use_symmetry": b, "max_store_bytes": N }, // all optional
 //     "method":  "auto" | "explicit" | ... ,                // optional
 //     "trace":   true                                        // optional
 //   }
@@ -95,7 +95,8 @@ std::optional<DecideMethod> method_from_name(const std::string& name);
 // Public because the distributed ShardInit payload (net/dist_explore.*)
 // embeds a budget object and must stay byte-compatible with the request
 // schema. max_store_bytes is emitted only when nonzero; spill_dir never
-// crosses the wire.
+// crosses the wire. The parser still accepts a boolean "use_packing" from
+// older spec-v1 clients and ignores it: packing follows the machine.
 obs::JsonValue budget_to_json(const ExploreBudget& b);
 bool budget_from_json(const obs::JsonValue& v, ExploreBudget* out,
                       std::string* error = nullptr);

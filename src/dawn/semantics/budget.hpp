@@ -33,23 +33,23 @@ struct ExploreBudget {
   // far an exploration gets in a fixed time is machine-dependent).
   std::uint64_t deadline_ms = 0;
 
-  // Opt-in exploration accelerators, honoured by the parallel explicit
+  // Opt-in exploration accelerator, honoured by the parallel explicit
   // engine only (the counted backends are already symmetry quotients, and
   // the sequential decider stays byte-for-byte the unreduced differential
-  // reference — see docs/SYMMETRY.md).
+  // reference — see docs/SYMMETRY.md). use_symmetry interns only canonical
+  // orbit representatives under the graph's detected label-preserving
+  // automorphisms; the decision is unchanged, but configs/SCC counts shrink
+  // by up to the group order.
   //
-  // use_symmetry interns only canonical orbit representatives under the
-  // graph's detected label-preserving automorphisms; the decision is
-  // unchanged, but configs/SCC counts shrink by up to the group order.
-  // use_packing stores configurations bit-packed (ceil(log2|Q|) bits per
-  // node) in per-shard arenas; it needs Machine::num_states() and falls
-  // back to the vector store for lazily-interning machines.
+  // Packing needs no flag: the parallel explicit engine stores
+  // configurations bit-packed (ceil(log2|Q|) bits per node) whenever the
+  // machine advertises Machine::num_states(), and uses the vector store
+  // otherwise (docs/DECIDERS.md "Exploration accelerators").
   bool use_symmetry = false;
-  bool use_packing = false;
 
   // Out-of-core exploration (docs/ENGINE.md "Tiered store"). When both
   // max_store_bytes > 0 and spill_dir is set, the parallel explicit engine
-  // swaps the in-memory packed store for the TieredConfigStore: packed
+  // swaps the in-memory store for the TieredConfigStore: packed
   // config words spill to unlinked files under spill_dir whenever the
   // resident footprint exceeds max_store_bytes at a level boundary, large
   // frontier levels stream through delta-encoded spill files, and every

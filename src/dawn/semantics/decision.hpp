@@ -157,8 +157,9 @@ struct DecisionReport {
   // Explicit backend only: whether the engine explored the quotient by the
   // graph's automorphism group (budget.use_symmetry and a nontrivial group
   // was found — configs_explored / num_bottom_sccs then count orbits) and
-  // whether the bit-packed configuration store was used
-  // (budget.use_packing and the machine advertises num_states()).
+  // whether the bit-packed configuration store was used (exactly when the
+  // machine advertises num_states(); lazily-interning compiled machines use
+  // the vector store).
   bool symmetry_reduced = false;
   bool packed_store = false;
   // Peak bytes per memory account (config store, frontier, edge buffers,

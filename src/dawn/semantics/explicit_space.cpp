@@ -103,13 +103,16 @@ ExplicitResult decide_pseudo_stochastic_parallel(const Machine& machine,
     canonicalize(*grp, initial, init_scratch);
   }
 
+  // The store follows the machine: any machine that advertises |Q| packs
+  // (PackedCodec needs the bound up front); lazily-interning ones, the
+  // paper's compiled constructions among them, use the vector store. The
+  // out-of-core store engages only when the budget names both a byte cap
+  // and a spill directory, and the machine is packable (the spill arena is
+  // the PackedCodec word stream).
   const std::optional<int> nstates = machine.num_states();
-  const bool packed = budget.use_packing && nstates.has_value();
-  // The out-of-core store engages only when the budget names both a byte cap
-  // and a spill directory, and the machine advertises |Q| (the spill arena
-  // is the PackedCodec word stream, so an unpackable machine can't spill).
-  const bool want_tiered = budget.max_store_bytes > 0 &&
-                           !budget.spill_dir.empty() && nstates.has_value();
+  const bool packed = nstates.has_value();
+  const bool want_tiered =
+      packed && budget.max_store_bytes > 0 && !budget.spill_dir.empty();
 
   const auto verdict_of = [&](const Config& c) { return consensus(machine, c); };
   const auto run = [&](auto& store) {
@@ -172,7 +175,7 @@ ExplicitResult decide_pseudo_stochastic_parallel(const Machine& machine,
   result.num_configs = out.num_configs;
   result.num_bottom_sccs = out.num_bottom_sccs;
   result.symmetry_reduced = grp != nullptr;
-  result.packed_store = tiered_ran || packed;
+  result.packed_store = packed;
   result.tiered_store = tiered_ran;
   return result;
 }

@@ -37,8 +37,8 @@ struct ExplicitResult {
   std::size_t num_bottom_sccs = 0;
   // Whether the parallel engine interned canonical orbit representatives
   // (budget.use_symmetry and the graph had a nontrivial automorphism group)
-  // and whether the bit-packed store was used (budget.use_packing and the
-  // machine advertises num_states()). When symmetry_reduced is set,
+  // and whether the bit-packed store was used (exactly when the machine
+  // advertises num_states()). When symmetry_reduced is set,
   // num_configs / num_bottom_sccs count orbits, not raw configurations —
   // the decision is unchanged (docs/SYMMETRY.md). Always false for the
   // sequential decider.
@@ -67,9 +67,10 @@ struct SymmetryGroup;
 // decider above stays as the differential reference. Machines without
 // parallel_step_safe() are clamped to one worker.
 //
-// budget.use_symmetry / budget.use_packing opt into orbit-canonical
-// interning and the bit-packed store (semantics/symmetry.hpp,
-// semantics/packed_config.hpp). With symmetry on, the engine quotients the
+// The engine interns into the bit-packed store (semantics/packed_config.hpp)
+// whenever the machine advertises num_states(), and into the vector store
+// otherwise. budget.use_symmetry opts into orbit-canonical interning
+// (semantics/symmetry.hpp). With symmetry on, the engine quotients the
 // configuration graph: the decision still matches the sequential reference,
 // but num_configs / num_bottom_sccs count orbits. `symmetry` overrides the
 // detected group (e.g. the closed-form grid_symmetry(); validated before

@@ -16,10 +16,11 @@
 //     a per-config node. Hashing and equality are word-wise.
 //
 // The store requires the machine's state space bound up front
-// (Machine::num_states()); lazily-interning compiled stacks fall back to the
-// vector store. docs/ENGINE.md covers the memory accounting; the byte-level
-// occupancy of either store is surfaced through ExploreStats::store_bytes
-// and the explore.store_bytes gauge.
+// (Machine::num_states()). The explicit engine uses it for every machine
+// that advertises one; lazily-interning compiled stacks advertise none and
+// explore on the vector store. docs/ENGINE.md covers the memory accounting;
+// the byte-level occupancy of either store is surfaced through
+// ExploreStats::store_bytes and the explore.store_bytes gauge.
 #pragma once
 
 #include <array>

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <thread>
+#include <utility>
 
 #include "dawn/obs/telemetry.hpp"
 #include "dawn/semantics/batched_trials.hpp"
@@ -48,9 +50,15 @@ void WorkerPool::helper_main(int worker) {
       seen = generation_;
       task = task_;
     }
-    (*task)(worker);
+    std::exception_ptr error;
+    try {
+      (*task)(worker);
+    } catch (...) {
+      error = std::current_exception();
+    }
     {
       std::lock_guard<std::mutex> lock(mu_);
+      if (error && !error_) error_ = error;
       if (++done_ == helpers_.size()) done_cv_.notify_one();
     }
   }
@@ -65,18 +73,31 @@ void WorkerPool::run(const std::function<void(int)>& task) {
     std::lock_guard<std::mutex> lock(mu_);
     task_ = &task;
     done_ = 0;
+    error_ = nullptr;
     ++generation_;
   }
   start_cv_.notify_all();
-  task(0);
+  // Worker 0 must not unwind while the helpers still run `task`, whose
+  // captures typically live on this stack: catch, wait, then rethrow.
+  std::exception_ptr error;
+  try {
+    task(0);
+  } catch (...) {
+    error = std::current_exception();
+  }
   std::unique_lock<std::mutex> lock(mu_);
+  if (error && !error_) error_ = error;
   done_cv_.wait(lock, [&] { return done_ == helpers_.size(); });
   task_ = nullptr;
+  error = std::exchange(error_, nullptr);
+  lock.unlock();
+  if (error) std::rethrow_exception(error);
 }
 
 // Work-stealing-free fan-out: an atomic cursor over the job index space.
 // Each index is claimed by exactly one worker, so no synchronisation is
-// needed beyond the joins.
+// needed beyond the joins. A throwing job stops further claims; the first
+// exception is rethrown on the caller once every thread has joined.
 void parallel_for(std::size_t num_jobs, int num_threads,
                   const std::function<void(int, std::size_t)>& job) {
   if (num_jobs == 0) return;
@@ -86,17 +107,26 @@ void parallel_for(std::size_t num_jobs, int num_threads,
     return;
   }
   std::atomic<std::size_t> cursor{0};
+  std::mutex error_mu;
+  std::exception_ptr error;
   std::vector<std::thread> pool;
   pool.reserve(static_cast<std::size_t>(threads - 1));
   const auto drain = [&](int worker) {
-    for (std::size_t i = cursor.fetch_add(1); i < num_jobs;
-         i = cursor.fetch_add(1)) {
-      job(worker, i);
+    try {
+      for (std::size_t i = cursor.fetch_add(1); i < num_jobs;
+           i = cursor.fetch_add(1)) {
+        job(worker, i);
+      }
+    } catch (...) {
+      cursor.store(num_jobs);
+      const std::lock_guard<std::mutex> lock(error_mu);
+      if (!error) error = std::current_exception();
     }
   };
   for (int t = 1; t < threads; ++t) pool.emplace_back(drain, t);
   drain(0);
   for (auto& th : pool) th.join();
+  if (error) std::rethrow_exception(error);
 }
 
 void parallel_for(std::size_t num_jobs, int num_threads,

@@ -24,6 +24,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -47,7 +48,9 @@ namespace dawn {
 // participates as worker 0, the pool contributes workers 1..n-1 — and
 // returns when all of them have finished. Calls are serialised (no
 // reentrancy). With num_threads <= 1 no threads are spawned and run()
-// degenerates to task(0) inline.
+// degenerates to task(0) inline. A task that throws, on any worker, does
+// not cut the run short: every worker finishes its task, then run()
+// rethrows the first exception on the caller and the pool stays usable.
 class WorkerPool {
  public:
   // num_threads counts the caller: a pool of 4 spawns 3 helper threads.
@@ -72,6 +75,7 @@ class WorkerPool {
   const std::function<void(int)>* task_ = nullptr;
   std::uint64_t generation_ = 0;
   std::size_t done_ = 0;
+  std::exception_ptr error_;  // first exception of the current run()
   bool stop_ = false;
 };
 
@@ -85,7 +89,8 @@ int resolve_parallel_threads(int requested, std::size_t num_jobs);
 // through an atomic cursor. Each index is executed exactly once; the job
 // must own or synchronise any state it shares. Blocks until all jobs
 // finish. With one thread (or one job) everything runs inline on the
-// caller.
+// caller. If a job throws, no further jobs start and the first exception
+// is rethrown on the caller after every thread has joined.
 void parallel_for(std::size_t num_jobs, int num_threads,
                   const std::function<void(std::size_t)>& job);
 

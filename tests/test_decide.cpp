@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -300,6 +301,42 @@ TEST(Decide, DeadlineIsReportedAsBudgetExhaustion) {
   EXPECT_EQ(r.decision, Decision::Unknown);
   EXPECT_EQ(r.unknown_reason, UnknownReason::Deadline);
   EXPECT_TRUE(r.budget_exhausted);
+}
+
+// Declares |Q| = 2 but steps into state 2: a node in state 1 whose β = 2
+// neighbourhood holds two 1s. The packed store cannot encode that state, so
+// PackedCodec's check fires inside an exploration worker; decide() must
+// rethrow it on the caller, whichever worker hit it, instead of aborting.
+TEST(Decide, UndeclaredStateThrowsOnTheCallerAtEveryThreadCount) {
+  FunctionMachine::Spec spec;
+  spec.beta = 2;
+  spec.num_labels = 2;
+  spec.num_states = 2;
+  spec.init = [](Label l) { return static_cast<State>(l); };
+  spec.step = [](State s, const Neighbourhood& n) {
+    if (s == 0 && n.count(1) > 0) return State{1};
+    if (s == 1 && n.count(1) == 2) return State{2};  // undeclared
+    return s;
+  };
+  spec.verdict = [](State s) {
+    return s == 1 ? Verdict::Accept : Verdict::Reject;
+  };
+  const FunctionMachine m(spec);
+  std::vector<Label> labels(16, 0);
+  for (std::size_t i = 0; i < labels.size(); i += 5) labels[i] = 1;
+  const Graph g = make_line(labels);
+  DecisionRequest req;
+  req.method = DecideMethod::Explicit;
+  for (const int threads : {1, 2, 8}) {
+    req.budget = {.max_configs = 2'000'000, .max_threads = threads};
+    try {
+      (void)decide(m, g, req);
+      ADD_FAILURE() << "no exception at " << threads << " threads";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("num_states()"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Decide, CrossCheckAgreesWithPlainRun) {

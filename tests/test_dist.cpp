@@ -177,6 +177,10 @@ TEST(DistProto, ShardInitRejectsBadWorkerIndexAndStore) {
   doc = net::shard_init_to_json(init);
   doc.set("store", obs::JsonValue(std::string("bogus")));
   EXPECT_FALSE(net::shard_init_from_json(doc, &error).has_value());
+  // Shards always pack: "vector" is not a store mode.
+  doc.set("store", obs::JsonValue(std::string("vector")));
+  EXPECT_FALSE(net::shard_init_from_json(doc, &error).has_value());
+  EXPECT_EQ(error, "unknown store mode: vector");
 }
 
 TEST(DistProto, ShardRangesPartitionTheSixtyFourShards) {
@@ -203,33 +207,28 @@ TEST(DistDecide, MatchesLocalExplicitAcrossWorkerCountsAndModes) {
                                 &w3.coordinator()};
   const Graph graphs[] = {make_line({0, 1, 0, 1, 0, 1}),
                           make_cycle({0, 1, 1, 0, 1, 0})};
-  struct Mode {
-    bool symmetry;
-    bool packing;
-  };
-  const Mode modes[] = {{false, false}, {true, false}, {false, true}};
-
+  // Both modes run on the packed store: wire machines advertise |Q|.
   for (int gi = 0; gi < 2; ++gi) {
-    for (const Mode& m : modes) {
+    for (const bool symmetry : {false, true}) {
       // Seeds with known-rich reachable spaces (hundreds of configurations)
       // so the comparison exercises real multi-level frontiers.
       net::DecideRequest req =
           dist_request(gi == 0 ? 3 : 7, graphs[gi]);
-      req.budget.use_symmetry = m.symmetry;
-      req.budget.use_packing = m.packing;
+      req.budget.use_symmetry = symmetry;
       const DecisionReport want = local_reference(req);
       ASSERT_FALSE(want.budget_exhausted);
+      ASSERT_TRUE(want.packed_store);
 
       for (int wi = 0; wi < 3; ++wi) {
         std::string error;
         const auto reply =
             decide_via(coordinators[wi]->address(), req, true, &error);
         ASSERT_TRUE(reply.has_value())
-            << "W=" << (wi + 1) << " graph=" << gi << " sym=" << m.symmetry
-            << " pack=" << m.packing << ": " << error;
+            << "W=" << (wi + 1) << " graph=" << gi << " sym=" << symmetry
+            << ": " << error;
         EXPECT_TRUE(reply->report == want)
-            << "W=" << (wi + 1) << " graph=" << gi << " sym=" << m.symmetry
-            << " pack=" << m.packing << "\n got: "
+            << "W=" << (wi + 1) << " graph=" << gi << " sym=" << symmetry
+            << "\n got: "
             << net::decide_reply_to_json(*reply).dump()
             << "\nwant decision=" << to_string(want.decision)
             << " configs=" << want.configs_explored;

@@ -346,7 +346,7 @@ TEST(FuzzArtifact, SpecVersionOneDecideRequestBytesArePinned) {
       R"("halt_accept":1,"halt_reject":1},)"
       R"("graph":{"labels":[0,1],"edges":[[0,1]]},)"
       R"("budget":{"max_configs":50000,"max_threads":1,"deadline_ms":0,)"
-      R"("use_symmetry":false,"use_packing":false},)"
+      R"("use_symmetry":false},)"
       R"("method":"auto"})";
   EXPECT_EQ(net::decide_request_to_json(req).dump(), pinned);
 
@@ -356,6 +356,33 @@ TEST(FuzzArtifact, SpecVersionOneDecideRequestBytesArePinned) {
   const auto back = net::decide_request_from_json(*doc, &error);
   ASSERT_TRUE(back.has_value()) << error;
   EXPECT_EQ(net::decide_request_to_json(*back).dump(), pinned);
+
+  // Older spec-v1 clients still send the retired packing flag. Either value
+  // parses to the same request (packing follows the machine now); a
+  // non-boolean stays a named error.
+  for (const char* flag : {"false", "true"}) {
+    const std::string legacy =
+        R"({"spec_version":1,)"
+        R"("machine":{"class":"dAf","states":3,"labels":2,"beta":1,"seed":7,)"
+        R"("halt_accept":1,"halt_reject":1},)"
+        R"("graph":{"labels":[0,1],"edges":[[0,1]]},)"
+        R"("budget":{"max_configs":50000,"max_threads":1,"deadline_ms":0,)"
+        R"("use_symmetry":false,"use_packing":)" +
+        std::string(flag) + R"(},"method":"auto"})";
+    const auto legacy_doc = obs::JsonValue::parse(legacy);
+    ASSERT_TRUE(legacy_doc.has_value()) << flag;
+    const auto parsed = net::decide_request_from_json(*legacy_doc, &error);
+    ASSERT_TRUE(parsed.has_value()) << flag << ": " << error;
+    EXPECT_EQ(net::decide_request_to_json(*parsed).dump(), pinned) << flag;
+    EXPECT_EQ(net::cache_key(*parsed), net::cache_key(*back)) << flag;
+  }
+  obs::JsonValue mistyped = *doc;
+  obs::JsonValue budget = *doc->get("budget");
+  budget.set("use_packing", obs::JsonValue(1));
+  mistyped.set("budget", budget);
+  error.clear();
+  EXPECT_FALSE(net::decide_request_from_json(mistyped, &error).has_value());
+  EXPECT_EQ(error, "missing or mistyped field: use_packing");
 }
 
 // ----------------------------------------------------------------- oracle

@@ -485,6 +485,43 @@ TEST(Server, RepeatedRequestIsServedFromCacheBitIdentically) {
   EXPECT_TRUE(third->report == first->report);
 }
 
+TEST(Server, RetiredPackingFlagSharesOneCacheEntry) {
+  // Older spec-v1 clients still send "use_packing". The server ignores it
+  // (packing follows the machine), so two Decides that differ only in that
+  // flag share one cache entry and the second replays the first's report
+  // bytes.
+  LiveServer live;
+  net::Client client;
+  std::string error;
+  ASSERT_TRUE(client.connect(live.address(), &error)) << error;
+
+  net::DecideRequest req = small_request(19);
+  req.graph = make_cycle({0, 1, 0, 1, 1});  // explicit backend
+  std::string reports[2];
+  bool hits[2] = {};
+  int i = 0;
+  for (const bool flag : {false, true}) {
+    obs::JsonValue doc = net::decide_request_to_json(req);
+    obs::JsonValue budget = *doc.get("budget");
+    budget.set("use_packing", obs::JsonValue(flag));
+    doc.set("budget", budget);
+    net::Frame reply;
+    ASSERT_TRUE(client.call(net::Action::Decide, doc.dump(), &reply, &error))
+        << error;
+    ASSERT_EQ(reply.header.kind, net::FrameKind::Response) << reply.payload;
+    const auto parsed = obs::JsonValue::parse(reply.payload);
+    ASSERT_TRUE(parsed.has_value());
+    reports[i] = parsed->get("report")->dump();
+    hits[i] = parsed->get("cache_hit")->as_bool();
+    ++i;
+  }
+  EXPECT_FALSE(hits[0]);
+  EXPECT_TRUE(hits[1]);
+  EXPECT_EQ(reports[1], reports[0]);
+  EXPECT_NE(reports[0].find(R"("packed_store":true)"), std::string::npos)
+      << reports[0];
+}
+
 TEST(Server, BudgetIsClampedAgainstServerCaps) {
   net::ServerOptions opts;
   opts.max_configs_cap = 1'000;

@@ -12,6 +12,7 @@
 #include "dawn/automata/config.hpp"
 #include "dawn/automata/machine.hpp"
 #include "dawn/graph/generators.hpp"
+#include "dawn/semantics/explicit_expand.hpp"
 #include "dawn/semantics/explicit_space.hpp"
 #include "dawn/semantics/packed_config.hpp"
 #include "dawn/semantics/parallel_explore.hpp"
@@ -229,39 +230,54 @@ std::shared_ptr<Machine> flip_machine() {
 }
 
 TEST(PackedStore, EngineResultsIdenticalWithPackingAndBytesShrink) {
-  // End to end: the explicit engine with use_packing must return the exact
-  // same report, with a smaller store, and keep its shards balanced (the
-  // ExploreStats-level shard-balance assertion of the shard-mix fix).
+  // End to end: the explicit engine must return the exact same outcome on
+  // the packed store as on the vector store, with a smaller store, and keep
+  // its shards balanced (the ExploreStats-level shard-balance assertion of
+  // the shard-mix fix). Both runs drive explore_and_classify_in with the
+  // same ExplicitExpander, so only the store differs.
   const auto m = flip_machine();
   std::vector<Label> labels(16, 0);
   for (std::size_t i = 0; i < labels.size(); i += 3) labels[i] = 1;
   const Graph g = make_cycle(labels);
+  const ExploreBudget budget = {.max_configs = 500'000, .max_threads = 4};
+  const auto explore = [&](auto& store, ExploreStats& stats) {
+    return explore_and_classify_in<Config>(
+        store, initial_config(*m, g),
+        [&](int) {
+          return ExplicitExpander{*m, g, Neighbourhood{}, Config{}};
+        },
+        [&](const Config& c) { return consensus(*m, c); }, budget, &stats);
+  };
 
-  ExploreStats plain_stats;
-  const ExplicitResult plain = decide_pseudo_stochastic_parallel(
-      *m, g, {.max_configs = 500'000, .max_threads = 4}, &plain_stats);
+  ExploreStats vector_stats;
+  ShardedConfigStore<Config, VectorHash<State>> vector_store;
+  const ExploreOutcome plain = explore(vector_store, vector_stats);
   ASSERT_NE(plain.decision, Decision::Unknown);
-  EXPECT_FALSE(plain.packed_store);
 
   ExploreStats packed_stats;
-  const ExplicitResult packed = decide_pseudo_stochastic_parallel(
-      *m, g,
-      {.max_configs = 500'000, .max_threads = 4, .use_packing = true},
-      &packed_stats);
-  EXPECT_TRUE(packed.packed_store);
+  PackedConfigStore packed_store(PackedCodec(*m->num_states(), g.n()));
+  const ExploreOutcome packed = explore(packed_store, packed_stats);
   EXPECT_EQ(packed.decision, plain.decision);
+  EXPECT_EQ(packed.reason, plain.reason);
   EXPECT_EQ(packed.num_configs, plain.num_configs);
   EXPECT_EQ(packed.num_bottom_sccs, plain.num_bottom_sccs);
 
-  ASSERT_GT(plain_stats.store_bytes, 0u);
+  // The facade picks the packed store by itself for an enumerable machine.
+  const ExplicitResult facade = decide_pseudo_stochastic_parallel(*m, g, budget);
+  EXPECT_TRUE(facade.packed_store);
+  EXPECT_EQ(facade.decision, packed.decision);
+  EXPECT_EQ(facade.num_configs, packed.num_configs);
+  EXPECT_EQ(facade.num_bottom_sccs, packed.num_bottom_sccs);
+
+  ASSERT_GT(vector_stats.store_bytes, 0u);
   ASSERT_GT(packed_stats.store_bytes, 0u);
-  EXPECT_GE(plain_stats.store_bytes, 4 * packed_stats.store_bytes);
+  EXPECT_GE(vector_stats.store_bytes, 4 * packed_stats.store_bytes);
 
   if (packed_stats.configs >= 10'000) {
     const std::size_t even =
         packed_stats.configs / PackedConfigStore::kNumShards;
     EXPECT_LE(packed_stats.shard_peak, 2 * even + 8);
-    EXPECT_LE(plain_stats.shard_peak, 2 * even + 8);
+    EXPECT_LE(vector_stats.shard_peak, 2 * even + 8);
   }
 }
 

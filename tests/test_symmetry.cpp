@@ -234,14 +234,15 @@ TEST(SymmetryReduce, DecisionMatchesUnreducedEverywhere) {
       ASSERT_NE(plain.decision, Decision::Unknown) << mname << "/" << gname;
       const ExplicitResult reduced = decide_pseudo_stochastic_parallel(
           *m, g,
-          {.max_configs = 500'000, .max_threads = 2, .use_symmetry = true,
-           .use_packing = true});
+          {.max_configs = 500'000, .max_threads = 2, .use_symmetry = true});
       EXPECT_EQ(reduced.decision, plain.decision) << mname << "/" << gname;
       EXPECT_LE(reduced.num_configs, plain.num_configs)
           << mname << "/" << gname;
       // Packing engages exactly when the machine advertises its state count
-      // (lazily-interning machines fall back to the vector store).
+      // (lazily-interning machines use the vector store), reduced or not.
       EXPECT_EQ(reduced.packed_store, m->num_states().has_value())
+          << mname << "/" << gname;
+      EXPECT_EQ(plain.packed_store, m->num_states().has_value())
           << mname << "/" << gname;
       if (!reduced.symmetry_reduced) {
         EXPECT_EQ(reduced.num_configs, plain.num_configs)
@@ -297,7 +298,7 @@ TEST(SymmetryReduce, ReducedReportsAreThreadCountInvariant) {
   const auto m = ticker();
   const Graph g = make_cycle(std::vector<Label>(8, 0));
   ExploreBudget base = {.max_configs = 500'000, .max_threads = 1,
-                        .use_symmetry = true, .use_packing = true};
+                        .use_symmetry = true};
   const ExplicitResult one = decide_pseudo_stochastic_parallel(*m, g, base);
   for (const int threads : {2, 8}) {
     ExploreBudget b = base;
@@ -316,18 +317,17 @@ TEST(SymmetryReduce, FacadeReportsFlagsAndSurvivesCrossCheck) {
   DecisionRequest req;
   req.method = DecideMethod::Explicit;  // Auto would route cliques elsewhere
   req.budget = {.max_configs = 500'000, .max_threads = 2,
-                .use_symmetry = true, .use_packing = true};
+                .use_symmetry = true};
   req.cross_check = true;
   const DecisionReport r = decide(*m, g, req);
   EXPECT_NE(r.unknown_reason, UnknownReason::CrossCheck);
   EXPECT_TRUE(r.symmetry_reduced);
-  EXPECT_TRUE(r.packed_store);
+  EXPECT_EQ(r.packed_store, m->num_states().has_value());
   DecisionRequest plain_req = req;
   plain_req.budget.use_symmetry = false;
-  plain_req.budget.use_packing = false;
   const DecisionReport plain = decide(*m, g, plain_req);
   EXPECT_FALSE(plain.symmetry_reduced);
-  EXPECT_FALSE(plain.packed_store);
+  EXPECT_EQ(plain.packed_store, m->num_states().has_value());
   EXPECT_EQ(r.decision, plain.decision);
 }
 

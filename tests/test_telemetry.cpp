@@ -594,21 +594,40 @@ TEST(MemoryLedger, SetMaxMergeAndJsonOmitZeros) {
 }
 
 TEST(MemoryLedger, ExplicitDecideFillsThreadCountInvariantAccounts) {
-  const Graph g = make_grid(2, 3, {0, 1, 0, 0, 1, 0});
-  DecisionReport reports[2];
-  int i = 0;
-  for (const int threads : {1, 8}) {
-    DecisionRequest req;
-    req.budget = {.max_configs = 500'000, .max_threads = threads};
-    req.method = DecideMethod::Explicit;
-    reports[i++] = decide(*buggy_flooding(), g, req);
-  }
-  ASSERT_EQ(reports[0].decision, Decision::Inconsistent);
-  EXPECT_GT(reports[0].memory.get(obs::MemoryAccount::VectorStoreBytes), 0u);
-  EXPECT_GT(reports[0].memory.get(obs::MemoryAccount::FrontierBytes), 0u);
-  EXPECT_GT(reports[0].memory.get(obs::MemoryAccount::EdgeBytes), 0u);
-  EXPECT_EQ(reports[0].memory.get(obs::MemoryAccount::PackedStoreBytes), 0u);
-  EXPECT_TRUE(reports[0].memory == reports[1].memory);
+  // An enumerable machine explores on the packed store; a compiled one
+  // advertises no num_states() and explores on the vector store. Each
+  // decide builds a fresh machine: a reused compiled machine's interner is
+  // already warm.
+  const auto reports = [](const auto& build, const Graph& g) {
+    std::vector<DecisionReport> out;
+    for (const int threads : {1, 8}) {
+      DecisionRequest req;
+      req.budget = {.max_configs = 500'000, .max_threads = threads};
+      req.method = DecideMethod::Explicit;
+      out.push_back(decide(*build(), g, req));
+    }
+    return out;
+  };
+
+  const auto table = reports([] { return buggy_flooding(); },
+                             make_grid(2, 3, {0, 1, 0, 0, 1, 0}));
+  ASSERT_EQ(table[0].decision, Decision::Inconsistent);
+  EXPECT_TRUE(table[0].packed_store);
+  EXPECT_GT(table[0].memory.get(obs::MemoryAccount::PackedStoreBytes), 0u);
+  EXPECT_GT(table[0].memory.get(obs::MemoryAccount::FrontierBytes), 0u);
+  EXPECT_GT(table[0].memory.get(obs::MemoryAccount::EdgeBytes), 0u);
+  EXPECT_EQ(table[0].memory.get(obs::MemoryAccount::VectorStoreBytes), 0u);
+  EXPECT_TRUE(table[0].memory == table[1].memory);
+
+  const auto compiled = reports([] { return make_majority_daf(0, 1, 2); },
+                                make_cycle({0, 1, 1, 0, 1}));
+  ASSERT_NE(compiled[0].decision, Decision::Unknown);
+  EXPECT_FALSE(compiled[0].packed_store);
+  EXPECT_GT(compiled[0].memory.get(obs::MemoryAccount::VectorStoreBytes), 0u);
+  EXPECT_GT(compiled[0].memory.get(obs::MemoryAccount::FrontierBytes), 0u);
+  EXPECT_GT(compiled[0].memory.get(obs::MemoryAccount::EdgeBytes), 0u);
+  EXPECT_EQ(compiled[0].memory.get(obs::MemoryAccount::PackedStoreBytes), 0u);
+  EXPECT_TRUE(compiled[0].memory == compiled[1].memory);
 }
 
 TEST(MemoryLedger, PackedStoreRunsAccountUnderThePackedAccount) {
@@ -617,7 +636,6 @@ TEST(MemoryLedger, PackedStoreRunsAccountUnderThePackedAccount) {
   req.method = DecideMethod::Explicit;
   req.budget.max_configs = 500'000;
   req.budget.max_threads = 4;
-  req.budget.use_packing = true;
   const DecisionReport r = decide(*buggy_flooding(), g, req);
   ASSERT_EQ(r.decision, Decision::Inconsistent);
   ASSERT_TRUE(r.packed_store);
@@ -651,6 +669,7 @@ TEST(MemoryLedger, CappedRunsLeaveStoreAccountsEmpty) {
   const DecisionReport r = decide(*buggy_flooding(), g, req);
   ASSERT_TRUE(r.budget_exhausted);
   EXPECT_EQ(r.memory.get(obs::MemoryAccount::VectorStoreBytes), 0u);
+  EXPECT_EQ(r.memory.get(obs::MemoryAccount::PackedStoreBytes), 0u);
   EXPECT_EQ(r.memory.get(obs::MemoryAccount::FrontierBytes), 0u);
   EXPECT_EQ(r.memory.get(obs::MemoryAccount::EdgeBytes), 0u);
 }

@@ -2,7 +2,10 @@
 // count, trial-indexed result order, and pure-function seeding.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "dawn/graph/generators.hpp"
 #include "dawn/obs/metrics.hpp"
@@ -159,6 +162,50 @@ TEST(WorkerPool, EveryWorkerGetsADistinctIdEachRun) {
       hits[static_cast<std::size_t>(worker)].fetch_add(1);
     });
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  }
+}
+
+TEST(WorkerPool, ExceptionOnAnyWorkerReachesTheCaller) {
+  // Worker 0 is the caller itself; the last worker is a helper thread.
+  WorkerPool pool(4);
+  for (const int thrower : {0, pool.num_workers() - 1}) {
+    std::atomic<int> finished{0};
+    try {
+      pool.run([&](int worker) {
+        if (worker == thrower) {
+          throw std::logic_error("worker " + std::to_string(worker));
+        }
+        finished.fetch_add(1);
+      });
+      ADD_FAILURE() << "worker " << thrower << "'s exception was swallowed";
+    } catch (const std::logic_error& e) {
+      EXPECT_EQ(std::string(e.what()), "worker " + std::to_string(thrower));
+    }
+    // run() returned only after every other worker was done with the task.
+    EXPECT_EQ(finished.load(), pool.num_workers() - 1) << thrower;
+    std::atomic<int> ran{0};
+    pool.run([&](int) { ran.fetch_add(1); });
+    EXPECT_EQ(ran.load(), pool.num_workers()) << "pool unusable after "
+                                              << thrower;
+  }
+}
+
+TEST(Trials, ParallelForRethrowsTheFirstJobException) {
+  for (const int threads : {1, 4}) {
+    std::atomic<int> ran{0};
+    EXPECT_THROW(parallel_for(1000, threads,
+                              std::function<void(std::size_t)>(
+                                  [&](std::size_t i) {
+                                    ran.fetch_add(1);
+                                    if (i == 17) {
+                                      throw std::runtime_error("job 17");
+                                    }
+                                  })),
+                 std::runtime_error)
+        << threads;
+    if (threads == 1) {
+      EXPECT_EQ(ran.load(), 18);  // inline: stops at the throwing job
+    }
   }
 }
 

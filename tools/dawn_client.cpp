@@ -7,7 +7,7 @@
 //       [--halt-accept N] [--halt-reject N]
 //       [--graph clique:N|star:N|line:N|cycle:N] [--graph-labels N]
 //       [--method auto|explicit|...] [--max-configs N] [--max-threads N]
-//       [--deadline-ms N] [--symmetry] [--packing] [--trace] [--repeat N]
+//       [--deadline-ms N] [--symmetry] [--trace] [--repeat N]
 //       [--distributed]
 //   dawn_client [--connect ADDR] garbage
 //
@@ -51,7 +51,7 @@ namespace {
                "          [--halt-reject N] [--graph FAMILY:N]\n"
                "          [--graph-labels N] [--method NAME] [--max-configs N]\n"
                "          [--max-threads N] [--deadline-ms N] [--symmetry]\n"
-               "          [--packing] [--trace] [--repeat N] [--distributed]\n",
+               "          [--trace] [--repeat N] [--distributed]\n",
                argv0, argv0);
   std::exit(2);
 }
@@ -187,8 +187,6 @@ int main(int argc, char** argv) {
           argv[0], "--deadline-ms", flag_value("--deadline-ms"), 0, kMax));
     } else if (!std::strcmp(argv[i], "--symmetry")) {
       req.budget.use_symmetry = true;
-    } else if (!std::strcmp(argv[i], "--packing")) {
-      req.budget.use_packing = true;
     } else if (!std::strcmp(argv[i], "--trace")) {
       req.want_trace = true;
     } else if (!std::strcmp(argv[i], "--repeat")) {
