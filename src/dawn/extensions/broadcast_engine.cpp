@@ -4,11 +4,11 @@
 #include <unordered_set>
 
 #include "dawn/automata/combinators.hpp"
+#include "dawn/automata/config.hpp"
 #include "dawn/obs/metrics.hpp"
-#include "dawn/semantics/scc.hpp"
+#include "dawn/semantics/sequential_explore.hpp"
 #include "dawn/util/check.hpp"
 #include "dawn/util/hash.hpp"
-#include "dawn/util/interner.hpp"
 
 namespace dawn {
 namespace {
@@ -24,15 +24,21 @@ Verdict config_consensus(const BroadcastOverlay& overlay,
   return first;
 }
 
+Config initial_overlay_config(const BroadcastOverlay& overlay,
+                              const Graph& g) {
+  Config c(static_cast<std::size_t>(g.n()));
+  for (NodeId v = 0; v < g.n(); ++v) {
+    c[static_cast<std::size_t>(v)] = overlay.init(g.label(v));
+  }
+  return c;
+}
+
 }  // namespace
 
 BroadcastRun::BroadcastRun(const BroadcastOverlay& overlay, const Graph& g)
-    : overlay_(overlay), graph_(g) {
-  config_.resize(static_cast<std::size_t>(g.n()));
-  for (NodeId v = 0; v < g.n(); ++v) {
-    config_[static_cast<std::size_t>(v)] = overlay.init(g.label(v));
-  }
-}
+    : overlay_(overlay),
+      graph_(g),
+      config_(initial_overlay_config(overlay, g)) {}
 
 bool BroadcastRun::apply_neighbourhood(NodeId v) {
   obs::count(obs::Counter::OverlaySteps);
@@ -161,35 +167,17 @@ OverlaySimResult simulate_overlay_random(const BroadcastOverlay& overlay,
   return result;
 }
 
-OverlayDecideResult decide_overlay_strong(const BroadcastOverlay& overlay,
-                                          const Graph& g,
-                                          const ExploreBudget& opts) {
-  OverlayDecideResult result;
-  using Cfg = std::vector<State>;
-  Interner<Cfg, VectorHash<State>> configs;
-  std::vector<std::vector<std::int32_t>> adj;
-
-  {
-    Cfg c0(static_cast<std::size_t>(g.n()));
-    for (NodeId v = 0; v < g.n(); ++v) {
-      c0[static_cast<std::size_t>(v)] = overlay.init(g.label(v));
-    }
-    configs.id(c0);
-    adj.emplace_back();
-  }
-
+ExploreOutcome decide_overlay_strong(const BroadcastOverlay& overlay,
+                                     const Graph& g,
+                                     const ExploreBudget& budget) {
   const int beta = overlay.inner().beta();
-  for (std::size_t head = 0; head < configs.size(); ++head) {
-    if (configs.size() > opts.max_configs) {
-      result.decision = Decision::Unknown;
-      result.reason = UnknownReason::ConfigCap;
-      result.num_configs = configs.size();
-      return result;
-    }
-    const Cfg current = configs.value(static_cast<std::int32_t>(head));
+  Config next;
+  // One successor per node: its strong broadcast if it is initiating, its
+  // neighbourhood step otherwise.
+  const auto expand = [&](const Config& current, auto&& emit) {
     for (NodeId v = 0; v < g.n(); ++v) {
       const State s = current[static_cast<std::size_t>(v)];
-      Cfg next = current;
+      next = current;
       if (const auto bc = overlay.initiate(s)) {
         // Strong broadcast by v: received by every other node.
         next[static_cast<std::size_t>(v)] = bc->first;
@@ -202,62 +190,20 @@ OverlayDecideResult decide_overlay_strong(const BroadcastOverlay& overlay,
         const auto nb = Neighbourhood::of(g, current, v, beta);
         next[static_cast<std::size_t>(v)] = overlay.inner().step(s, nb);
       }
-      if (next == current) continue;
-      const std::size_t before = configs.size();
-      const std::int32_t id = configs.id(next);
-      if (configs.size() > before) adj.emplace_back();
-      adj[head].push_back(id);
+      if (next != current) emit(next);
     }
-  }
-  result.num_configs = configs.size();
-  result.decision =
-      classify_bottom_sccs(adj, [&](std::size_t i) {
-        return config_consensus(overlay,
-                                configs.value(static_cast<std::int32_t>(i)));
-      }).decision;
-  return result;
+  };
+  return explore_sequential<Config, VectorHash<State>>(
+      initial_overlay_config(overlay, g), expand,
+      [&](const Config& c) { return config_consensus(overlay, c); }, budget);
 }
 
-OverlayDecideResult decide_overlay_weak(const BroadcastOverlay& overlay,
-                                        const Graph& g,
-                                        const ExploreBudget& opts) {
+ExploreOutcome decide_overlay_weak(const BroadcastOverlay& overlay,
+                                   const Graph& g,
+                                   const ExploreBudget& budget) {
   DAWN_CHECK_MSG(g.n() <= 8, "weak-broadcast enumeration is exponential");
-  OverlayDecideResult result;
-  using Cfg = std::vector<State>;
-  Interner<Cfg, VectorHash<State>> configs;
-  std::vector<std::vector<std::int32_t>> adj;
-
-  {
-    Cfg c0(static_cast<std::size_t>(g.n()));
-    for (NodeId v = 0; v < g.n(); ++v) {
-      c0[static_cast<std::size_t>(v)] = overlay.init(g.label(v));
-    }
-    configs.id(c0);
-    adj.emplace_back();
-  }
-
   const int beta = overlay.inner().beta();
-
-  // Enumerates every receiver assignment recursively and records the
-  // resulting successor configurations.
-  auto add_successor = [&](std::size_t head, Cfg next) {
-    const Cfg& current = configs.value(static_cast<std::int32_t>(head));
-    if (next == current) return;
-    const std::size_t before = configs.size();
-    const std::int32_t id = configs.id(next);
-    if (configs.size() > before) adj.emplace_back();
-    adj[head].push_back(id);
-  };
-
-  for (std::size_t head = 0; head < configs.size(); ++head) {
-    if (configs.size() > opts.max_configs) {
-      result.decision = Decision::Unknown;
-      result.reason = UnknownReason::ConfigCap;
-      result.num_configs = configs.size();
-      return result;
-    }
-    const Cfg current = configs.value(static_cast<std::int32_t>(head));
-
+  const auto expand = [&](const Config& current, auto&& emit) {
     // (n, {v}) selections: exclusive neighbourhood steps of non-initiators.
     for (NodeId v = 0; v < g.n(); ++v) {
       const State s = current[static_cast<std::size_t>(v)];
@@ -265,9 +211,9 @@ OverlayDecideResult decide_overlay_weak(const BroadcastOverlay& overlay,
       const auto nb = Neighbourhood::of(g, current, v, beta);
       const State moved = overlay.inner().step(s, nb);
       if (moved == s) continue;
-      Cfg next = current;
+      Config next = current;
       next[static_cast<std::size_t>(v)] = moved;
-      add_successor(head, std::move(next));
+      emit(next);
     }
 
     // (b, S) selections: every nonempty independent subset of the current
@@ -291,7 +237,7 @@ OverlayDecideResult decide_overlay_weak(const BroadcastOverlay& overlay,
         sel.push_back(initiators[i]);
       }
       if (!independent) continue;
-      Cfg base = current;
+      Config base = current;
       for (NodeId v : sel) {
         const auto bc = overlay.initiate(current[static_cast<std::size_t>(v)]);
         base[static_cast<std::size_t>(v)] = bc->first;
@@ -305,12 +251,12 @@ OverlayDecideResult decide_overlay_weak(const BroadcastOverlay& overlay,
       // Recurse over assignments receiver -> broadcasting response.
       std::vector<std::size_t> choice(receivers.size(), 0);
       while (true) {
-        Cfg next = base;
+        Config next = base;
         for (std::size_t r = 0; r < receivers.size(); ++r) {
           const auto v = static_cast<std::size_t>(receivers[r]);
           next[v] = overlay.respond(rids[choice[r]], current[v]);
         }
-        add_successor(head, std::move(next));
+        if (next != current) emit(next);
         // Odometer over the |sel|^|receivers| assignments.
         std::size_t i = 0;
         while (i < choice.size() && choice[i] + 1 == sel.size()) {
@@ -321,135 +267,47 @@ OverlayDecideResult decide_overlay_weak(const BroadcastOverlay& overlay,
         ++choice[i];
       }
     }
-  }
-  result.num_configs = configs.size();
-  result.decision =
-      classify_bottom_sccs(adj, [&](std::size_t i) {
-        return config_consensus(overlay,
-                                configs.value(static_cast<std::int32_t>(i)));
-      }).decision;
-  return result;
+  };
+  return explore_sequential<Config, VectorHash<State>>(
+      initial_overlay_config(overlay, g), expand,
+      [&](const Config& c) { return config_consensus(overlay, c); }, budget);
 }
 
-OverlayDecideResult decide_overlay_strong_counted(
-    const BroadcastOverlay& overlay, const LabelCount& L,
-    const ExploreBudget& opts) {
-  OverlayDecideResult result;
-  // CountedConfigHash comes from clique_counted.hpp.
-  Interner<CountedConfig, CountedConfigHash> configs;
-  std::vector<std::vector<std::int32_t>> adj;
-
-  {
-    CountedConfig c0;
-    for (std::size_t l = 0; l < L.size(); ++l) {
-      for (std::int64_t i = 0; i < L[l]; ++i) {
-        const State s = overlay.init(static_cast<Label>(l));
-        auto it = std::lower_bound(
-            c0.begin(), c0.end(), s,
-            [](const std::pair<State, std::int64_t>& e, State q) {
-              return e.first < q;
-            });
-        if (it != c0.end() && it->first == s) {
-          ++it->second;
-        } else {
-          c0.insert(it, {s, 1});
-        }
-      }
-    }
-    DAWN_CHECK(!c0.empty());
-    configs.id(c0);
-    adj.emplace_back();
+ExploreOutcome decide_overlay_strong_counted(const BroadcastOverlay& overlay,
+                                             const LabelCount& L,
+                                             const ExploreBudget& budget) {
+  CountedConfig initial;
+  for (std::size_t l = 0; l < L.size(); ++l) {
+    if (L[l] > 0) add_count(initial, overlay.init(static_cast<Label>(l)), L[l]);
   }
-
-  auto normalise = [](std::vector<std::pair<State, std::int64_t>> v) {
-    std::sort(v.begin(), v.end());
-    CountedConfig out;
-    for (auto [q, n] : v) {
-      if (!out.empty() && out.back().first == q) {
-        out.back().second += n;
-      } else if (n > 0) {
-        out.push_back({q, n});
-      }
-    }
-    return out;
-  };
-
-  const int beta = overlay.inner().beta();
-  for (std::size_t head = 0; head < configs.size(); ++head) {
-    if (configs.size() > opts.max_configs) {
-      result.decision = Decision::Unknown;
-      result.reason = UnknownReason::ConfigCap;
-      result.num_configs = configs.size();
-      return result;
-    }
-    const CountedConfig current =
-        configs.value(static_cast<std::int32_t>(head));
+  DAWN_CHECK(!initial.empty());
+  // One successor per populated state q: one agent in q broadcasts if q is
+  // initiating, and takes a neighbourhood step on the clique otherwise.
+  const auto expand = [&](const CountedConfig& current, auto&& emit) {
     for (auto [q, cnt] : current) {
       CountedConfig next;
       if (const auto bc = overlay.initiate(q)) {
-        // One agent in q broadcasts; all n-1 others respond.
-        std::vector<std::pair<State, std::int64_t>> parts;
-        parts.emplace_back(bc->first, 1);
+        // All n-1 other agents respond.
+        add_count(next, bc->first, 1);
         for (auto [s, c] : current) {
-          std::int64_t rest = c - (s == q ? 1 : 0);
-          if (rest > 0) {
-            parts.emplace_back(overlay.respond(bc->second, s), rest);
-          }
+          const std::int64_t rest = c - (s == q ? 1 : 0);
+          if (rest > 0) add_count(next, overlay.respond(bc->second, s), rest);
         }
-        next = normalise(std::move(parts));
       } else {
-        // Exclusive neighbourhood step of one agent in q on the clique.
-        std::vector<std::pair<State, int>> counts;
-        for (auto [s, c] : current) {
-          std::int64_t rest = c - (s == q ? 1 : 0);
-          if (rest > 0) {
-            counts.emplace_back(
-                s, static_cast<int>(std::min<std::int64_t>(rest, beta)));
-          }
-        }
-        const auto nb = Neighbourhood::from_counts(counts, beta);
-        const State moved = overlay.inner().step(q, nb);
-        if (moved == q) continue;
-        std::vector<std::pair<State, std::int64_t>> parts(current.begin(),
-                                                          current.end());
-        parts.emplace_back(q, -1);
-        parts.emplace_back(moved, 1);
-        // normalise() drops zero/negative pairs only after merging:
-        // re-merge manually.
-        std::sort(parts.begin(), parts.end());
-        CountedConfig merged;
-        for (auto [s, c] : parts) {
-          if (!merged.empty() && merged.back().first == s) {
-            merged.back().second += c;
-          } else {
-            merged.push_back({s, c});
-          }
-        }
-        CountedConfig cleaned;
-        for (auto [s, c] : merged) {
-          DAWN_CHECK(c >= 0);
-          if (c > 0) cleaned.push_back({s, c});
-        }
-        next = std::move(cleaned);
+        next = counted_successor(overlay.inner(), current, q);
       }
-      if (next == current) continue;
-      const std::size_t before = configs.size();
-      const std::int32_t id = configs.id(next);
-      if (configs.size() > before) adj.emplace_back();
-      adj[head].push_back(id);
+      if (next != current) emit(next);
     }
-  }
-  result.num_configs = configs.size();
-  result.decision =
-      classify_bottom_sccs(adj, [&](std::size_t i) {
-        const CountedConfig& c = configs.value(static_cast<std::int32_t>(i));
-        const Verdict first = overlay.verdict(c.front().first);
-        for (auto [q, n] : c) {
-          if (overlay.verdict(q) != first) return Verdict::Neutral;
-        }
-        return first;
-      }).decision;
-  return result;
+  };
+  const auto verdict_of = [&](const CountedConfig& c) {
+    const Verdict first = overlay.verdict(c.front().first);
+    for (auto [q, n] : c) {
+      if (overlay.verdict(q) != first) return Verdict::Neutral;
+    }
+    return first;
+  };
+  return explore_sequential<CountedConfig, CountedConfigHash>(
+      initial, expand, verdict_of, budget);
 }
 
 }  // namespace dawn

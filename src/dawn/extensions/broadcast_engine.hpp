@@ -83,23 +83,20 @@ OverlaySimResult simulate_overlay_random(const BroadcastOverlay& overlay,
                                          const Graph& g, Rng& rng,
                                          const OverlaySimOptions& opts = {});
 
-
-struct OverlayDecideResult {
-  Decision decision = Decision::Unknown;
-  UnknownReason reason = UnknownReason::None;
-  std::size_t num_configs = 0;
-};
+// The exact overlay deciders below run on semantics/sequential_explore.hpp:
+// one thread, max_configs and deadline_ms honoured, a capped count clamped
+// to the cap.
 
 // Exact decision of the overlay under strong (singleton) broadcasts plus
 // exclusive neighbourhood steps, on an explicit graph.
-OverlayDecideResult decide_overlay_strong(const BroadcastOverlay& overlay,
-                                          const Graph& g,
-                                          const ExploreBudget& o = {});
+ExploreOutcome decide_overlay_strong(const BroadcastOverlay& overlay,
+                                     const Graph& g,
+                                     const ExploreBudget& o = {});
 
 // Same, on the clique with label count L, using counted configurations.
-OverlayDecideResult decide_overlay_strong_counted(
-    const BroadcastOverlay& overlay, const LabelCount& L,
-    const ExploreBudget& o = {});
+ExploreOutcome decide_overlay_strong_counted(const BroadcastOverlay& overlay,
+                                             const LabelCount& L,
+                                             const ExploreBudget& o = {});
 
 // Exact decision under the FULL weak-broadcast semantics of Definition 4.5:
 // selections are all nonempty independent sets of initiators (every subset
@@ -108,8 +105,8 @@ OverlayDecideResult decide_overlay_strong_counted(
 // Exponential per configuration — tiny graphs only. This is the reference
 // against which the singleton-broadcast deciders and the compiled machine
 // are selection-independence-checked.
-OverlayDecideResult decide_overlay_weak(const BroadcastOverlay& overlay,
-                                        const Graph& g,
-                                        const ExploreBudget& o = {});
+ExploreOutcome decide_overlay_weak(const BroadcastOverlay& overlay,
+                                   const Graph& g,
+                                   const ExploreBudget& o = {});
 
 }  // namespace dawn

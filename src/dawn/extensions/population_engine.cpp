@@ -1,13 +1,12 @@
 #include "dawn/extensions/population_engine.hpp"
 
-#include <algorithm>
 #include <vector>
 
+#include "dawn/automata/config.hpp"
 #include "dawn/obs/metrics.hpp"
-#include "dawn/semantics/scc.hpp"
+#include "dawn/semantics/sequential_explore.hpp"
 #include "dawn/util/check.hpp"
 #include "dawn/util/hash.hpp"
-#include "dawn/util/interner.hpp"
 
 namespace dawn {
 namespace {
@@ -21,132 +20,69 @@ Verdict pp_consensus(const GraphPopulationProtocol& p,
   return first;
 }
 
-// CountedConfigHash comes from clique_counted.hpp.
-
-void bump(CountedConfig& c, State q, std::int64_t delta) {
-  auto it = std::lower_bound(
-      c.begin(), c.end(), q,
-      [](const std::pair<State, std::int64_t>& e, State s) {
-        return e.first < s;
-      });
-  if (it != c.end() && it->first == q) {
-    it->second += delta;
-    DAWN_CHECK(it->second >= 0);
-    if (it->second == 0) c.erase(it);
-  } else {
-    DAWN_CHECK(delta > 0);
-    c.insert(it, {q, delta});
-  }
-}
-
 }  // namespace
 
-PopulationDecideResult decide_population(const GraphPopulationProtocol& p,
-                                         const Graph& g,
-                                         const ExploreBudget& opts) {
-  PopulationDecideResult result;
-  using Cfg = std::vector<State>;
-  Interner<Cfg, VectorHash<State>> configs;
-  std::vector<std::vector<std::int32_t>> adj;
-
-  {
-    Cfg c0(static_cast<std::size_t>(g.n()));
-    for (NodeId v = 0; v < g.n(); ++v) {
-      c0[static_cast<std::size_t>(v)] = p.init(g.label(v));
-    }
-    configs.id(c0);
-    adj.emplace_back();
+ExploreOutcome decide_population(const GraphPopulationProtocol& p,
+                                 const Graph& g, const ExploreBudget& budget) {
+  Config initial(static_cast<std::size_t>(g.n()));
+  for (NodeId v = 0; v < g.n(); ++v) {
+    initial[static_cast<std::size_t>(v)] = p.init(g.label(v));
   }
-
-  for (std::size_t head = 0; head < configs.size(); ++head) {
-    if (configs.size() > opts.max_configs) {
-      result.decision = Decision::Unknown;
-      result.reason = UnknownReason::ConfigCap;
-      result.num_configs = configs.size();
-      return result;
-    }
-    const Cfg current = configs.value(static_cast<std::int32_t>(head));
+  Config next;
+  // One successor per ordered pair (u, v) of adjacent nodes.
+  const auto expand = [&](const Config& current, auto&& emit) {
     for (NodeId u = 0; u < g.n(); ++u) {
+      const auto uu = static_cast<std::size_t>(u);
       for (NodeId v : g.neighbours(u)) {
-        // Ordered pair (u, v).
-        const auto [pu, pv] = p.delta(current[static_cast<std::size_t>(u)],
-                                      current[static_cast<std::size_t>(v)]);
-        if (pu == current[static_cast<std::size_t>(u)] &&
-            pv == current[static_cast<std::size_t>(v)]) {
-          continue;  // silent interaction
-        }
-        Cfg next = current;
-        next[static_cast<std::size_t>(u)] = pu;
-        next[static_cast<std::size_t>(v)] = pv;
-        const std::size_t before = configs.size();
-        const std::int32_t id = configs.id(next);
-        if (configs.size() > before) adj.emplace_back();
-        adj[head].push_back(id);
+        const auto vv = static_cast<std::size_t>(v);
+        const auto [pu, pv] = p.delta(current[uu], current[vv]);
+        if (pu == current[uu] && pv == current[vv]) continue;  // silent
+        next = current;
+        next[uu] = pu;
+        next[vv] = pv;
+        emit(next);
       }
     }
-  }
-  result.num_configs = configs.size();
-  result.decision =
-      classify_bottom_sccs(adj, [&](std::size_t i) {
-        return pp_consensus(p, configs.value(static_cast<std::int32_t>(i)));
-      }).decision;
-  return result;
+  };
+  return explore_sequential<Config, VectorHash<State>>(
+      initial, expand, [&](const Config& c) { return pp_consensus(p, c); },
+      budget);
 }
 
-PopulationDecideResult decide_population_counted(
-    const GraphPopulationProtocol& p, const LabelCount& L,
-    const ExploreBudget& opts) {
-  PopulationDecideResult result;
-  Interner<CountedConfig, CountedConfigHash> configs;
-  std::vector<std::vector<std::int32_t>> adj;
-
-  {
-    CountedConfig c0;
-    for (std::size_t l = 0; l < L.size(); ++l) {
-      if (L[l] > 0) bump(c0, p.init(static_cast<Label>(l)), L[l]);
-    }
-    DAWN_CHECK(!c0.empty());
-    configs.id(c0);
-    adj.emplace_back();
+ExploreOutcome decide_population_counted(const GraphPopulationProtocol& p,
+                                         const LabelCount& L,
+                                         const ExploreBudget& budget) {
+  CountedConfig initial;
+  for (std::size_t l = 0; l < L.size(); ++l) {
+    if (L[l] > 0) add_count(initial, p.init(static_cast<Label>(l)), L[l]);
   }
-
-  for (std::size_t head = 0; head < configs.size(); ++head) {
-    if (configs.size() > opts.max_configs) {
-      result.decision = Decision::Unknown;
-      result.reason = UnknownReason::ConfigCap;
-      result.num_configs = configs.size();
-      return result;
-    }
-    const CountedConfig current =
-        configs.value(static_cast<std::int32_t>(head));
+  DAWN_CHECK(!initial.empty());
+  CountedConfig next;
+  // One successor per ordered pair of states held by two distinct agents.
+  const auto expand = [&](const CountedConfig& current, auto&& emit) {
     for (auto [q1, c1] : current) {
       for (auto [q2, c2] : current) {
-        if (q1 == q2 && c1 < 2) continue;  // need two distinct agents
+        if (q1 == q2 && c1 < 2) continue;
         const auto [r1, r2] = p.delta(q1, q2);
-        if (r1 == q1 && r2 == q2) continue;
-        CountedConfig next = current;
-        bump(next, q1, -1);
-        bump(next, q2, -1);
-        bump(next, r1, +1);
-        bump(next, r2, +1);
-        const std::size_t before = configs.size();
-        const std::int32_t id = configs.id(next);
-        if (configs.size() > before) adj.emplace_back();
-        adj[head].push_back(id);
+        if (r1 == q1 && r2 == q2) continue;  // silent
+        next = current;
+        add_count(next, q1, -1);
+        add_count(next, q2, -1);
+        add_count(next, r1, +1);
+        add_count(next, r2, +1);
+        emit(next);
       }
     }
-  }
-  result.num_configs = configs.size();
-  result.decision =
-      classify_bottom_sccs(adj, [&](std::size_t i) {
-        const CountedConfig& c = configs.value(static_cast<std::int32_t>(i));
-        const Verdict first = p.verdict(c.front().first);
-        for (auto [q, n] : c) {
-          if (p.verdict(q) != first) return Verdict::Neutral;
-        }
-        return first;
-      }).decision;
-  return result;
+  };
+  const auto verdict_of = [&](const CountedConfig& c) {
+    const Verdict first = p.verdict(c.front().first);
+    for (auto [q, n] : c) {
+      if (p.verdict(q) != first) return Verdict::Neutral;
+    }
+    return first;
+  };
+  return explore_sequential<CountedConfig, CountedConfigHash>(
+      initial, expand, verdict_of, budget);
 }
 
 PopulationSimResult simulate_population(const GraphPopulationProtocol& p,

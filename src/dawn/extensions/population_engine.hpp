@@ -17,22 +17,17 @@
 
 namespace dawn {
 
-
-struct PopulationDecideResult {
-  Decision decision = Decision::Unknown;
-  UnknownReason reason = UnknownReason::None;
-  std::size_t num_configs = 0;
-};
+// Both exact deciders run on semantics/sequential_explore.hpp: one thread,
+// max_configs and deadline_ms honoured, a capped count clamped to the cap.
 
 // Exact decision on an explicit graph.
-PopulationDecideResult decide_population(const GraphPopulationProtocol& p,
-                                         const Graph& g,
-                                         const ExploreBudget& o = {});
+ExploreOutcome decide_population(const GraphPopulationProtocol& p,
+                                 const Graph& g, const ExploreBudget& o = {});
 
 // Exact decision on the clique with label count L (counted configurations).
-PopulationDecideResult decide_population_counted(
-    const GraphPopulationProtocol& p, const LabelCount& L,
-    const ExploreBudget& o = {});
+ExploreOutcome decide_population_counted(const GraphPopulationProtocol& p,
+                                         const LabelCount& L,
+                                         const ExploreBudget& o = {});
 
 struct PopulationSimOptions {
   std::uint64_t max_steps = 500'000;

@@ -184,9 +184,9 @@ std::optional<std::string> check_sync_replay(const FuzzCase& c) {
 // explore-par: the sequential explicit decider vs the frontier-parallel
 // sharded engine at 1, 2 and 8 threads. Fuzz machines advertise |Q|, so the
 // parallel side runs on the packed store and this pair is also the
-// vector-vs-packed differential. Completed runs must agree on everything;
-// capped runs on (decision, reason) with the parallel count clamped to the
-// cap.
+// vector-vs-packed differential. Both sides clamp a capped count to the
+// cap, so completed and capped runs must agree on everything; deadline runs
+// on (decision, reason) only.
 
 std::optional<std::string> check_explore_par(const FuzzCase& c) {
   const auto machine = build_machine(c.machine);
@@ -205,7 +205,7 @@ std::optional<std::string> check_explore_par(const FuzzCase& c) {
           << to_string(seq.reason);
       return out.str();
     }
-    if (seq.decision == Decision::Unknown) continue;  // counts may differ
+    if (seq.reason == UnknownReason::Deadline) continue;  // counts may differ
     if (par.num_configs != seq.num_configs) {
       out << "num_configs " << par.num_configs << " vs " << seq.num_configs;
       return out.str();
@@ -324,7 +324,7 @@ std::optional<std::string> check_clique_counted(const FuzzCase& c) {
   const ExplicitResult ex =
       decide_pseudo_stochastic(*machine, c.graph, sequential_budget());
   const LabelCount L = c.graph.label_count(c.machine.num_labels);
-  const CliqueResult counted =
+  const ExploreOutcome counted =
       decide_clique_pseudo_stochastic(*machine, L, sequential_budget());
   if (ex.decision == Decision::Unknown ||
       counted.decision == Decision::Unknown) {
@@ -346,7 +346,7 @@ std::optional<std::string> check_star_counted(const FuzzCase& c) {
   }
   const ExplicitResult ex =
       decide_pseudo_stochastic(*machine, c.graph, sequential_budget());
-  const StarResult counted = decide_star_pseudo_stochastic(
+  const ExploreOutcome counted = decide_star_pseudo_stochastic(
       *machine, c.graph.label(hub), leaves, sequential_budget());
   if (ex.decision == Decision::Unknown ||
       counted.decision == Decision::Unknown) {

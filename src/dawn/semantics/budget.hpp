@@ -22,10 +22,12 @@ struct ExploreBudget {
   // are reached.
   std::size_t max_configs = 2'000'000;
 
-  // Worker threads for the parallel exploration paths. 1 = sequential (the
-  // default: bit-compatible with the pre-parallel deciders); 0 = all
-  // hardware threads. Machines whose step() is not thread-safe (see
-  // Machine::parallel_step_safe) are transparently clamped to 1.
+  // Worker threads for the parallel exploration paths; only they read it.
+  // The sequential reference deciders (semantics/sequential_explore.hpp)
+  // always run on the calling thread. 1 = one worker (the default; reports
+  // are identical at every count); 0 = all hardware threads. Machines whose
+  // step() is not thread-safe (see Machine::parallel_step_safe) are
+  // transparently clamped to 1.
   int max_threads = 1;
 
   // Wall-clock deadline in milliseconds; 0 = none. Deadline aborts report
@@ -35,8 +37,8 @@ struct ExploreBudget {
 
   // Opt-in exploration accelerator, honoured by the parallel explicit
   // engine only (the counted backends are already symmetry quotients, and
-  // the sequential decider stays byte-for-byte the unreduced differential
-  // reference — see docs/SYMMETRY.md). use_symmetry interns only canonical
+  // the sequential deciders stay the unreduced differential references —
+  // see docs/SYMMETRY.md). use_symmetry interns only canonical
   // orbit representatives under the graph's detected label-preserving
   // automorphisms; the decision is unchanged, but configs/SCC counts shrink
   // by up to the group order.

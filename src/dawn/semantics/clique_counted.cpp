@@ -3,15 +3,14 @@
 #include <algorithm>
 
 #include "dawn/semantics/parallel_explore.hpp"
-#include "dawn/semantics/scc.hpp"
+#include "dawn/semantics/sequential_explore.hpp"
 #include "dawn/util/check.hpp"
-#include "dawn/util/hash.hpp"
-#include "dawn/util/interner.hpp"
 
 namespace dawn {
 namespace {
 
-// Per-worker successor generator for the parallel engine.
+// The successor function of both explorers (one per worker in the parallel
+// engine).
 struct CountedExpander {
   const Machine& machine;
   template <typename Emit>
@@ -33,6 +32,8 @@ Verdict counted_consensus(const Machine& machine, const CountedConfig& c) {
   return first;
 }
 
+}  // namespace
+
 void add_count(CountedConfig& c, State q, std::int64_t delta) {
   auto it = std::lower_bound(
       c.begin(), c.end(), q,
@@ -48,8 +49,6 @@ void add_count(CountedConfig& c, State q, std::int64_t delta) {
     c.insert(it, {q, delta});
   }
 }
-
-}  // namespace
 
 CountedConfig initial_counted_config(const Machine& machine,
                                      const LabelCount& L) {
@@ -91,66 +90,25 @@ CountedConfig counted_successor(const Machine& machine,
   return out;
 }
 
-CliqueResult decide_clique_pseudo_stochastic(const Machine& machine,
-                                             const LabelCount& L,
-                                             const ExploreBudget& opts) {
-  CliqueResult result;
-  Interner<CountedConfig, CountedConfigHash> configs;
-  std::vector<std::vector<std::int32_t>> adj;
-  DeadlineClock deadline(opts);
-
-  configs.id(initial_counted_config(machine, L));
-  adj.emplace_back();
-
-  for (std::size_t head = 0; head < configs.size(); ++head) {
-    if (configs.size() > opts.max_configs) {
-      result.decision = Decision::Unknown;
-      result.reason = UnknownReason::ConfigCap;
-      result.num_configs = configs.size();
-      return result;
-    }
-    if (deadline.enabled() && (head & 1023) == 0 && deadline.expired()) {
-      result.decision = Decision::Unknown;
-      result.reason = UnknownReason::Deadline;
-      result.num_configs = configs.size();
-      return result;
-    }
-    const CountedConfig current =
-        configs.value(static_cast<std::int32_t>(head));
-    for (auto [q, n] : current) {
-      const CountedConfig next = counted_successor(machine, current, q);
-      if (next == current) continue;  // silent
-      const std::size_t before = configs.size();
-      const std::int32_t id = configs.id(next);
-      if (configs.size() > before) adj.emplace_back();
-      adj[head].push_back(id);
-    }
-  }
-  result.num_configs = configs.size();
-
-  const BottomClassification cls = classify_bottom_sccs(
-      adj, [&](std::size_t i) {
-        return counted_consensus(machine,
-                                 configs.value(static_cast<std::int32_t>(i)));
-      });
-  result.decision = cls.decision;
-  result.num_bottom_sccs = cls.num_bottom_sccs;
-  return result;
+ExploreOutcome decide_clique_pseudo_stochastic(const Machine& machine,
+                                               const LabelCount& L,
+                                               const ExploreBudget& budget) {
+  return explore_sequential<CountedConfig, CountedConfigHash>(
+      initial_counted_config(machine, L), CountedExpander{machine},
+      [&](const CountedConfig& c) { return counted_consensus(machine, c); },
+      budget);
 }
 
-CliqueResult decide_clique_pseudo_stochastic_parallel(
+ExploreOutcome decide_clique_pseudo_stochastic_parallel(
     const Machine& machine, const LabelCount& L, const ExploreBudget& budget,
     ExploreStats* stats) {
   ExploreBudget clamped = budget;
   clamped.max_threads = explore_threads(machine, budget);
-  const ExploreOutcome out =
-      explore_and_classify<CountedConfig, CountedConfigHash>(
-          initial_counted_config(machine, L),
-          [&](int) { return CountedExpander{machine}; },
-          [&](const CountedConfig& c) { return counted_consensus(machine, c); },
-          clamped, stats);
-  return CliqueResult{out.decision, out.reason, out.num_configs,
-                      out.num_bottom_sccs};
+  return explore_and_classify<CountedConfig, CountedConfigHash>(
+      initial_counted_config(machine, L),
+      [&](int) { return CountedExpander{machine}; },
+      [&](const CountedConfig& c) { return counted_consensus(machine, c); },
+      clamped, stats);
 }
 
 }  // namespace dawn

@@ -39,12 +39,9 @@ struct CountedConfigHash {
   }
 };
 
-struct CliqueResult {
-  Decision decision = Decision::Unknown;
-  UnknownReason reason = UnknownReason::None;
-  std::size_t num_configs = 0;
-  std::size_t num_bottom_sccs = 0;
-};
+// Adds `delta` agents in state `q`, keeping the pairs sorted and dropping
+// a pair whose count reaches 0. Checks that no count goes negative.
+void add_count(CountedConfig& c, State q, std::int64_t delta);
 
 // The initial counted configuration for the clique with label count `L`.
 CountedConfig initial_counted_config(const Machine& machine,
@@ -57,9 +54,9 @@ CountedConfig counted_successor(const Machine& machine,
 
 // Decides the machine on the clique with label count `L` under
 // pseudo-stochastic fairness.
-CliqueResult decide_clique_pseudo_stochastic(const Machine& machine,
-                                             const LabelCount& L,
-                                             const ExploreBudget& opts = {});
+ExploreOutcome decide_clique_pseudo_stochastic(const Machine& machine,
+                                               const LabelCount& L,
+                                               const ExploreBudget& opts = {});
 
 struct ExploreStats;
 
@@ -67,7 +64,7 @@ struct ExploreStats;
 // contract as decide_pseudo_stochastic_parallel in explicit_space.hpp:
 // thread-count-invariant results, capped counts clamped to the budget,
 // non-thread-safe machines clamped to one worker.
-CliqueResult decide_clique_pseudo_stochastic_parallel(
+ExploreOutcome decide_clique_pseudo_stochastic_parallel(
     const Machine& machine, const LabelCount& L, const ExploreBudget& b = {},
     ExploreStats* stats = nullptr);
 

@@ -55,13 +55,13 @@ constexpr bool is_exhaustion(UnknownReason r) {
 }
 
 // Differential agreement between the parallel engine and its sequential
-// reference. Capped runs agree on (decision, reason) only: the parallel
-// engine clamps its count to the cap while the sequential decider reports
-// how far it got.
+// reference. Both clamp a capped count to the cap, so completed and capped
+// runs must agree on everything; deadline runs stop wherever the clock
+// caught them and agree on (decision, reason) only.
 template <typename ParResult, typename SeqResult>
 bool agrees(const ParResult& par, const SeqResult& seq) {
   if (par.decision != seq.decision || par.reason != seq.reason) return false;
-  if (par.decision == Decision::Unknown) return true;
+  if (par.reason == UnknownReason::Deadline) return true;
   return par.num_configs == seq.num_configs &&
          par.num_bottom_sccs == seq.num_bottom_sccs;
 }
@@ -133,7 +133,7 @@ DecisionReport decide(const Machine& machine, const Graph& g,
     case DecideMethod::CountedClique: {
       DAWN_CHECK_MSG(is_clique(g), "CountedClique needs a clique input");
       const LabelCount L = g.label_count(machine.num_labels());
-      const CliqueResult r =
+      const ExploreOutcome r =
           decide_clique_pseudo_stochastic_parallel(machine, L, request.budget);
       fill(report, r);
       if (request.cross_check &&
@@ -152,7 +152,7 @@ DecisionReport decide(const Machine& machine, const Graph& g,
       for (NodeId v = 0; v < g.n(); ++v) {
         if (v != hub) leaves.push_back(g.label(v));
       }
-      const StarResult r = decide_star_pseudo_stochastic_parallel(
+      const ExploreOutcome r = decide_star_pseudo_stochastic_parallel(
           machine, g.label(hub), leaves, request.budget);
       fill(report, r);
       if (request.cross_check &&

@@ -14,6 +14,7 @@
 // Decision::Unknown.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -82,6 +83,18 @@ inline std::string to_string(UnknownReason r) {
   }
   return "?";
 }
+
+// What every exploring decider returns, sequential or parallel: the
+// bottom-SCC verdict of the reachable configuration graph, why it is
+// Unknown (if it is), the configurations explored and the bottom SCCs.
+// A ConfigCap run reports num_configs == budget.max_configs, a Deadline run
+// the count reached (clamped to the cap), and neither counts bottom SCCs.
+struct ExploreOutcome {
+  Decision decision = Decision::Unknown;
+  UnknownReason reason = UnknownReason::None;
+  std::size_t num_configs = 0;
+  std::size_t num_bottom_sccs = 0;
+};
 
 // The backend a DecisionRequest routes to.
 enum class DecideMethod : std::uint8_t {

@@ -9,68 +9,46 @@
 #include "dawn/semantics/explicit_expand.hpp"
 #include "dawn/semantics/packed_config.hpp"
 #include "dawn/semantics/parallel_explore.hpp"
-#include "dawn/semantics/scc.hpp"
+#include "dawn/semantics/sequential_explore.hpp"
 #include "dawn/semantics/symmetry.hpp"
 #include "dawn/semantics/tiered_config.hpp"
 #include "dawn/util/check.hpp"
 #include "dawn/util/hash.hpp"
-#include "dawn/util/interner.hpp"
 
 namespace dawn {
+namespace {
 
-ExplicitResult decide_pseudo_stochastic(const Machine& machine, const Graph& g,
-                                        const ExploreBudget& opts) {
-  ExplicitResult result;
-  Interner<Config, VectorHash<State>> configs;
-  std::vector<std::vector<std::int32_t>> adj;
-  DeadlineClock deadline(opts);
-
-  configs.id(initial_config(machine, g));
-  adj.emplace_back();
-
-  // BFS, building the successor relation under exclusive selection. Silent
-  // self-steps are not edges: a frozen configuration is then a singleton
-  // bottom SCC, which the classification treats as "stays here forever" —
-  // exactly its behaviour under any schedule.
-  Neighbourhood nb;
-  for (std::size_t head = 0; head < configs.size(); ++head) {
-    if (configs.size() > opts.max_configs) {
-      result.decision = Decision::Unknown;
-      result.reason = UnknownReason::ConfigCap;
-      result.num_configs = configs.size();
-      return result;
-    }
-    if (deadline.enabled() && (head & 1023) == 0 && deadline.expired()) {
-      result.decision = Decision::Unknown;
-      result.reason = UnknownReason::Deadline;
-      result.num_configs = configs.size();
-      return result;
-    }
-    const Config current = configs.value(static_cast<std::int32_t>(head));
-    Config next = current;
-    for (NodeId v = 0; v < g.n(); ++v) {
-      Neighbourhood::of_into(g, current, v, machine.beta(), nb);
-      const State s = machine.step(current[static_cast<std::size_t>(v)], nb);
-      if (s == current[static_cast<std::size_t>(v)]) continue;  // silent
-      next[static_cast<std::size_t>(v)] = s;
-      const std::size_t before = configs.size();
-      const std::int32_t id = configs.id(next);
-      if (configs.size() > before) adj.emplace_back();
-      adj[head].push_back(id);
-      next[static_cast<std::size_t>(v)] = current[static_cast<std::size_t>(v)];
-    }
-  }
-  result.num_configs = configs.size();
-
-  const BottomClassification cls = classify_bottom_sccs(
-      adj, [&](std::size_t i) {
-        return consensus(machine, configs.value(static_cast<std::int32_t>(i)));
-      });
-  result.decision = cls.decision;
-  result.num_bottom_sccs = cls.num_bottom_sccs;
-  return result;
+ExplicitResult explicit_result(const ExploreOutcome& out) {
+  return {out.decision, out.reason, out.num_configs, out.num_bottom_sccs};
 }
 
+}  // namespace
+
+ExplicitResult decide_pseudo_stochastic(const Machine& machine, const Graph& g,
+                                        const ExploreBudget& budget) {
+  // Its own successor loop rather than ExplicitExpander, so that the
+  // explore-par differential compares two enumerations. Silent self-steps
+  // are not edges: a frozen configuration is then a singleton bottom SCC,
+  // which the classification treats as "stays here forever" — exactly its
+  // behaviour under any schedule.
+  Neighbourhood nb;
+  Config next;
+  const auto expand = [&](const Config& current, auto&& emit) {
+    next = current;
+    for (NodeId v = 0; v < g.n(); ++v) {
+      const auto vu = static_cast<std::size_t>(v);
+      Neighbourhood::of_into(g, current, v, machine.beta(), nb);
+      const State s = machine.step(current[vu], nb);
+      if (s == current[vu]) continue;  // silent
+      next[vu] = s;
+      emit(next);
+      next[vu] = current[vu];
+    }
+  };
+  return explicit_result(explore_sequential<Config, VectorHash<State>>(
+      initial_config(machine, g), expand,
+      [&](const Config& c) { return consensus(machine, c); }, budget));
+}
 
 ExplicitResult decide_pseudo_stochastic_parallel(const Machine& machine,
                                                  const Graph& g,
@@ -169,11 +147,7 @@ ExplicitResult decide_pseudo_stochastic_parallel(const Machine& machine,
     }
   }
 
-  ExplicitResult result;
-  result.decision = out.decision;
-  result.reason = out.reason;
-  result.num_configs = out.num_configs;
-  result.num_bottom_sccs = out.num_bottom_sccs;
+  ExplicitResult result = explicit_result(out);
   result.symmetry_reduced = grp != nullptr;
   result.packed_store = packed;
   result.tiered_store = tiered_ran;
@@ -182,54 +156,24 @@ ExplicitResult decide_pseudo_stochastic_parallel(const Machine& machine,
 
 ExplicitResult decide_pseudo_stochastic_liberal(const Machine& machine,
                                                 const Graph& g,
-                                                const ExploreBudget& opts) {
+                                                const ExploreBudget& budget) {
   DAWN_CHECK_MSG(g.n() <= 12, "liberal selection enumerates 2^n subsets");
-  ExplicitResult result;
-  Interner<Config, VectorHash<State>> configs;
-  std::vector<std::vector<std::int32_t>> adj;
-  DeadlineClock deadline(opts);
-
-  configs.id(initial_config(machine, g));
-  adj.emplace_back();
-
   const auto n = static_cast<std::uint32_t>(g.n());
   std::vector<NodeId> selection;
-  for (std::size_t head = 0; head < configs.size(); ++head) {
-    if (configs.size() > opts.max_configs) {
-      result.decision = Decision::Unknown;
-      result.reason = UnknownReason::ConfigCap;
-      result.num_configs = configs.size();
-      return result;
-    }
-    if (deadline.enabled() && (head & 255) == 0 && deadline.expired()) {
-      result.decision = Decision::Unknown;
-      result.reason = UnknownReason::Deadline;
-      result.num_configs = configs.size();
-      return result;
-    }
-    const Config current = configs.value(static_cast<std::int32_t>(head));
+  Config next;
+  const auto expand = [&](const Config& current, auto&& emit) {
     for (std::uint32_t mask = 1; mask < (1u << n); ++mask) {
       selection.clear();
       for (std::uint32_t v = 0; v < n; ++v) {
         if (mask & (1u << v)) selection.push_back(static_cast<NodeId>(v));
       }
-      const Config next = successor(machine, g, current, selection);
-      if (next == current) continue;
-      const std::size_t before = configs.size();
-      const std::int32_t id = configs.id(next);
-      if (configs.size() > before) adj.emplace_back();
-      adj[head].push_back(id);
+      successor_into(machine, g, current, selection, next);
+      if (next != current) emit(next);
     }
-  }
-  result.num_configs = configs.size();
-
-  const BottomClassification cls = classify_bottom_sccs(
-      adj, [&](std::size_t i) {
-        return consensus(machine, configs.value(static_cast<std::int32_t>(i)));
-      });
-  result.decision = cls.decision;
-  result.num_bottom_sccs = cls.num_bottom_sccs;
-  return result;
+  };
+  return explicit_result(explore_sequential<Config, VectorHash<State>>(
+      initial_config(machine, g), expand,
+      [&](const Config& c) { return consensus(machine, c); }, budget));
 }
 
 }  // namespace dawn

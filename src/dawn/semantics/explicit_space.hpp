@@ -61,9 +61,8 @@ struct SymmetryGroup;
 // The frontier-parallel sharded engine (semantics/parallel_explore.hpp) on
 // the same exclusive-selection semantics. The result is bit-identical for
 // every budget.max_threads, and matches decide_pseudo_stochastic exactly on
-// every run that completes; on capped runs both return
-// Unknown/ConfigCap, but this engine clamps num_configs to the cap (the
-// sequential decider reports how far it happened to get). The sequential
+// every run that does not hit the deadline: capped runs of both report
+// Unknown/ConfigCap with num_configs clamped to the cap. The sequential
 // decider above stays as the differential reference. Machines without
 // parallel_step_safe() are clamped to one worker.
 //

@@ -21,7 +21,8 @@
 // returned ExploreOutcome is bit-identical for every thread count,
 // including budget-capped outcomes (the explored count is clamped to the
 // cap). Wall-clock deadline aborts are the one documented exception. The
-// sequential deciders remain in place as the differential reference; see
+// sequential deciders (sequential_explore.hpp) clamp a capped count the same
+// way and remain in place as the differential reference; see
 // docs/DECIDERS.md and tests/test_decide.cpp.
 //
 // Thread safety: workers call Machine::step / verdict concurrently, so the
@@ -100,13 +101,6 @@ inline double shard_chi_square(const std::size_t* occupancies,
   }
   return chi2;
 }
-
-struct ExploreOutcome {
-  Decision decision = Decision::Unknown;
-  UnknownReason reason = UnknownReason::None;
-  std::size_t num_configs = 0;
-  std::size_t num_bottom_sccs = 0;
-};
 
 // Striped concurrent interner: values are spread over 2^kShardBits
 // independently locked shards by (high) hash bits, so concurrent interning

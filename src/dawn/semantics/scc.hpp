@@ -12,9 +12,11 @@
 // engines build the CSR straight from their per-worker (src, dst) gid edge
 // buffers by counting sort (build_csr); the tiered store's semi-external
 // classifier (tiered_config.hpp) hands its in-memory remainder to the same
-// Tarjan. The hand-rolled sequential deciders still build a
-// vector<vector<int32>> adjacency; its overload below is a thin adapter
-// that copies it into a CSR.
+// Tarjan. The sequential explorer (sequential_explore.hpp) appends each
+// configuration's successors to a CSR row as it expands it. The
+// vector<vector<int32>> overload below is a thin adapter that copies an
+// adjacency into a CSR; no decider uses it, but the repository
+// benchmark's replay and the SCC tests do.
 //
 // A parallel trim + forward–backward (FB) pass used to run here for
 // graphs of 2^15+ nodes at more than one worker, over a vector<vector>

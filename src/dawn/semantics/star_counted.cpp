@@ -3,30 +3,15 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "dawn/semantics/clique_counted.hpp"
 #include "dawn/semantics/parallel_explore.hpp"
-#include "dawn/semantics/scc.hpp"
+#include "dawn/semantics/sequential_explore.hpp"
 #include "dawn/util/check.hpp"
 #include "dawn/util/hash.hpp"
 #include "dawn/util/interner.hpp"
 
 namespace dawn {
 namespace {
-
-void add_leaf(StarConfig& c, State q, std::int64_t delta) {
-  auto it = std::lower_bound(
-      c.leaves.begin(), c.leaves.end(), q,
-      [](const std::pair<State, std::int64_t>& e, State s) {
-        return e.first < s;
-      });
-  if (it != c.leaves.end() && it->first == q) {
-    it->second += delta;
-    DAWN_CHECK(it->second >= 0);
-    if (it->second == 0) c.leaves.erase(it);
-  } else {
-    DAWN_CHECK(delta > 0);
-    c.leaves.insert(it, {q, delta});
-  }
-}
 
 Neighbourhood centre_view(const Machine& machine, const StarConfig& c) {
   std::vector<std::pair<State, int>> counts;
@@ -43,7 +28,8 @@ Neighbourhood leaf_view(const Machine& machine, const StarConfig& c) {
   return Neighbourhood::from_counts(counts, machine.beta());
 }
 
-// Per-worker successor generator for the parallel engine.
+// The successor function of both explorers (one per worker in the parallel
+// engine).
 struct StarExpander {
   const Machine& machine;
   template <typename Emit>
@@ -87,7 +73,7 @@ StarConfig initial_star_config(const Machine& machine, Label centre,
                                const std::vector<Label>& leaves) {
   StarConfig c;
   c.centre = machine.init(centre);
-  for (Label l : leaves) add_leaf(c, machine.init(l), 1);
+  for (Label l : leaves) add_count(c.leaves, machine.init(l), 1);
   DAWN_CHECK(!c.leaves.empty());
   return c;
 }
@@ -110,8 +96,8 @@ std::vector<StarConfig> star_successors(const Machine& machine,
     const State next = machine.step(p, view);
     if (next == p) continue;
     StarConfig c = config;
-    add_leaf(c, p, -1);
-    add_leaf(c, next, +1);
+    add_count(c.leaves, p, -1);
+    add_count(c.leaves, next, +1);
     out.push_back(std::move(c));
   }
   return out;
@@ -125,59 +111,25 @@ Verdict star_consensus(const Machine& machine, const StarConfig& config) {
   return first;
 }
 
-StarResult decide_star_pseudo_stochastic(const Machine& machine, Label centre,
-                                         const std::vector<Label>& leaves,
-                                         const ExploreBudget& opts) {
-  StarResult result;
-  Interner<StarConfig, StarConfigHash> configs;
-  std::vector<std::vector<std::int32_t>> adj;
-  DeadlineClock deadline(opts);
-  configs.id(initial_star_config(machine, centre, leaves));
-  adj.emplace_back();
-  for (std::size_t head = 0; head < configs.size(); ++head) {
-    if (configs.size() > opts.max_configs) {
-      result.decision = Decision::Unknown;
-      result.reason = UnknownReason::ConfigCap;
-      result.num_configs = configs.size();
-      return result;
-    }
-    if (deadline.enabled() && (head & 1023) == 0 && deadline.expired()) {
-      result.decision = Decision::Unknown;
-      result.reason = UnknownReason::Deadline;
-      result.num_configs = configs.size();
-      return result;
-    }
-    const StarConfig current = configs.value(static_cast<std::int32_t>(head));
-    for (const StarConfig& next : star_successors(machine, current)) {
-      const std::size_t before = configs.size();
-      const std::int32_t id = configs.id(next);
-      if (configs.size() > before) adj.emplace_back();
-      adj[head].push_back(id);
-    }
-  }
-  result.num_configs = configs.size();
-  const BottomClassification cls = classify_bottom_sccs(
-      adj, [&](std::size_t i) {
-        return star_consensus(machine,
-                              configs.value(static_cast<std::int32_t>(i)));
-      });
-  result.decision = cls.decision;
-  result.num_bottom_sccs = cls.num_bottom_sccs;
-  return result;
+ExploreOutcome decide_star_pseudo_stochastic(const Machine& machine,
+                                             Label centre,
+                                             const std::vector<Label>& leaves,
+                                             const ExploreBudget& budget) {
+  return explore_sequential<StarConfig, StarConfigHash>(
+      initial_star_config(machine, centre, leaves), StarExpander{machine},
+      [&](const StarConfig& c) { return star_consensus(machine, c); }, budget);
 }
 
-StarResult decide_star_pseudo_stochastic_parallel(
+ExploreOutcome decide_star_pseudo_stochastic_parallel(
     const Machine& machine, Label centre, const std::vector<Label>& leaves,
     const ExploreBudget& budget, ExploreStats* stats) {
   ExploreBudget clamped = budget;
   clamped.max_threads = explore_threads(machine, budget);
-  const ExploreOutcome out = explore_and_classify<StarConfig, StarConfigHash>(
+  return explore_and_classify<StarConfig, StarConfigHash>(
       initial_star_config(machine, centre, leaves),
       [&](int) { return StarExpander{machine}; },
       [&](const StarConfig& c) { return star_consensus(machine, c); }, clamped,
       stats);
-  return StarResult{out.decision, out.reason, out.num_configs,
-                    out.num_bottom_sccs};
 }
 
 std::optional<bool> is_stably_rejecting(const Machine& machine,

@@ -49,23 +49,17 @@ std::vector<StarConfig> star_successors(const Machine& machine,
 // Verdict of the configuration (Neutral if mixed).
 Verdict star_consensus(const Machine& machine, const StarConfig& config);
 
-struct StarResult {
-  Decision decision = Decision::Unknown;
-  UnknownReason reason = UnknownReason::None;
-  std::size_t num_configs = 0;
-  std::size_t num_bottom_sccs = 0;
-};
-
 // Decides the machine on the star under pseudo-stochastic fairness.
-StarResult decide_star_pseudo_stochastic(const Machine& machine, Label centre,
-                                         const std::vector<Label>& leaves,
-                                         const ExploreBudget& opts = {});
+ExploreOutcome decide_star_pseudo_stochastic(const Machine& machine,
+                                             Label centre,
+                                             const std::vector<Label>& leaves,
+                                             const ExploreBudget& opts = {});
 
 struct ExploreStats;
 
 // Frontier-parallel sharded variant (semantics/parallel_explore.hpp); same
 // contract as decide_pseudo_stochastic_parallel in explicit_space.hpp.
-StarResult decide_star_pseudo_stochastic_parallel(
+ExploreOutcome decide_star_pseudo_stochastic_parallel(
     const Machine& machine, Label centre, const std::vector<Label>& leaves,
     const ExploreBudget& b = {}, ExploreStats* stats = nullptr);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 
+#include "dawn/semantics/clique_counted.hpp"
 #include "dawn/util/check.hpp"
 
 namespace dawn {
@@ -20,22 +21,6 @@ Neighbourhood presence_of_support(const StarConfig& c) {
   states.reserve(c.leaves.size());
   for (auto [q, n] : c.leaves) states.push_back(q);
   return presence_of(states);
-}
-
-void bump(StarConfig& c, State q, std::int64_t delta) {
-  auto it = std::lower_bound(
-      c.leaves.begin(), c.leaves.end(), q,
-      [](const std::pair<State, std::int64_t>& e, State s) {
-        return e.first < s;
-      });
-  if (it != c.leaves.end() && it->first == q) {
-    it->second += delta;
-    DAWN_CHECK(it->second >= 0);
-    if (it->second == 0) c.leaves.erase(it);
-  } else {
-    DAWN_CHECK(delta > 0);
-    c.leaves.insert(it, {q, delta});
-  }
 }
 
 std::int64_t count_of(const StarConfig& c, State q) {
@@ -89,13 +74,13 @@ std::vector<StarConfig> min_pre(const Machine& machine,
     // since the order compares supports exactly).
     {
       StarConfig pred = elem;
-      bump(pred, moved, -1);
-      bump(pred, p, +1);
+      add_count(pred.leaves, moved, -1);
+      add_count(pred.leaves, p, +1);
       preds.push_back(std::move(pred));
     }
     if (have == 1) {
       StarConfig pred = elem;  // succ = elem + e_{p'}: p' stays populated
-      bump(pred, p, +1);
+      add_count(pred.leaves, p, +1);
       preds.push_back(std::move(pred));
     }
   }

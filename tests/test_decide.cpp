@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -11,10 +12,14 @@
 #include <utility>
 #include <vector>
 
+#include "dawn/extensions/broadcast.hpp"
+#include "dawn/extensions/broadcast_engine.hpp"
+#include "dawn/extensions/population_engine.hpp"
 #include "dawn/graph/generators.hpp"
 #include "dawn/obs/json.hpp"
 #include "dawn/props/predicates.hpp"
 #include "dawn/protocols/cutoff_construction.hpp"
+#include "dawn/protocols/example46.hpp"
 #include "dawn/protocols/exists_label.hpp"
 #include "dawn/protocols/halting_flood.hpp"
 #include "dawn/protocols/majority_bounded.hpp"
@@ -339,16 +344,26 @@ TEST(Decide, UndeclaredStateThrowsOnTheCallerAtEveryThreadCount) {
   }
 }
 
+// Capped runs too (every topology here reaches more than 3 configurations):
+// both sides clamp to the cap, so the cross-check compares their counts.
 TEST(Decide, CrossCheckAgreesWithPlainRun) {
   for (const auto& [gname, g] : topologies()) {
-    DecisionRequest req;
-    req.cross_check = true;
-    req.budget.max_threads = 4;
-    const auto m = make_exists_label(1, 2);
-    const DecisionReport checked = decide(*m, g, req);
-    const DecisionReport plain = decide(*m, g);
-    EXPECT_NE(checked.unknown_reason, UnknownReason::CrossCheck) << gname;
-    EXPECT_EQ(checked.decision, plain.decision) << gname;
+    for (std::size_t cap : {std::size_t{2'000'000}, std::size_t{3}}) {
+      DecisionRequest req;
+      req.budget.max_configs = cap;
+      const auto m = make_exists_label(1, 2);
+      const DecisionReport plain = decide(*m, g, req);
+      EXPECT_EQ(plain.unknown_reason == UnknownReason::ConfigCap, cap == 3)
+          << gname;
+      req.cross_check = true;
+      req.budget.max_threads = 4;
+      const DecisionReport checked = decide(*m, g, req);
+      EXPECT_NE(checked.unknown_reason, UnknownReason::CrossCheck)
+          << gname << " cap=" << cap;
+      EXPECT_EQ(checked.decision, plain.decision) << gname << " cap=" << cap;
+      EXPECT_EQ(checked.configs_explored, plain.configs_explored)
+          << gname << " cap=" << cap;
+    }
   }
 }
 
@@ -395,6 +410,203 @@ TEST(Verify, TinyBudgetCapsTheCliqueSweep) {
   const auto report = verify_machine_on_cliques(*m, pred_exists(1, 2), opts);
   EXPECT_FALSE(report.complete);
   EXPECT_FALSE(report.capped.empty());
+}
+
+// The sequential reference deciders, all on semantics/sequential_explore.hpp.
+
+// A machine stepping s -> (s + 1) % k whatever it sees, the same machine as
+// an overlay without broadcasts, and a population protocol with
+// δ(a, b) = ((a + 1) % 4, b): every agent cycles on its own, so n agents
+// reach k^n configurations (C(n + k - 1, k - 1) counted), far more than the
+// budgets below let any decider explore.
+std::shared_ptr<Machine> cycling_machine(int k) {
+  FunctionMachine::Spec spec;
+  spec.num_states = k;
+  spec.init = [](Label) { return State{0}; };
+  spec.step = [k](State s, const Neighbourhood&) {
+    return static_cast<State>((s + 1) % k);
+  };
+  spec.verdict = [](State s) {
+    return s == 0 ? Verdict::Accept : Verdict::Reject;
+  };
+  return std::make_shared<FunctionMachine>(spec);
+}
+
+std::shared_ptr<BroadcastOverlay> cycling_overlay(int k) {
+  SimpleBroadcastOverlay::Spec spec;
+  spec.machine = cycling_machine(k);
+  return std::make_shared<SimpleBroadcastOverlay>(std::move(spec));
+}
+
+GraphPopulationProtocol cycling_protocol() {
+  GraphPopulationProtocol p;
+  p.num_states = 4;
+  p.init = [](Label) { return State{0}; };
+  p.delta = [](State a, State b) {
+    return std::pair<State, State>{static_cast<State>((a + 1) % 4), b};
+  };
+  p.verdict = [](State s) {
+    return s == 0 ? Verdict::Accept : Verdict::Reject;
+  };
+  return p;
+}
+
+ExploreOutcome outcome_of(const ExplicitResult& r) {
+  return {r.decision, r.reason, r.num_configs, r.num_bottom_sccs};
+}
+
+struct SequentialCase {
+  std::string name;
+  std::function<ExploreOutcome(const ExploreBudget&)> decide;
+};
+
+// Every sequential decider on a cycling instance.
+std::vector<SequentialCase> sequential_deciders() {
+  const auto machine4 = cycling_machine(4);
+  const auto machine8 = cycling_machine(8);
+  const auto overlay4 = cycling_overlay(4);
+  const auto overlay8 = cycling_overlay(8);
+  const auto protocol = cycling_protocol();
+  const Graph cycle12 = make_cycle(std::vector<Label>(12, 0));
+  const Graph cycle8 = make_cycle(std::vector<Label>(8, 0));
+  return {
+      {"explicit",
+       [=](const ExploreBudget& b) {
+         return outcome_of(decide_pseudo_stochastic(*machine4, cycle12, b));
+       }},
+      {"liberal",
+       [=](const ExploreBudget& b) {
+         return outcome_of(
+             decide_pseudo_stochastic_liberal(*machine4, cycle12, b));
+       }},
+      {"clique",
+       [=](const ExploreBudget& b) {
+         return decide_clique_pseudo_stochastic(*machine8, {60}, b);
+       }},
+      {"star",
+       [=](const ExploreBudget& b) {
+         return decide_star_pseudo_stochastic(
+             *machine8, 0, std::vector<Label>(60, 0), b);
+       }},
+      {"population",
+       [=](const ExploreBudget& b) {
+         return decide_population(protocol, cycle12, b);
+       }},
+      {"population-counted",
+       [=](const ExploreBudget& b) {
+         return decide_population_counted(protocol, {200}, b);
+       }},
+      {"overlay-strong",
+       [=](const ExploreBudget& b) {
+         return decide_overlay_strong(*overlay4, cycle12, b);
+       }},
+      {"overlay-strong-counted",
+       [=](const ExploreBudget& b) {
+         return decide_overlay_strong_counted(*overlay8, {60}, b);
+       }},
+      {"overlay-weak",
+       [=](const ExploreBudget& b) {
+         return decide_overlay_weak(*overlay8, cycle8, b);
+       }},
+  };
+}
+
+// A capped run reports exactly the cap, as DecisionReport promises, from
+// every sequential decider and from decide() on the liberal backend.
+TEST(SequentialDeciders, CappedRunsReportExactlyTheCap) {
+  for (const SequentialCase& c : sequential_deciders()) {
+    const ExploreOutcome r = c.decide({.max_configs = 100});
+    EXPECT_EQ(r.decision, Decision::Unknown) << c.name;
+    EXPECT_EQ(r.reason, UnknownReason::ConfigCap) << c.name;
+    EXPECT_EQ(r.num_configs, 100u) << c.name;
+    EXPECT_EQ(r.num_bottom_sccs, 0u) << c.name;
+  }
+
+  DecisionRequest req;
+  req.method = DecideMethod::ExplicitLiberal;
+  req.budget.max_configs = 5;
+  const DecisionReport r =
+      decide(*make_exists_label(1, 2), make_cycle({0, 0, 1, 0, 1, 1}), req);
+  EXPECT_EQ(r.unknown_reason, UnknownReason::ConfigCap);
+  EXPECT_TRUE(r.budget_exhausted);
+  EXPECT_EQ(r.configs_explored, 5u);
+}
+
+// Every sequential decider stops at the deadline rather than running on to
+// the cap (a deadline-blind population or overlay decider needs 0.3–1.4 s
+// on a 4-core Xeon to reach it here).
+TEST(SequentialDeciders, DeadlineStopsEveryDecider) {
+  for (const SequentialCase& c : sequential_deciders()) {
+    const auto start = std::chrono::steady_clock::now();
+    const ExploreOutcome r =
+        c.decide({.max_configs = 300'000, .deadline_ms = 20});
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    EXPECT_EQ(r.decision, Decision::Unknown) << c.name;
+    EXPECT_EQ(r.reason, UnknownReason::Deadline) << c.name;
+    EXPECT_LT(r.num_configs, 300'000u) << c.name;
+    EXPECT_LT(elapsed, std::chrono::seconds(5)) << c.name;
+  }
+}
+
+// Decisions and reachable-set sizes of the population, overlay and liberal
+// deciders, which the differential tests do not pin. Each value was
+// measured on the standalone BFS loops these deciders ran before sharing
+// sequential_explore.hpp.
+TEST(SequentialDeciders, FoldedDecidersKeepTheirReachableSets) {
+  const auto maj = make_majority_protocol(0, 1, 2);
+  const auto mod = make_mod_population_protocol(3, 1, 0, 2);
+  const auto ex46 = make_example46_overlay();
+  const Graph cycle10 = make_cycle({0, 1, 0, 1, 0, 0, 1, 0, 1, 0});
+  const Graph cycle6 = make_cycle({0, 0, 1, 0, 1, 1});
+  struct Pinned {
+    std::string name;
+    std::function<ExploreOutcome()> decide;
+    Decision decision;
+    std::size_t configs;
+  };
+  const std::vector<Pinned> table = {
+      {"population majority cycle10",
+       [&] { return decide_population(maj, cycle10); },
+       Decision::Inconsistent, 841},
+      {"population mod cycle10",
+       [&] { return decide_population(mod, cycle10); },
+       Decision::Inconsistent, 76'962},
+      {"population-counted mod {12,10}",
+       [&] { return decide_population_counted(mod, {12, 10}); },
+       Decision::Reject, 17'307},
+      {"population-counted majority {30,27}",
+       [&] { return decide_population_counted(maj, {30, 27}); },
+       Decision::Accept, 783},
+      {"overlay-strong example46",
+       [&] { return decide_overlay_strong(*ex46, cycle6); },
+       Decision::Inconsistent, 24},
+      {"overlay-weak example46",
+       [&] { return decide_overlay_weak(*ex46, cycle6); },
+       Decision::Inconsistent, 142},
+      {"overlay-weak threshold",
+       [&] {
+         return decide_overlay_weak(*make_threshold_overlay(2, 0, 2), cycle6);
+       },
+       Decision::Accept, 28},
+      {"overlay-strong-counted threshold {12,10}",
+       [&] {
+         return decide_overlay_strong_counted(*make_threshold_overlay(3, 0, 2),
+                                              {12, 10});
+       },
+       Decision::Accept, 4},
+      {"liberal threshold-daf cycle4",
+       [&] {
+         return outcome_of(decide_pseudo_stochastic_liberal(
+             *make_threshold_daf(2, 0, 2), make_cycle({0, 1, 0, 1})));
+       },
+       Decision::Accept, 1'245},
+  };
+  for (const Pinned& p : table) {
+    const ExploreOutcome r = p.decide();
+    EXPECT_EQ(r.decision, p.decision) << p.name;
+    EXPECT_EQ(r.reason, UnknownReason::None) << p.name;
+    EXPECT_EQ(r.num_configs, p.configs) << p.name;
+  }
 }
 
 TEST(ParallelExplicit, StatsAreReported) {

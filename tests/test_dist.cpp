@@ -191,7 +191,9 @@ TEST(DistProto, ShardRangesPartitionTheSixtyFourShards) {
       const std::size_t e = net::shard_range_end(i, w);
       ASSERT_LE(b, e);
       covered += e - b;
-      if (i > 0) ASSERT_EQ(net::shard_range_end(i - 1, w), b);
+      if (i > 0) {
+        ASSERT_EQ(net::shard_range_end(i - 1, w), b);
+      }
     }
     ASSERT_EQ(net::shard_range_begin(0, w), 0u);
     ASSERT_EQ(net::shard_range_end(w - 1, w), 64u);
