@@ -1,5 +1,5 @@
-// Out-of-core exploration: the tiered store on a configuration space several
-// times larger than its resident byte budget.
+// Out-of-core exploration: the packed store's spill mode on a configuration
+// space several times larger than its resident byte budget.
 //
 // The workload is a flood automaton on an n-cycle: a 0-node flips to 1 as
 // soon as a neighbour is 1, and exactly one node starts at 1. The reachable
@@ -12,8 +12,8 @@
 // Gates:
 //   * the run must complete (no MemoryCap) with spill_events >= 1, decision
 //     Accept and exactly one bottom SCC;
-//   * spilled bytes (arena + frontier + edges, from the MemoryLedger) must
-//     be >= 4x max_store_bytes at full sizing — the "explored a space 4x the
+//   * spilled bytes (arena + edges, from the MemoryLedger) must be >= 4x
+//     max_store_bytes at full sizing — the "explored a space 4x the
 //     in-memory cap" headline;
 //   * a truncated instance must decide bit-identically (decision,
 //     num_configs, num_bottom_sccs) tiered vs in-memory.
@@ -96,13 +96,11 @@ int main(int argc, char** argv) {
 
   const std::uint64_t arena =
       report.memory.get(obs::MemoryAccount::SpillArenaBytes);
-  const std::uint64_t frontier =
-      report.memory.get(obs::MemoryAccount::SpillFrontierBytes);
   const std::uint64_t edges =
       report.memory.get(obs::MemoryAccount::SpillEdgeBytes);
   const std::uint64_t resident =
       report.memory.get(obs::MemoryAccount::TieredResidentBytes);
-  const std::uint64_t spilled = arena + frontier + edges;
+  const std::uint64_t spilled = arena + edges;
   const double ratio =
       static_cast<double>(spilled) / static_cast<double>(budget_bytes);
 
@@ -115,10 +113,8 @@ int main(int argc, char** argv) {
              std::to_string(seconds).substr(0, 6)});
   t.print();
   std::printf(
-      "\nspill breakdown: arena=%llu frontier=%llu edges=%llu "
-      "(budget %zu bytes)\n",
+      "\nspill breakdown: arena=%llu edges=%llu (budget %zu bytes)\n",
       static_cast<unsigned long long>(arena),
-      static_cast<unsigned long long>(frontier),
       static_cast<unsigned long long>(edges), budget_bytes);
 
   // Differential gate: the tiered engine must reproduce the in-memory
@@ -157,7 +153,6 @@ int main(int argc, char** argv) {
             obs::JsonValue(static_cast<std::uint64_t>(report.num_bottom_sccs)));
     row.set("resident_bytes", obs::JsonValue(resident));
     row.set("spill_arena_bytes", obs::JsonValue(arena));
-    row.set("spill_frontier_bytes", obs::JsonValue(frontier));
     row.set("spill_edge_bytes", obs::JsonValue(edges));
     row.set("spill_ratio", obs::JsonValue(ratio));
     row.set("seconds", obs::JsonValue(seconds));

@@ -267,7 +267,7 @@ std::optional<std::string> check_canonical_vs_plain(const FuzzCase& c) {
 
 // -------------------------------------------------------------------------
 // tiered-vs-inmemory: the in-memory parallel explicit engine vs the
-// out-of-core tiered store. The byte budget is calibrated from the
+// out-of-core engine (the packed store in spill mode). The byte budget is calibrated from the
 // in-memory run's config count so the tiered side is forced through its
 // spill path on any nontrivial case while its always-resident index still
 // fits (the packed words dominate the budget, the index alone does not).
@@ -501,7 +501,7 @@ std::vector<OraclePair> build_registry() {
                    small, check_canonical_vs_plain});
   pairs.push_back({"tiered-vs-inmemory",
                    "in-memory parallel explicit engine vs the out-of-core "
-                   "tiered store under a spill-forcing byte budget",
+                   "engine under a spill-forcing byte budget",
                    small, check_tiered_vs_inmemory});
   pairs.push_back(
       {"clique-counted",

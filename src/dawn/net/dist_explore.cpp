@@ -21,7 +21,6 @@
 #include "dawn/semantics/parallel_explore.hpp"
 #include "dawn/semantics/scc.hpp"
 #include "dawn/semantics/symmetry.hpp"
-#include "dawn/semantics/tiered_config.hpp"
 #include "dawn/util/varint.hpp"
 
 namespace dawn::net {
@@ -93,31 +92,6 @@ const JsonValue* require(const JsonValue& v, const char* key, Kind kind,
   }
   return field;
 }
-
-// Mirrors decide.cpp: which UnknownReasons count as budget exhaustion.
-bool is_exhaustion_reason(UnknownReason r) {
-  switch (r) {
-    case UnknownReason::ConfigCap:
-    case UnknownReason::Deadline:
-    case UnknownReason::StepCap:
-    case UnknownReason::Inconclusive:
-    case UnknownReason::MemoryCap:
-      return true;
-    case UnknownReason::None:
-    case UnknownReason::CrossCheck:
-      return false;
-  }
-  return false;
-}
-
-// Must stay layout-identical to the engine's local FrontierEntry
-// (parallel_explore.hpp): the coordinator replicates the single-process
-// FrontierBytes account as frontier_peak * (sizeof(FrontierEntry) +
-// initial.capacity() * sizeof(State)).
-struct FrontierEntry {
-  std::int64_t gid = 0;
-  Config config;
-};
 
 }  // namespace
 
@@ -202,12 +176,13 @@ namespace {
 // space and runs the level-synchronous protocol against the coordinator.
 // Single-threaded and blocking — the coordinator never blocks, so the star
 // cannot deadlock.
-template <typename StoreT, typename ExpanderT>
+template <typename ExpanderT>
 class WorkerSession {
  public:
   WorkerSession(int fd, FrameReader& reader, std::uint64_t nonce,
                 const ShardInitRequest& init, const WorkerSessionHooks& hooks,
-                const Machine& machine, StoreT& store, ExpanderT& expander)
+                const Machine& machine, PackedConfigStore& store,
+                ExpanderT& expander)
       : fd_(fd),
         reader_(reader),
         nonce_(nonce),
@@ -456,7 +431,7 @@ class WorkerSession {
     level_pushed_ = 0;
     bool ok = true;
     std::size_t processed = 0;
-    for (const FrontierEntry& entry : frontier_) {
+    for (const FrontierEntry<Config>& entry : frontier_) {
       if (hooks_.stop != nullptr &&
           hooks_.stop->load(std::memory_order_relaxed)) {
         return false;
@@ -493,17 +468,15 @@ class WorkerSession {
   // delivered (per-link FIFO puts them ahead of the drain command), so the
   // level-end store/next/edge counts are global invariants.
   bool do_drain(std::int64_t level) {
+    // A spilling shard spills at the level boundary exactly like the
+    // single-process engine; a spill failure or an index that no longer
+    // fits the per-worker budget is a memory-cap abort. An in-memory shard
+    // never spills and has no budget.
     std::string drain_error;
-    if constexpr (requires(StoreT& s) { s.spill_to_budget(); }) {
-      // Tiered shard: spill at the level boundary exactly like the
-      // single-process engine; a spill failure or an index that no longer
-      // fits the per-worker budget is a memory-cap abort.
-      if (!store_.spill_to_budget()) {
-        drain_error = store_.error().empty() ? "spill I/O failure"
-                                             : store_.error();
-      } else if (store_.resident_bytes() > store_.max_resident_bytes()) {
-        drain_error = "resident index exceeds the per-worker budget";
-      }
+    if (!store_.spill_to_budget()) {
+      drain_error = store_.error();
+    } else if (store_.resident_bytes() > store_.max_resident_bytes()) {
+      drain_error = "resident index exceeds the per-worker budget";
     }
     JsonValue done = JsonValue::object();
     done.set("cmd", JsonValue("drain_done"));
@@ -522,16 +495,10 @@ class WorkerSession {
   void do_classify() {
     store_.finalize();
     const auto occ = store_.shard_occupancies();
-    std::uint64_t store_bytes = 0;
-    if constexpr (requires(const StoreT& s) {
-                    s.bytes_for_shard_range(std::size_t{0}, std::size_t{0});
-                  }) {
-      // Owned shards only: summing disjoint ranges across workers equals
-      // one process measuring all 64 shards (bit-identical ledgers).
-      store_bytes = store_.bytes_for_shard_range(owned_begin_, owned_end_);
-    } else {
-      store_bytes = store_.bytes();  // tiered: ledger is not replicated
-    }
+    // Owned shards only: summing disjoint ranges across workers equals one
+    // process measuring all 64 shards (bit-identical ledgers).
+    const std::uint64_t store_bytes =
+        store_.bytes_for_shard_range(owned_begin_, owned_end_);
     {
       JsonValue stats = JsonValue::object();
       stats.set("spec_version", JsonValue(fuzz::kSpecVersion));
@@ -631,14 +598,14 @@ class WorkerSession {
   const ShardInitRequest& init_;
   const WorkerSessionHooks& hooks_;
   const Machine& machine_;
-  StoreT& store_;
+  PackedConfigStore& store_;
   ExpanderT& expander_;
   const Graph& g_;
   std::size_t owned_begin_;
   std::size_t owned_end_;
   std::array<std::uint8_t, 64> owner_{};
-  std::vector<FrontierEntry> frontier_;
-  std::vector<FrontierEntry> next_;
+  std::vector<FrontierEntry<Config>> frontier_;
+  std::vector<FrontierEntry<Config>> next_;
   std::vector<std::pair<std::int64_t, std::int64_t>> edges_;
   std::vector<std::pair<std::int64_t, Verdict>> verdicts_;
   std::vector<PushBatch> batches_;
@@ -699,34 +666,25 @@ void run_worker_session(int fd, FrameReader reader, std::uint64_t nonce,
     CanonScratch scratch;
     canonicalize(grp, initial, scratch);
   }
-  const auto run_with = [&](auto& store, auto& expander) {
-    WorkerSession<std::decay_t<decltype(store)>,
-                  std::decay_t<decltype(expander)>>
-        session(fd, reader, nonce, init, hooks, *machine, store, expander);
+  // A "tiered" shard is the packed store in spill mode.
+  PackedConfigStore store(
+      PackedCodec(*nstates, init.graph.n()),
+      init.store == "tiered" ? hooks.spill_dir : std::string(),
+      init.budget.max_store_bytes);
+  const auto run_with = [&](auto& expander) {
+    WorkerSession<std::decay_t<decltype(expander)>> session(
+        fd, reader, nonce, init, hooks, *machine, store, expander);
     session.run(initial);
   };
-  const auto run_store = [&](auto& store) {
-    if (canon) {
-      CanonExplicitExpander expander{*machine, init.graph, grp};
-      run_with(store, expander);
-    } else {
-      ExplicitExpander expander{*machine, init.graph, Neighbourhood{},
-                                Config{}};
-      run_with(store, expander);
-    }
-  };
-  if (init.store == "tiered") {
-    TieredConfigStore store(PackedCodec(*nstates, init.graph.n()),
-                            hooks.spill_dir, init.budget.max_store_bytes);
-    if (!store.ok()) {
-      refuse(WireError::Internal,
-             "tiered store unavailable: " + store.error());
-    } else {
-      run_store(store);
-    }
+  if (!store.ok()) {
+    refuse(WireError::Internal, "tiered store unavailable: " + store.error());
+  } else if (canon) {
+    CanonExplicitExpander expander{*machine, init.graph, grp};
+    run_with(expander);
   } else {
-    PackedConfigStore store(PackedCodec(*nstates, init.graph.n()));
-    run_store(store);
+    ExplicitExpander expander{*machine, init.graph, Neighbourhood{},
+                              Config{}};
+    run_with(expander);
   }
   ::close(fd);
 }
@@ -1391,15 +1349,13 @@ class Coordinator {
 #ifndef DAWN_OBS_DISABLED
     if (completed && !tiered_) {
       rep.memory.set_max(obs::MemoryAccount::PackedStoreBytes, store_bytes);
-      const std::size_t frontier_entry_bytes =
-          sizeof(FrontierEntry) + initial_.capacity() * sizeof(State);
       rep.memory.set_max(obs::MemoryAccount::FrontierBytes,
-                         frontier_peak * frontier_entry_bytes);
+                         frontier_peak * frontier_entry_bytes(initial_));
       rep.memory.set_max(obs::MemoryAccount::EdgeBytes,
                          num_edges * 2 * sizeof(std::int64_t));
     }
 #endif
-    rep.budget_exhausted = is_exhaustion_reason(rep.unknown_reason);
+    rep.budget_exhausted = is_exhaustion(rep.unknown_reason);
     account_interner_bytes(*machine_, rep);
   }
 

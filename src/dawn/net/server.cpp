@@ -906,7 +906,6 @@ void Server::worker_main(int worker) {
       const obs::MemoryLedger& mem = reply.report.memory;
       const std::uint64_t spilled =
           mem.get(obs::MemoryAccount::SpillArenaBytes) +
-          mem.get(obs::MemoryAccount::SpillFrontierBytes) +
           mem.get(obs::MemoryAccount::SpillEdgeBytes);
       if (spilled > 0) {
         spilled_requests_.fetch_add(1, std::memory_order_relaxed);

@@ -112,7 +112,7 @@ struct ServerStats {
   std::size_t open_connections = 0;
   std::size_t inflight = 0;
   // Requests whose completed report shows spill activity, and the
-  // cumulative bytes they wrote to spill files (arena+frontier+edges).
+  // cumulative bytes they wrote to spill files (arena + edges).
   std::uint64_t spilled_requests = 0;
   std::uint64_t spill_bytes = 0;
   // Wire bytes per connection class: ordinary request/response connections

@@ -14,7 +14,6 @@ const char* name(MemoryAccount a) {
     case MemoryAccount::TrialBlockBytes: return "trial_block_bytes";
     case MemoryAccount::TieredResidentBytes: return "tiered_resident_bytes";
     case MemoryAccount::SpillArenaBytes: return "spill_arena_bytes";
-    case MemoryAccount::SpillFrontierBytes: return "spill_frontier_bytes";
     case MemoryAccount::SpillEdgeBytes: return "spill_edge_bytes";
     case MemoryAccount::kCount: break;
   }

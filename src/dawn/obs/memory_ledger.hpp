@@ -44,10 +44,10 @@ enum class MemoryAccount : std::uint8_t {
   // hash index plus any not-yet-spilled arena words at finalize; the spill
   // accounts are cumulative bytes written to the unlinked spill files.
   // Spilling happens at level boundaries against level-end store contents,
-  // so all four are thread-count-invariant like every other account.
-  TieredResidentBytes,  // TieredConfigStore in-memory footprint at finalize
+  // so all three are thread-count-invariant like every other account.
+  TieredResidentBytes,  // spilling PackedConfigStore's in-memory footprint
+                        // at finalize
   SpillArenaBytes,      // packed config words written to the arena file
-  SpillFrontierBytes,   // delta-encoded frontier levels written to disk
   SpillEdgeBytes,       // (src,dst) gid pairs written to the edge spool
   kCount,
 };

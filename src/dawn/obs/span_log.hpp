@@ -48,9 +48,8 @@ enum class Phase : std::uint8_t {
   DecideTotal,     // one decide() facade call
   ExploreExpand,   // one BFS level of the frontier-parallel exploration
   ExploreMerge,    // post-exploration buffer merge + dense remap
-  ExploreScc,      // in-memory SCC pass: Tarjan + bottom-SCC classification
-  ExploreSccTrim,  // tiered SCC pass: the in/out-degree peel
-  ExploreSccFb,    // tiered SCC pass: forward-backward rounds
+  ExploreScc,      // SCC pass: Tarjan + bottom-SCC classification (the
+                   // tiered engine's also reads the edge spool into a CSR)
   ExploreSpill,    // tiered store: one level-boundary spill pass
   Canonicalize,    // one symmetry-canonicalised expansion
   TrialsBlock,     // one SoA batched trial block

@@ -49,15 +49,15 @@ struct ExploreBudget {
   // otherwise (docs/DECIDERS.md "Exploration accelerators").
   bool use_symmetry = false;
 
-  // Out-of-core exploration (docs/ENGINE.md "Tiered store"). When both
+  // Out-of-core exploration (docs/ENGINE.md "The tiered store"). When both
   // max_store_bytes > 0 and spill_dir is set, the parallel explicit engine
-  // swaps the in-memory store for the TieredConfigStore: packed
-  // config words spill to unlinked files under spill_dir whenever the
-  // resident footprint exceeds max_store_bytes at a level boundary, large
-  // frontier levels stream through delta-encoded spill files, and every
-  // edge goes to disk instead of RAM. The budget is enforced per level
-  // (resident bytes may overshoot within one BFS level); if the always-
-  // resident hash index alone exceeds it the run aborts with
+  // runs the packed store in spill mode: packed config words spill to an
+  // unlinked file under spill_dir whenever the resident footprint exceeds
+  // max_store_bytes at a level boundary, and every edge goes to disk
+  // instead of RAM. The budget is enforced per level (resident bytes may
+  // overshoot within one BFS level); if the always-resident hash index
+  // alone exceeds it, or the classification CSR exceeds
+  // max(8 x max_store_bytes, 64 MiB), the run aborts with
   // UnknownReason::MemoryCap — deterministically, because level-end store
   // contents are thread-count-invariant. 0 / empty = never spill.
   std::size_t max_store_bytes = 0;

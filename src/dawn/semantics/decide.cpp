@@ -48,12 +48,6 @@ DecideMethod resolve_auto(const Graph& g) {
   return DecideMethod::Explicit;
 }
 
-constexpr bool is_exhaustion(UnknownReason r) {
-  return r == UnknownReason::ConfigCap || r == UnknownReason::Deadline ||
-         r == UnknownReason::StepCap || r == UnknownReason::Inconclusive ||
-         r == UnknownReason::MemoryCap;
-}
-
 // Differential agreement between the parallel engine and its sequential
 // reference. Both clamp a capped count to the cap, so completed and capped
 // runs must agree on everything; deadline runs stop wherever the clock

@@ -47,8 +47,17 @@ enum class UnknownReason : std::uint8_t {
   Inconclusive,  // statistical backend finished without certifying a verdict
   CrossCheck,    // differential cross-check mismatch (an engine bug)
   MemoryCap,     // ExploreBudget::max_store_bytes too small for the
-                 // always-resident index (tiered store), or spill I/O failed
+                 // always-resident index or the classification CSR (tiered
+                 // store), or spill I/O failed
 };
+
+// Whether an Unknown ran out of budget (DecisionReport::budget_exhausted):
+// every reason but None and CrossCheck, an engine bug rather than a budget.
+constexpr bool is_exhaustion(UnknownReason r) {
+  return r == UnknownReason::ConfigCap || r == UnknownReason::Deadline ||
+         r == UnknownReason::StepCap || r == UnknownReason::Inconclusive ||
+         r == UnknownReason::MemoryCap;
+}
 
 inline std::string to_string(Decision d) {
   switch (d) {

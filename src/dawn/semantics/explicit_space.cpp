@@ -84,67 +84,51 @@ ExplicitResult decide_pseudo_stochastic_parallel(const Machine& machine,
   // The store follows the machine: any machine that advertises |Q| packs
   // (PackedCodec needs the bound up front); lazily-interning ones, the
   // paper's compiled constructions among them, use the vector store. The
-  // out-of-core store engages only when the budget names both a byte cap
-  // and a spill directory, and the machine is packable (the spill arena is
-  // the PackedCodec word stream).
+  // packed store spills (the out-of-core engine) only when the budget names
+  // both a byte cap and a spill directory.
   const std::optional<int> nstates = machine.num_states();
   const bool packed = nstates.has_value();
-  const bool want_tiered =
-      packed && budget.max_store_bytes > 0 && !budget.spill_dir.empty();
 
   const auto verdict_of = [&](const Config& c) { return consensus(machine, c); };
-  const auto run = [&](auto& store) {
+  // `explore(make_expander)` runs one of the two engine templates.
+  const auto run = [&](auto&& explore) {
     if (grp != nullptr) {
-      return explore_and_classify_in<Config>(
-          store, initial,
-          [&](int) { return CanonExplicitExpander{machine, g, *grp}; },
-          verdict_of, clamped, stats);
+      return explore(
+          [&](int) { return CanonExplicitExpander{machine, g, *grp}; });
     }
-    return explore_and_classify_in<Config>(
-        store, initial,
-        [&](int) {
-          return ExplicitExpander{machine, g, Neighbourhood{}, Config{}};
-        },
-        verdict_of, clamped, stats);
+    return explore([&](int) {
+      return ExplicitExpander{machine, g, Neighbourhood{}, Config{}};
+    });
   };
 
   ExploreOutcome out;
   bool tiered_ran = false;
-  if (want_tiered) {
-    TieredConfigStore store(PackedCodec(*nstates, g.n()), budget.spill_dir,
+  if (packed) {
+    PackedConfigStore store(PackedCodec(*nstates, g.n()), budget.spill_dir,
                             budget.max_store_bytes);
-    if (store.ok()) {
-      if (grp != nullptr) {
-        out = explore_and_classify_tiered(
-            store, initial,
-            [&](int) { return CanonExplicitExpander{machine, g, *grp}; },
-            verdict_of, clamped, stats);
-      } else {
-        out = explore_and_classify_tiered(
-            store, initial,
-            [&](int) {
-              return ExplicitExpander{machine, g, Neighbourhood{}, Config{}};
-            },
-            verdict_of, clamped, stats);
-      }
-      tiered_ran = true;
-    } else {
-      // An unusable spill dir degrades to the in-memory engines rather than
+    if (!store.ok()) {
+      // An unusable spill dir degrades to the in-memory engine rather than
       // failing the decision; the report's tiered_store flag stays false so
       // callers can tell.
       std::fprintf(stderr,
                    "dawn: tiered store unavailable (%s); in-memory fallback\n",
                    store.error().c_str());
     }
-  }
-  if (!tiered_ran) {
-    if (packed) {
-      PackedConfigStore store(PackedCodec(*nstates, g.n()));
-      out = run(store);
-    } else {
-      ShardedConfigStore<Config, VectorHash<State>> store;
-      out = run(store);
-    }
+    tiered_ran = store.spills();
+    out = run([&](auto&& make_expander) {
+      return tiered_ran ? explore_and_classify_tiered(store, initial,
+                                                      make_expander, verdict_of,
+                                                      clamped, stats)
+                        : explore_and_classify_in(store, initial,
+                                                  make_expander, verdict_of,
+                                                  clamped, stats);
+    });
+  } else {
+    ShardedConfigStore<Config, VectorHash<State>> store;
+    out = run([&](auto&& make_expander) {
+      return explore_and_classify_in(store, initial, make_expander,
+                                     verdict_of, clamped, stats);
+    });
   }
 
   ExplicitResult result = explicit_result(out);

@@ -44,11 +44,11 @@ struct ExplicitResult {
   // sequential decider.
   bool symmetry_reduced = false;
   bool packed_store = false;
-  // Whether the tiered out-of-core store ran (budget.max_store_bytes > 0,
-  // budget.spill_dir set, and the spill files opened). When the spill dir is
-  // unusable the engine warns and falls back to the in-memory store, leaving
-  // this false. Tiered runs are always packed (the spillable arena is the
-  // PackedCodec word stream), so tiered_store implies packed_store.
+  // Whether the out-of-core engine ran on the packed store in spill mode
+  // (budget.max_store_bytes > 0, budget.spill_dir set, and the spill file
+  // opened). When the spill dir is unusable the engine warns and falls back
+  // to the in-memory engine, leaving this false. tiered_store implies
+  // packed_store.
   bool tiered_store = false;
 };
 

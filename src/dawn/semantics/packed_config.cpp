@@ -1,8 +1,14 @@
 #include "dawn/semantics/packed_config.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <cstring>
 
 #include "dawn/util/check.hpp"
+#include "dawn/util/spill_file.hpp"
 
 namespace dawn {
 
@@ -69,6 +75,26 @@ std::uint64_t PackedCodec::hash_words(const std::uint64_t* w, std::size_t n) {
   return static_cast<std::uint64_t>(seed);
 }
 
+PackedConfigStore::PackedConfigStore(const PackedCodec& codec,
+                                     const std::string& spill_dir,
+                                     std::size_t max_resident_bytes)
+    : codec_(codec) {
+  if (spill_dir.empty() || max_resident_bytes == 0) return;
+  fd_ = open_unlinked(spill_dir, "arena", &error_);
+  if (fd_ >= 0) max_resident_bytes_ = max_resident_bytes;
+}
+
+PackedConfigStore::~PackedConfigStore() {
+  if (base_ != nullptr) {
+    ::munmap(const_cast<std::uint64_t*>(base_), mapped_bytes_);
+  }
+  if (fd_ >= 0) ::close(fd_);
+}
+
+void PackedConfigStore::fail(const char* what) {
+  if (error_.empty()) error_ = std::string(what) + ": " + std::strerror(errno);
+}
+
 PackedConfigStore::InternResult PackedConfigStore::intern(const Config& value) {
   // Per-thread packing scratch: grows once, then every intern is
   // allocation-free.
@@ -83,7 +109,9 @@ PackedConfigStore::InternResult PackedConfigStore::intern(const Config& value) {
   const std::size_t shard_idx = static_cast<std::size_t>(mixed) & kShardMask;
   Shard& s = shards_[shard_idx];
   std::lock_guard<std::mutex> lock(s.mu);
-  if (s.slots.empty()) s.slots.assign(64, -1);
+  // A small first table: in spill mode the index is the whole resident
+  // baseline, and it must fit tight byte budgets.
+  if (s.slots.empty()) s.slots.assign(16, -1);
   const std::size_t slot_mask = s.slots.size() - 1;
   std::size_t pos = static_cast<std::size_t>(mixed >> kShardBits) & slot_mask;
   for (;;) {
@@ -91,8 +119,7 @@ PackedConfigStore::InternResult PackedConfigStore::intern(const Config& value) {
     if (local < 0) break;  // empty slot: `value` is fresh, insert here
     const auto lu = static_cast<std::size_t>(local);
     if (s.hashes[lu] == h &&
-        std::equal(scratch.begin(), scratch.end(),
-                   s.arena.begin() + static_cast<std::ptrdiff_t>(lu * w))) {
+        std::equal(scratch.begin(), scratch.end(), words_of(s, lu))) {
       return {pack(local, shard_idx), false};
     }
     pos = (pos + 1) & slot_mask;
@@ -148,19 +175,74 @@ std::size_t PackedConfigStore::bytes_for_shard_range(std::size_t begin,
   std::size_t total = 0;
   for (std::size_t sh = begin; sh < end; ++sh) {
     const Shard& s = shards_[sh];
-    total += s.arena.size() * sizeof(std::uint64_t);
+    // Every local id below hot_first was spilled exactly once.
+    total += (s.arena.size() + s.hot_first * codec_.words()) *
+             sizeof(std::uint64_t);
+    total += s.extents.size() * sizeof(Extent);
     total += s.hashes.size() * sizeof(std::uint64_t);
     total += s.slots.size() * sizeof(std::int32_t);
   }
   return total;
 }
 
+std::size_t PackedConfigStore::resident_bytes() const {
+  return bytes() - spilled_bytes();
+}
+
+const std::uint64_t* PackedConfigStore::spilled_words_of(
+    const Shard& s, std::size_t local) const {
+  // The last extent starting at or below `local`.
+  auto it = std::upper_bound(
+      s.extents.begin(), s.extents.end(), local,
+      [](std::size_t l, const Extent& e) { return l < e.first_local; });
+  DAWN_CHECK(it != s.extents.begin());
+  --it;
+  return base_ + it->word_off + (local - it->first_local) * codec_.words();
+}
+
+bool PackedConfigStore::spill_to_budget() {
+  if (!spills()) return true;
+  if (!ok()) return false;
+  if (resident_bytes() <= max_resident_bytes_) return true;
+  const std::uint64_t words_before = file_words_;
+  for (Shard& s : shards_) {
+    if (s.arena.empty()) continue;
+    if (!write_all(fd_, s.arena.data(), s.arena.size() * sizeof(std::uint64_t),
+                   file_words_ * sizeof(std::uint64_t))) {
+      fail("arena pwrite");
+      return false;
+    }
+    s.extents.push_back({file_words_, s.hot_first});
+    file_words_ += s.arena.size();
+    s.hot_first = static_cast<std::uint32_t>(s.count);
+    std::vector<std::uint64_t>().swap(s.arena);
+  }
+  if (file_words_ != words_before) {
+    // Map the grown file afresh: the old mapping is too short.
+    if (base_ != nullptr) {
+      ::munmap(const_cast<std::uint64_t*>(base_), mapped_bytes_);
+      base_ = nullptr;
+    }
+    mapped_bytes_ = file_words_ * sizeof(std::uint64_t);
+    void* p = ::mmap(nullptr, mapped_bytes_, PROT_READ, MAP_SHARED, fd_, 0);
+    if (p == MAP_FAILED) {
+      mapped_bytes_ = 0;
+      fail("arena mmap");
+      return false;
+    }
+    base_ = static_cast<const std::uint64_t*>(p);
+    ++spill_events_;
+  }
+  return true;
+}
+
 void PackedConfigStore::value(std::int64_t gid, Config& out) const {
   const auto shard_idx = static_cast<std::size_t>(gid) & kShardMask;
   const auto local = static_cast<std::size_t>(gid >> kShardBits);
   const Shard& s = shards_[shard_idx];
+  std::lock_guard<std::mutex> lock(s.mu);
   DAWN_CHECK(local < s.count);
-  codec_.decode(s.arena.data() + local * codec_.words(), out);
+  codec_.decode(words_of(s, local), out);
 }
 
 }  // namespace dawn

@@ -21,13 +21,30 @@
 // explore on the vector store. docs/ENGINE.md covers the memory accounting;
 // the byte-level occupancy of either store is surfaced through
 // ExploreStats::store_bytes and the explore.store_bytes gauge.
+//
+// Spill mode (out-of-core exploration, docs/ENGINE.md "The tiered store").
+// Constructed with both a spill dir and a resident byte budget, the store
+// splits every shard arena into spilled words and a hot in-memory tail.
+// The index (one 8-byte hash plus amortised ~6 bytes of probe slots per
+// configuration) always stays resident: interning probes it every time.
+// At a BFS level boundary spill_to_budget() appends every hot arena to one
+// unlinked file under the spill dir and maps the file read-only; probes
+// and value() read spilled words through the mapping, so dedup is exact
+// across tiers. The in-memory mode is the same store with nothing spilled.
+//
+// Concurrency contract: intern() and value() are thread-safe (per-shard
+// locks; the mapping only changes at level boundaries, while no worker
+// runs). spill_to_budget, finalize and the byte accessors are
+// level-boundary / coordinator-only.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "dawn/automata/config.hpp"
@@ -73,7 +90,8 @@ class PackedCodec {
 // Packed drop-in for ShardedConfigStore<Config, VectorHash<State>>: same
 // shard/gid/dense contract (parallel_explore.hpp documents it), but values
 // live packed in per-shard word arenas — one amortised vector append per
-// fresh configuration, no per-config heap node.
+// fresh configuration, no per-config heap node. Optionally spills its
+// arenas to disk (see "Spill mode" above).
 class PackedConfigStore {
  public:
   static constexpr int kShardBits = 6;
@@ -89,7 +107,22 @@ class PackedConfigStore {
     bool fresh = false;
   };
 
-  explicit PackedConfigStore(const PackedCodec& codec) : codec_(codec) {}
+  // Spill mode is on when both spill_dir and max_resident_bytes are set:
+  // the constructor then opens (and immediately unlinks) the spill file.
+  // If that fails, ok() is false, error() says why, and the store stays
+  // in memory (spills() is false); callers fall back to the in-memory
+  // engine.
+  explicit PackedConfigStore(const PackedCodec& codec,
+                             const std::string& spill_dir = {},
+                             std::size_t max_resident_bytes = 0);
+  ~PackedConfigStore();
+
+  PackedConfigStore(const PackedConfigStore&) = delete;
+  PackedConfigStore& operator=(const PackedConfigStore&) = delete;
+
+  bool spills() const { return fd_ >= 0; }
+  bool ok() const { return error_.empty(); }
+  const std::string& error() const { return error_; }
 
   InternResult intern(const Config& value);
 
@@ -122,8 +155,9 @@ class PackedConfigStore {
     return out;
   }
 
-  // Byte-level occupancy: arena words + per-entry hash + index slots.
-  // Single-threaded accounting — call after exploration, not during.
+  // Byte-level occupancy: arena words (resident and spilled) + per-entry
+  // hash + index slots (+ the spill extent directory). Single-threaded
+  // accounting — call after exploration, not during.
   std::size_t bytes() const;
 
   // Byte occupancy of shards [begin, end) only. Per-shard bytes are a
@@ -133,19 +167,51 @@ class PackedConfigStore {
   // parallel_explore.hpp.
   std::size_t bytes_for_shard_range(std::size_t begin, std::size_t end) const;
 
-  // Decodes the stored configuration for a gid (test / debugging aid; call
-  // after exploration).
+  // In-memory footprint: bytes() minus the spilled arena words.
+  std::size_t resident_bytes() const;
+
+  // Cumulative packed words written to the spill file.
+  std::size_t spilled_bytes() const {
+    return file_words_ * sizeof(std::uint64_t);
+  }
+
+  std::size_t spill_events() const { return spill_events_; }
+
+  // The spill-mode budget; unbounded in memory.
+  std::size_t max_resident_bytes() const { return max_resident_bytes_; }
+
+  // Level-boundary only (no workers running). If the resident footprint
+  // exceeds the budget, appends every hot arena to the spill file and
+  // remaps it. False on I/O failure (error() set); a no-op in memory.
+  // After a successful spill the resident footprint is the index alone; if
+  // that still exceeds the budget the caller must abort with
+  // UnknownReason::MemoryCap.
+  bool spill_to_budget();
+
+  // Decodes the stored configuration for a gid. Thread-safe (locks the
+  // owning shard): the spilling engine re-decodes frontier configurations
+  // through this while other workers intern.
   void value(std::int64_t gid, Config& out) const;
 
   const PackedCodec& codec() const { return codec_; }
 
  private:
+  // A run of consecutive local ids whose words live in the spill file.
+  struct Extent {
+    std::uint64_t word_off = 0;     // into the mapped file, in words
+    std::uint32_t first_local = 0;  // first local id of the run
+  };
+
+  // The fields intern() reads come first, so a probe touches the shard's
+  // first two cache lines; `extents` is read only for spilled words.
   struct alignas(64) Shard {
-    std::mutex mu;
-    std::vector<std::uint64_t> arena;   // local id i occupies [i*w, (i+1)*w)
-    std::vector<std::uint64_t> hashes;  // per local id, for probes + growth
+    mutable std::mutex mu;
     std::vector<std::int32_t> slots;    // open addressing; -1 = empty
+    std::vector<std::uint64_t> hashes;  // per local id, for probes + growth
+    std::vector<std::uint64_t> arena;   // words of local ids >= hot_first
     std::size_t count = 0;
+    std::uint32_t hot_first = 0;        // first local id still in `arena`
+    std::vector<Extent> extents;        // spilled runs, ascending first_local
   };
 
   static std::int64_t pack(std::int32_t local, std::size_t shard) {
@@ -155,11 +221,32 @@ class PackedConfigStore {
 
   static void grow(Shard& s);
 
+  // The packed words of `local`. Caller holds the shard lock (or runs
+  // single-threaded).
+  const std::uint64_t* words_of(const Shard& s, std::size_t local) const {
+    if (local >= s.hot_first) {
+      return s.arena.data() + (local - s.hot_first) * codec_.words();
+    }
+    return spilled_words_of(s, local);
+  }
+  const std::uint64_t* spilled_words_of(const Shard& s,
+                                        std::size_t local) const;
+
+  void fail(const char* what);
+
   PackedCodec codec_;
   std::array<Shard, kNumShards> shards_;
   std::array<std::int32_t, kNumShards> offsets_{};
   std::atomic<std::size_t> total_{0};
   std::size_t shard_peak_ = 0;
+
+  std::size_t max_resident_bytes_ = std::numeric_limits<std::size_t>::max();
+  int fd_ = -1;
+  const std::uint64_t* base_ = nullptr;  // read-only mapping of the file
+  std::size_t mapped_bytes_ = 0;
+  std::uint64_t file_words_ = 0;
+  std::size_t spill_events_ = 0;
+  std::string error_;
 };
 
 }  // namespace dawn

@@ -69,11 +69,10 @@ struct ExploreStats {
   // Tiered (out-of-core) runs only — zero for the in-memory engines. All
   // thread-count-invariant: spilling happens at level boundaries against
   // level-end store contents (semantics/tiered_config.hpp).
-  std::size_t resident_bytes = 0;       // in-memory store footprint at the end
-  std::size_t spill_arena_bytes = 0;    // packed words written to the arena file
-  std::size_t spill_frontier_bytes = 0; // delta-encoded frontier levels written
-  std::size_t spill_edge_bytes = 0;     // edge-spool bytes written
-  std::size_t spill_events = 0;         // level-boundary spill passes
+  std::size_t resident_bytes = 0;     // in-memory store footprint at the end
+  std::size_t spill_arena_bytes = 0;  // packed words written to the arena file
+  std::size_t spill_edge_bytes = 0;   // edge-spool bytes written
+  std::size_t spill_events = 0;       // level-boundary spill passes
   int threads = 1;                // workers actually used
   // Chi-square of the 64 final shard occupancies against the uniform split
   // (E[chi2] = 63 for a well-mixed hash; see shard_chi_square()). Pins the
@@ -239,6 +238,26 @@ class ShardedConfigStore {
   std::size_t shard_peak_ = 0;
 };
 
+// One BFS frontier entry of the in-memory engine: the configuration is a
+// value copy, so a worker never reads another shard's value vector.
+template <typename ConfigT>
+struct FrontierEntry {
+  std::int64_t gid = 0;
+  ConfigT config;
+};
+
+// The FrontierBytes ledger charge per frontier entry: the entry plus a
+// vector configuration's heap block, sized like `config`. The distributed
+// coordinator replicates the engine's account through this.
+template <typename ConfigT>
+std::size_t frontier_entry_bytes(const ConfigT& config) {
+  std::size_t bytes = sizeof(FrontierEntry<ConfigT>);
+  if constexpr (requires { config.capacity(); }) {
+    bytes += config.capacity() * sizeof(typename ConfigT::value_type);
+  }
+  return bytes;
+}
+
 // Worker count for exploring `machine` under `budget`: machines whose
 // step() is not thread-safe are clamped to one worker (the engine still
 // runs, just sequentially — results are identical either way).
@@ -284,12 +303,9 @@ ExploreOutcome explore_and_classify_in(Store& store, const ConfigT& initial,
   obs::ExploreProgress* const progress = tel.progress;
   if (progress != nullptr) progress->reset();
 
-  struct FrontierEntry {
-    std::int64_t gid;
-    ConfigT config;  // value copy: never read another shard's value vector
-  };
+  using Entry = FrontierEntry<ConfigT>;
   struct WorkerBuffers {
-    std::vector<FrontierEntry> next;
+    std::vector<Entry> next;
     std::vector<std::pair<std::int64_t, Verdict>> verdicts;
     std::size_t steals = 0;
   };
@@ -307,7 +323,7 @@ ExploreOutcome explore_and_classify_in(Store& store, const ConfigT& initial,
   ExploreStats stats;
   stats.threads = pool.num_workers();
 
-  std::vector<FrontierEntry> frontier;
+  std::vector<Entry> frontier;
   {
     const auto seeded = store.intern(initial);
     frontier.push_back({seeded.gid, initial});
@@ -354,7 +370,7 @@ ExploreOutcome explore_and_classify_in(Store& store, const ConfigT& initial,
           ++buf.steals;  // claim deviates from a static round-robin split
         }
         for (std::size_t i = begin; i < end; ++i) {
-          const FrontierEntry& entry = frontier[i];
+          const Entry& entry = frontier[i];
           expander(entry.config, [&](const ConfigT& succ) {
             const auto interned = store.intern(succ);
             out_edges.emplace_back(entry.gid, interned.gid);
@@ -450,13 +466,8 @@ ExploreOutcome explore_and_classify_in(Store& store, const ConfigT& initial,
   // deliberately not accounted.
   if (tel.ledger != nullptr) {
     tel.ledger->set_max(Store::kMemoryAccount, stats.store_bytes);
-    std::size_t frontier_entry_bytes = sizeof(FrontierEntry);
-    if constexpr (requires(const ConfigT& c) { c.capacity(); }) {
-      frontier_entry_bytes +=
-          initial.capacity() * sizeof(typename ConfigT::value_type);
-    }
     tel.ledger->set_max(obs::MemoryAccount::FrontierBytes,
-                        stats.frontier_peak * frontier_entry_bytes);
+                        stats.frontier_peak * frontier_entry_bytes(initial));
     tel.ledger->set_max(obs::MemoryAccount::EdgeBytes,
                         num_edges * 2 * sizeof(std::int64_t));
   }

@@ -7,16 +7,16 @@
 // accepts iff every reachable bottom SCC is uniformly accepting, rejects iff
 // uniformly rejecting, and is inconsistent otherwise.
 //
-// One in-memory SCC engine: an iterative Tarjan over a flat CSR graph
-// (CsrGraph below), for every graph size and worker count. The explicit
-// engines build the CSR straight from their per-worker (src, dst) gid edge
-// buffers by counting sort (build_csr); the tiered store's semi-external
-// classifier (tiered_config.hpp) hands its in-memory remainder to the same
-// Tarjan. The sequential explorer (sequential_explore.hpp) appends each
-// configuration's successors to a CSR row as it expands it. The
-// vector<vector<int32>> overload below is a thin adapter that copies an
-// adjacency into a CSR; no decider uses it, but the repository
-// benchmark's replay and the SCC tests do.
+// One SCC engine: an iterative Tarjan over a flat CSR graph (CsrGraph
+// below), for every graph size and worker count. The explicit engines
+// build the CSR straight from their per-worker (src, dst) gid edge buffers
+// by counting sort (build_csr); the tiered engine
+// (classify_bottom_sccs_external in tiered_config.hpp) builds it the same
+// way from two scans of its edge spool. The sequential explorer
+// (sequential_explore.hpp) appends each configuration's successors to a
+// CSR row as it expands it. The vector<vector<int32>> overload below is a
+// thin adapter that copies an adjacency into a CSR; no decider uses it,
+// but the repository benchmark's replay and the SCC tests do.
 //
 // A parallel trim + forward–backward (FB) pass used to run here for
 // graphs of 2^15+ nodes at more than one worker, over a vector<vector>

@@ -1,5 +1,4 @@
-// LEB128 varint encoding, shared by the spill spools
-// (semantics/tiered_config.cpp) and the distributed frontier frames
+// LEB128 varint encoding of the distributed frontier and result frames
 // (net/dist_explore.cpp). Little-endian base-128: seven payload bits per
 // byte, high bit = continuation.
 #pragma once

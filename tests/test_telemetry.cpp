@@ -279,8 +279,7 @@ TEST(SpanLog, PhaseNamesAreUniqueAndNonEmpty) {
   EXPECT_EQ(names.size(), obs::kNumPhases);
   // The exploration phases the engines and docs/OBSERVABILITY.md name.
   for (const char* n : {"explore.expand", "explore.merge", "explore.scc",
-                        "explore.scc.trim", "explore.scc.fb", "explore.spill",
-                        "explore.dist.exchange"}) {
+                        "explore.spill", "explore.dist.exchange"}) {
     EXPECT_TRUE(names.count(n)) << n;
   }
 }

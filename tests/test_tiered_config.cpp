@@ -1,9 +1,10 @@
-// The tiered (out-of-core) configuration store and its streaming engine
-// (semantics/tiered_config): intern/dedupe/value round-trips across spill
-// boundaries, the frontier and edge spools, and the full tiered engine
-// against the in-memory reference — bit-identical outcomes, thread-count-
-// invariant spill accounting, MemoryCap on starved budgets, and the
-// in-memory fallback when the spill dir is unusable.
+// Out-of-core exploration: the packed store's spill mode
+// (semantics/packed_config), the edge spool and the spooled-edge
+// classification (semantics/tiered_config), and the full tiered engine
+// against the in-memory reference — intern/dedupe/value round-trips across
+// spill boundaries, bit-identical outcomes, thread-count-invariant spill
+// accounting, MemoryCap on starved budgets and oversized classifications,
+// and the in-memory fallback when the spill dir is unusable.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,7 +16,9 @@
 #include "dawn/automata/machine.hpp"
 #include "dawn/graph/generators.hpp"
 #include "dawn/semantics/explicit_space.hpp"
+#include "dawn/semantics/packed_config.hpp"
 #include "dawn/semantics/parallel_explore.hpp"
+#include "dawn/semantics/scc.hpp"
 #include "dawn/semantics/tiered_config.hpp"
 #include "dawn/util/rng.hpp"
 
@@ -49,8 +52,7 @@ std::shared_ptr<Machine> flood_machine() {
 }
 
 // Every step toggles, so the whole 2^n space is one strongly connected
-// component with mixed verdicts: the decision is Inconsistent and the SCC
-// classification cannot trim anything (exercises the Tarjan fallback).
+// component with mixed verdicts: the decision is Inconsistent.
 std::shared_ptr<Machine> toggle_machine() {
   FunctionMachine::Spec spec;
   spec.beta = 1;
@@ -74,7 +76,7 @@ Graph seeded_cycle(int n) {
 
 TEST(TieredStore, InternDedupesAndValueRoundTripsAcrossSpills) {
   const PackedCodec codec(5, 31);  // 3 bits x 31 nodes: word-straddling
-  TieredConfigStore store(codec, ".", 1);  // any resident footprint is over
+  PackedConfigStore store(codec, ".", 1);  // any resident footprint is over
   ASSERT_TRUE(store.ok()) << store.error();
 
   Rng rng(2026);
@@ -117,7 +119,7 @@ TEST(TieredStore, InternDedupesAndValueRoundTripsAcrossSpills) {
 
 TEST(TieredStore, ZeroWordCodecNeverSpillsAndRoundTrips) {
   const PackedCodec codec(1, 8);  // |Q| = 1 packs to zero words
-  TieredConfigStore store(codec, ".", 1);
+  PackedConfigStore store(codec, ".", 1);
   ASSERT_TRUE(store.ok()) << store.error();
   const Config c(8, 0);
   const auto first = store.intern(c);
@@ -133,46 +135,9 @@ TEST(TieredStore, ZeroWordCodecNeverSpillsAndRoundTrips) {
 
 TEST(TieredStore, UnusableSpillDirReportsNotOk) {
   const PackedCodec codec(2, 4);
-  TieredConfigStore store(codec, "/nonexistent-dawn-spill-dir", 1024);
+  PackedConfigStore store(codec, "/nonexistent-dawn-spill-dir", 1024);
   EXPECT_FALSE(store.ok());
   EXPECT_FALSE(store.error().empty());
-}
-
-TEST(FrontierSpool, LevelsRoundTripThroughChunkedCursor) {
-  FrontierSpool spool(".");
-  ASSERT_TRUE(spool.ok()) << spool.error();
-
-  Rng rng(7);
-  std::vector<std::vector<std::int64_t>> levels;
-  std::vector<FrontierSpool::Level> handles;
-  // Level 1 is large enough (~50k varints) to straddle the 64 KiB read
-  // buffer mid-varint; level 2 is empty; level 0 is small.
-  for (const std::size_t count : {17u, 50'000u, 0u}) {
-    std::vector<std::int64_t> gids;
-    std::int64_t g = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      g += 1 + static_cast<std::int64_t>(rng.uniform(0, 1 << 20));
-      gids.push_back(g);
-    }
-    const auto level = spool.put(gids);
-    ASSERT_TRUE(level.has_value()) << spool.error();
-    EXPECT_EQ(level->count, gids.size());
-    levels.push_back(std::move(gids));
-    handles.push_back(*level);
-  }
-  EXPECT_EQ(spool.levels(), 3u);
-  EXPECT_GT(spool.bytes_written(), 0u);
-
-  for (std::size_t i = 0; i < handles.size(); ++i) {
-    FrontierSpool::Cursor cursor(spool, handles[i]);
-    std::vector<std::int64_t> decoded;
-    std::vector<std::int64_t> chunk;
-    while (cursor.next_chunk(&chunk, 777)) {
-      decoded.insert(decoded.end(), chunk.begin(), chunk.end());
-    }
-    EXPECT_FALSE(cursor.failed());
-    EXPECT_EQ(decoded, levels[i]);
-  }
 }
 
 TEST(EdgeSpool, PerWriterAppendsScanBackInFileOrder) {
@@ -198,6 +163,118 @@ TEST(EdgeSpool, PerWriterAppendsScanBackInFileOrder) {
   while (cursor.next(&s, &d)) scanned.emplace_back(s, d);
   EXPECT_FALSE(cursor.failed());
   EXPECT_EQ(scanned, expected);
+}
+
+using Adjacency = std::vector<std::vector<std::int32_t>>;
+
+// Writes `adj` through a 3-writer EdgeSpool under scattered gids and
+// classifies the spool; dense() maps each gid back to its node.
+ExploreOutcome classify_spooled(const Adjacency& adj,
+                                const std::vector<Verdict>& verdicts,
+                                std::size_t classify_cap, Rng& rng) {
+  std::vector<std::int64_t> gid(adj.size());
+  std::map<std::int64_t, std::int32_t> node_of;
+  for (std::size_t v = 0; v < adj.size(); ++v) {
+    gid[v] = (static_cast<std::int64_t>(adj.size() - v) << 6) |
+             static_cast<std::int64_t>(rng.uniform(0, 63));
+    node_of[gid[v]] = static_cast<std::int32_t>(v);
+  }
+  EdgeSpool spool(".", 3);
+  EXPECT_TRUE(spool.ok()) << spool.error();
+  for (std::size_t u = 0; u < adj.size(); ++u) {
+    for (const std::int32_t v : adj[u]) {
+      spool.append(static_cast<int>(rng.uniform(0, 2)), gid[u],
+                   gid[static_cast<std::size_t>(v)]);
+    }
+  }
+  EXPECT_TRUE(spool.flush_all()) << spool.error();
+  return classify_bottom_sccs_external(
+      spool, verdicts, [&](std::int64_t g) { return node_of.at(g); },
+      classify_cap);
+}
+
+// A sparse random digraph on n nodes (several sinks, so several bottom
+// SCCs), plus a 2-cycle, self-loops and duplicate edges.
+Adjacency random_digraph(std::size_t n, Rng& rng) {
+  Adjacency adj(n);
+  if (n == 0) return adj;
+  const auto node = [&] {
+    return static_cast<std::int32_t>(
+        rng.uniform(0, static_cast<std::int64_t>(n) - 1));
+  };
+  const auto edge = [&](std::int32_t u, std::int32_t v) {
+    adj[static_cast<std::size_t>(u)].push_back(v);
+  };
+  for (auto e = rng.uniform(0, static_cast<std::int64_t>(n)); e > 0; --e) {
+    edge(node(), node());
+  }
+  const std::int32_t a = node();
+  const std::int32_t b = node();
+  edge(a, b);
+  edge(b, a);
+  edge(a, b);  // duplicate
+  for (int k = 0; k < 3; ++k) {
+    const std::int32_t v = node();
+    edge(v, v);
+  }
+  return adj;
+}
+
+TEST(ExternalClassify, MatchesInMemoryClassificationOnSeededDigraphs) {
+  Rng rng(2027);
+  std::map<Decision, int> decisions;
+  int multi_bottom = 0;
+  for (int round = 0; round < 60; ++round) {
+    // Round 0 is the empty graph.
+    const auto n =
+        static_cast<std::size_t>(round == 0 ? 0 : rng.uniform(1, 40));
+    const Adjacency adj = random_digraph(n, rng);
+    // Mostly uniform verdicts, so Accept and Reject decisions occur too.
+    const auto mode = rng.uniform(0, 3);
+    std::vector<Verdict> verdicts(n);
+    for (auto& verdict : verdicts) {
+      const auto draw = mode == 3 ? rng.uniform(0, 2) : mode;
+      verdict = draw == 0   ? Verdict::Accept
+                : draw == 1 ? Verdict::Reject
+                            : Verdict::Neutral;
+    }
+    const BottomClassification expected = classify_bottom_sccs(
+        adj, [&](std::size_t i) { return verdicts[i]; });
+    const ExploreOutcome got =
+        classify_spooled(adj, verdicts, 64u << 20, rng);
+    EXPECT_EQ(got.reason, UnknownReason::None) << "round " << round;
+    EXPECT_EQ(got.decision, expected.decision) << "round " << round;
+    EXPECT_EQ(got.num_bottom_sccs, expected.num_bottom_sccs)
+        << "round " << round;
+    EXPECT_EQ(got.num_configs, n);
+    ++decisions[expected.decision];
+    if (expected.num_bottom_sccs >= 2) ++multi_bottom;
+  }
+  // The seeded family covers every decision and several bottom SCCs.
+  EXPECT_GT(decisions[Decision::Accept], 0);
+  EXPECT_GT(decisions[Decision::Reject], 0);
+  EXPECT_GT(decisions[Decision::Inconsistent], 0);
+  EXPECT_GT(multi_bottom, 0);
+}
+
+TEST(ExternalClassify, CapBelowTheCsrGivesMemoryCap) {
+  // A 100-cycle: its CSR takes 4 bytes per edge plus 12 per node (+4).
+  Adjacency adj(100);
+  for (std::size_t v = 0; v < 100; ++v) {
+    adj[v].push_back(static_cast<std::int32_t>((v + 1) % 100));
+  }
+  const std::vector<Verdict> verdicts(100, Verdict::Accept);
+  const std::size_t csr_bytes = 100 * 4 + 100 * 12 + 4;
+  Rng rng(5);
+  const ExploreOutcome fits = classify_spooled(adj, verdicts, csr_bytes, rng);
+  EXPECT_EQ(fits.decision, Decision::Accept);
+  EXPECT_EQ(fits.num_bottom_sccs, 1u);
+  const ExploreOutcome capped =
+      classify_spooled(adj, verdicts, csr_bytes - 1, rng);
+  EXPECT_EQ(capped.decision, Decision::Unknown);
+  EXPECT_EQ(capped.reason, UnknownReason::MemoryCap);
+  EXPECT_EQ(capped.num_bottom_sccs, 0u);
+  EXPECT_EQ(capped.num_configs, 100u);
 }
 
 TEST(TieredEngine, MatchesInMemoryAndIsThreadCountInvariant) {
@@ -240,7 +317,6 @@ TEST(TieredEngine, MatchesInMemoryAndIsThreadCountInvariant) {
       // Spill accounting is part of the determinism contract.
       EXPECT_EQ(stats.spill_events, first_stats.spill_events);
       EXPECT_EQ(stats.spill_arena_bytes, first_stats.spill_arena_bytes);
-      EXPECT_EQ(stats.spill_frontier_bytes, first_stats.spill_frontier_bytes);
       EXPECT_EQ(stats.spill_edge_bytes, first_stats.spill_edge_bytes);
       EXPECT_EQ(stats.resident_bytes, first_stats.resident_bytes);
       EXPECT_EQ(stats.configs, first_stats.configs);
@@ -250,8 +326,7 @@ TEST(TieredEngine, MatchesInMemoryAndIsThreadCountInvariant) {
 }
 
 TEST(TieredEngine, InconsistentSingleSccMatchesInMemory) {
-  // 2^10 configs in one SCC: nothing trims, so the semi-external classifier
-  // must finish through its in-memory Tarjan fallback.
+  // 2^10 configs in one mixed-verdict SCC.
   const auto machine = toggle_machine();
   const Graph g = seeded_cycle(10);
 
