@@ -34,23 +34,29 @@ PackedCodec::PackedCodec(int num_states, int num_nodes)
 
 void PackedCodec::encode(const Config& c, std::uint64_t* out) const {
   DAWN_CHECK(c.size() == static_cast<std::size_t>(nodes_));
-  std::fill(out, out + words_, std::uint64_t{0});
   if (bits_ == 0) return;  // |Q| = 1: every configuration is the same
   const auto bits = static_cast<std::size_t>(bits_);
-  for (std::size_t i = 0; i < c.size(); ++i) {
-    const State s = c[i];
+  // Fields accumulate in a register and each word is stored once: a
+  // read-modify-write of out[] per field would chain every field through
+  // store-to-load forwarding.
+  std::uint64_t acc = 0;
+  std::size_t shift = 0;  // bits of `acc` already filled
+  for (const State s : c) {
     DAWN_CHECK_MSG(s >= 0 && s < num_states_,
                    "state outside the machine's advertised num_states()");
     const auto v = static_cast<std::uint64_t>(s);
-    const std::size_t off = i * bits;
-    const std::size_t word = off / 64;
-    const std::size_t shift = off % 64;
-    out[word] |= v << shift;
-    // A field straddling a word boundary spills its high bits into the next
-    // word. shift + bits <= 128 always (bits <= 31), and shift > 0 here, so
-    // the 64 - shift shift below is well-defined.
-    if (shift + bits > 64) out[word + 1] |= v >> (64 - shift);
+    acc |= v << shift;
+    shift += bits;
+    if (shift >= 64) {
+      *out++ = acc;
+      shift -= 64;
+      // A field straddling the word boundary carries its high `shift` bits
+      // into the next word (none when it ended exactly on the boundary:
+      // v < 2^bits). bits - shift is in [1, bits], so the shift is defined.
+      acc = v >> (bits - shift);
+    }
   }
+  if (shift > 0) *out = acc;
 }
 
 void PackedCodec::decode(const std::uint64_t* in, Config& out) const {
@@ -95,20 +101,59 @@ void PackedConfigStore::fail(const char* what) {
   if (error_.empty()) error_ = std::string(what) + ": " + std::strerror(errno);
 }
 
-PackedConfigStore::InternResult PackedConfigStore::intern(const Config& value) {
-  // Per-thread packing scratch: grows once, then every intern is
-  // allocation-free.
+namespace {
+
+// Packs `value` into the calling thread's scratch (grown once, then reused
+// without allocating) and returns the words with their hash.
+std::pair<const std::uint64_t*, std::uint64_t> pack_hashed(
+    const PackedCodec& codec, const Config& value) {
   static thread_local std::vector<std::uint64_t> scratch;
-  const std::size_t w = codec_.words();
-  scratch.resize(w);
-  codec_.encode(value, scratch.data());
-  const std::uint64_t h = PackedCodec::hash_words(scratch.data(), w);
-  // Splitmix finalizer before extracting shard bits, so low-entropy hash
-  // regions cannot concentrate shards (same scheme as ShardedConfigStore).
+  scratch.resize(codec.words());
+  codec.encode(value, scratch.data());
+  return {scratch.data(),
+          PackedCodec::hash_words(scratch.data(), scratch.size())};
+}
+
+// Splitmix finalizer before extracting shard bits, so low-entropy hash
+// regions cannot concentrate shards (same scheme as ShardedConfigStore).
+std::size_t shard_index(std::uint64_t h) {
+  return static_cast<std::size_t>(hash_mix(h)) & PackedConfigStore::kShardMask;
+}
+
+}  // namespace
+
+PackedConfigStore::InternResult PackedConfigStore::intern(const Config& value) {
+  const auto [words, h] = pack_hashed(codec_, value);
+  std::lock_guard<std::mutex> lock(shards_[shard_index(h)].mu);
+  const InternResult r = find_or_insert(h, words);
+  if (r.fresh) total_.fetch_add(1, std::memory_order_relaxed);
+  return r;
+}
+
+void PackedConfigStore::route(
+    const Config& value, std::int64_t src, std::span<Batch> batches,
+    std::span<const std::uint32_t, kNumShards> owner_of_shard) const {
+  const auto [words, h] = pack_hashed(codec_, value);
+  Batch& batch = batches[owner_of_shard[shard_index(h)]];
+  ++batch.count;
+  std::vector<std::uint64_t>& items = batch.items;
+  const std::size_t at = items.size();
+  items.resize(at + kRoutedHeader + codec_.words());
+  items[at] = static_cast<std::uint64_t>(src);
+  items[at + 1] = h;
+  std::copy(words, words + codec_.words(), items.begin() + at + kRoutedHeader);
+}
+
+std::size_t PackedConfigStore::shard_of(const Config& value) const {
+  return shard_index(pack_hashed(codec_, value).second);
+}
+
+PackedConfigStore::InternResult PackedConfigStore::find_or_insert(
+    std::uint64_t h, const std::uint64_t* words) {
   const std::uint64_t mixed = hash_mix(h);
   const std::size_t shard_idx = static_cast<std::size_t>(mixed) & kShardMask;
   Shard& s = shards_[shard_idx];
-  std::lock_guard<std::mutex> lock(s.mu);
+  const std::size_t w = codec_.words();
   // A small first table: in spill mode the index is the whole resident
   // baseline, and it must fit tight byte budgets.
   if (s.slots.empty()) s.slots.assign(16, -1);
@@ -116,32 +161,21 @@ PackedConfigStore::InternResult PackedConfigStore::intern(const Config& value) {
   std::size_t pos = static_cast<std::size_t>(mixed >> kShardBits) & slot_mask;
   for (;;) {
     const std::int32_t local = s.slots[pos];
-    if (local < 0) break;  // empty slot: `value` is fresh, insert here
+    if (local < 0) break;  // empty slot: `words` is fresh, insert here
     const auto lu = static_cast<std::size_t>(local);
-    if (s.hashes[lu] == h &&
-        std::equal(scratch.begin(), scratch.end(), words_of(s, lu))) {
+    if (s.hashes[lu] == h && std::equal(words, words + w, words_of(s, lu))) {
       return {pack(local, shard_idx), false};
     }
     pos = (pos + 1) & slot_mask;
   }
   const auto local = static_cast<std::int32_t>(s.count);
-  s.arena.insert(s.arena.end(), scratch.begin(), scratch.end());
+  s.arena.insert(s.arena.end(), words, words + w);
   s.hashes.push_back(h);
   s.slots[pos] = local;
   ++s.count;
   // Linear probing stays fast below ~0.7 load.
   if (s.count * 10 >= s.slots.size() * 7) grow(s);
-  total_.fetch_add(1, std::memory_order_relaxed);
   return {pack(local, shard_idx), true};
-}
-
-std::size_t PackedConfigStore::shard_of(const Config& value) const {
-  static thread_local std::vector<std::uint64_t> scratch;
-  const std::size_t w = codec_.words();
-  scratch.resize(w);
-  codec_.encode(value, scratch.data());
-  const std::uint64_t h = PackedCodec::hash_words(scratch.data(), w);
-  return static_cast<std::size_t>(hash_mix(h)) & kShardMask;
 }
 
 void PackedConfigStore::grow(Shard& s) {

@@ -10,10 +10,12 @@
 //     span (fields may straddle word boundaries; |Q| = 1 packs to zero
 //     words, every configuration being equal);
 //   * PackedConfigStore — the packed counterpart of ShardedConfigStore
-//     (parallel_explore.hpp): 64 independently locked shards, each an
-//     open-addressed index over a contiguous word arena, so interning a
-//     configuration appends words to the shard arena instead of allocating
-//     a per-config node. Hashing and equality are word-wise.
+//     (parallel_explore.hpp): 64 shards, each an open-addressed index over
+//     a contiguous word arena, so interning a configuration appends words
+//     to the shard arena instead of allocating a per-config node. Hashing
+//     and equality are word-wise. Configurations come in through the
+//     locked intern() or, in the explicit engine, through route() and an
+//     owner's lock-free drain().
 //
 // The store requires the machine's state space bound up front
 // (Machine::num_states()). The explicit engine uses it for every machine
@@ -32,10 +34,16 @@
 // and value() read spilled words through the mapping, so dedup is exact
 // across tiers. The in-memory mode is the same store with nothing spilled.
 //
-// Concurrency contract: intern() and value() are thread-safe (per-shard
-// locks; the mapping only changes at level boundaries, while no worker
-// runs). spill_to_budget, finalize and the byte accessors are
-// level-boundary / coordinator-only.
+// Concurrency contract:
+//  * intern() and value() are thread-safe (per-shard locks; the mapping only
+//    changes at level boundaries, while no worker runs);
+//  * route() is const and reads only the codec, so any number of workers
+//    may route while no shard changes;
+//  * drain() takes no lock: it may touch only shards that the calling
+//    thread owns, i.e. that no other thread interns into, drains into or
+//    reads until it returns (explore_and_classify_in's phase B);
+//  * spill_to_budget, finalize and the byte accessors are level-boundary /
+//    coordinator-only.
 #pragma once
 
 #include <array>
@@ -44,6 +52,7 @@
 #include <cstdint>
 #include <limits>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -88,7 +97,8 @@ class PackedCodec {
 };
 
 // Packed drop-in for ShardedConfigStore<Config, VectorHash<State>>: same
-// shard/gid/dense contract (parallel_explore.hpp documents it), but values
+// shard/gid/dense and route/drain contract (parallel_explore.hpp documents
+// it), but values
 // live packed in per-shard word arenas — one amortised vector append per
 // fresh configuration, no per-config heap node. Optionally spills its
 // arenas to disk (see "Spill mode" above).
@@ -126,11 +136,54 @@ class PackedConfigStore {
 
   InternResult intern(const Config& value);
 
+  // Routed configurations bound for one owner: per item, the source gid,
+  // the word hash and the packed words (kRoutedHeader + codec().words()
+  // words). One cache line each: a worker grows its batches on every
+  // successor.
+  struct alignas(64) Batch {
+    std::vector<std::uint64_t> items;
+    std::size_t count = 0;  // routed configurations in `items`
+    std::size_t size() const { return count; }
+    void clear() {
+      items.clear();
+      count = 0;
+    }
+  };
+  static constexpr std::size_t kRoutedHeader = 2;
+
+  // Encodes and hashes `value` once and appends (src, hash, words) to
+  // batches[owner_of_shard[shard]]. Reads no shard.
+  void route(const Config& value, std::int64_t src, std::span<Batch> batches,
+             std::span<const std::uint32_t, kNumShards> owner_of_shard) const;
+
+  // Interns every item of `batch`, in order, calling fn(src, gid, fresh)
+  // for each. Probes with the carried hash and words; only a configuration
+  // this call inserts is decoded, into `scratch`, and `fresh` points at it
+  // (null for one already stored). Owner-only and lock-free — see the
+  // concurrency contract above.
+  template <typename Fn>
+  void drain(const Batch& batch, Config& scratch, Fn&& fn) {
+    const std::size_t stride = kRoutedHeader + codec_.words();
+    std::size_t inserted = 0;
+    for (std::size_t i = 0; i < batch.items.size(); i += stride) {
+      const std::uint64_t* item = batch.items.data() + i;
+      const std::uint64_t* words = item + kRoutedHeader;
+      const InternResult r = find_or_insert(item[1], words);
+      if (r.fresh) {
+        ++inserted;
+        codec_.decode(words, scratch);
+      }
+      fn(static_cast<std::int64_t>(item[0]), r.gid,
+         r.fresh ? &scratch : nullptr);
+    }
+    total_.fetch_add(inserted, std::memory_order_relaxed);
+  }
+
   std::size_t size() const { return total_.load(std::memory_order_relaxed); }
 
   // The shard intern(value) would land in, without interning — the routing
   // key of the distributed engine (net/dist_explore.*). Must agree with
-  // intern() exactly: same encode, same hash, same mix.
+  // intern() and route() exactly: same encode, same hash, same mix.
   std::size_t shard_of(const Config& value) const;
 
   // Freezes the dense remap. Call once, after all interning is done.
@@ -202,8 +255,8 @@ class PackedConfigStore {
     std::uint32_t first_local = 0;  // first local id of the run
   };
 
-  // The fields intern() reads come first, so a probe touches the shard's
-  // first two cache lines; `extents` is read only for spilled words.
+  // The fields a probe reads come first, so it touches the shard's first
+  // two cache lines; `extents` is read only for spilled words.
   struct alignas(64) Shard {
     mutable std::mutex mu;
     std::vector<std::int32_t> slots;    // open addressing; -1 = empty
@@ -220,6 +273,12 @@ class PackedConfigStore {
   }
 
   static void grow(Shard& s);
+
+  // The probe-and-insert step of intern() and drain(): finds `words` (of
+  // word hash h) in its shard or appends it there. The caller holds the
+  // shard's lock or owns the shard; it also counts a fresh insert into
+  // total_.
+  InternResult find_or_insert(std::uint64_t h, const std::uint64_t* words);
 
   // The packed words of `local`. Caller holds the shard lock (or runs
   // single-threaded).

@@ -4,13 +4,15 @@
 // (explicit configurations, counted clique / star configurations). It runs
 // a level-synchronous BFS over the configuration graph:
 //
-//  * configurations are interned into a striped, hash-sharded store (64
-//    shards, each an independently locked hash map — the concurrent
-//    counterpart of util/interner.hpp);
-//  * each BFS level's frontier is expanded by a persistent WorkerPool
-//    (semantics/trials.hpp), workers claiming fixed-size chunks through an
-//    atomic cursor; successors, edges and verdicts land in per-worker
-//    buffers, so the hot path takes no lock but the owning shard's;
+//  * configurations are interned into a hash-sharded store (64 shards);
+//    each worker of a persistent WorkerPool (semantics/trials.hpp) owns a
+//    contiguous shard range, and only the owner writes a shard;
+//  * each BFS level runs in two barrier-separated phases: in phase A
+//    workers claim fixed-size frontier chunks through an atomic cursor,
+//    expand them and route every successor to the owner of its shard,
+//    only reading the store; in phase B each owner interns what was routed
+//    to it, lock-free, and records the edges, verdicts and next-frontier
+//    entries. No two workers write one cache line at the same time;
 //  * the per-worker edge buffers are merged into one CSR by counting sort,
 //    condensed by the iterative Tarjan in semantics/scc.{hpp,cpp} and
 //    classified by the bottom-SCC rule.
@@ -107,8 +109,22 @@ inline double shard_chi_square(const std::size_t* occupancies,
 // shard): gids are stable while exploring but not dense; after exploration
 // finalize() freezes per-shard prefix offsets and dense() maps gids onto
 // [0, size) for the SCC pass.
+//
+// Two ways in. intern() locks the value's shard and may be called from any
+// thread. route() + drain() are the owner-partitioned path of
+// explore_and_classify_in: route() (const, lock-free) appends a value to the
+// batch of the worker that owns its shard, and drain() — called only by
+// that owner, while no other thread touches its shards — interns a batch
+// without locking. Both paths share one probe-and-insert step, so they
+// assign ids and charge bytes() identically.
 template <typename ConfigT, typename Hash>
 class ShardedConfigStore {
+  struct Routed {
+    std::int64_t src = 0;
+    std::uint32_t shard = 0;
+    ConfigT value;
+  };
+
  public:
   static constexpr int kShardBits = 6;
   static constexpr std::size_t kNumShards = std::size_t{1} << kShardBits;
@@ -123,33 +139,76 @@ class ShardedConfigStore {
     bool fresh = false;
   };
 
+  // Values routed to one owner: (source gid, shard, value copy) items.
+  // clear() keeps the items and their capacity, so a batch that is reused
+  // level after level allocates only when it outgrows every earlier level.
+  // One cache line each: a worker grows its batches on every successor.
+  class alignas(64) Batch {
+   public:
+    void clear() { size_ = 0; }
+    std::size_t size() const { return size_; }
+
+   private:
+    friend class ShardedConfigStore;
+    std::vector<Routed> items_;
+    std::size_t size_ = 0;
+  };
+
   InternResult intern(const ConfigT& value) {
-    const std::size_t h = Hash{}(value);
+    const std::size_t shard_idx = shard_of(value);
+    Shard& s = shards_[shard_idx];
+    std::lock_guard<std::mutex> lock(s.mu);
+    const auto [it, fresh] = find_or_insert(s, value);
+    if (fresh) total_.fetch_add(1, std::memory_order_relaxed);
+    return {pack(it->second, shard_idx), fresh};
+  }
+
+  // Appends (src, value) to batches[owner_of_shard[shard_of(value)]],
+  // hashing the value once. Reads no shard.
+  void route(const ConfigT& value, std::int64_t src, std::span<Batch> batches,
+             std::span<const std::uint32_t, kNumShards> owner_of_shard) const {
+    const std::size_t shard = shard_of(value);
+    Batch& b = batches[owner_of_shard[shard]];
+    if (b.size_ == b.items_.size()) {
+      b.items_.push_back({src, static_cast<std::uint32_t>(shard), value});
+    } else {
+      Routed& r = b.items_[b.size_];
+      r.src = src;
+      r.shard = static_cast<std::uint32_t>(shard);
+      r.value = value;
+    }
+    ++b.size_;
+  }
+
+  // Interns every item of `batch`, in order, calling fn(src, gid, fresh)
+  // for each: `fresh` points at the stored value when this call inserted
+  // it, and is null otherwise. Owner-only: the caller must be the one
+  // thread touching the batch's shards until it returns. Takes no lock.
+  // `scratch` is unused here; the packed store decodes into it.
+  template <typename Fn>
+  void drain(const Batch& batch, ConfigT& /*scratch*/, Fn&& fn) {
+    std::size_t inserted = 0;
+    for (std::size_t i = 0; i < batch.size_; ++i) {
+      const Routed& r = batch.items_[i];
+      const auto [it, fresh] = find_or_insert(shards_[r.shard], r.value);
+      inserted += fresh ? 1 : 0;
+      fn(r.src, pack(it->second, r.shard), fresh ? &it->first : nullptr);
+    }
+    total_.fetch_add(inserted, std::memory_order_relaxed);
+  }
+
+  std::size_t size() const { return total_.load(std::memory_order_relaxed); }
+
+  // The shard intern(value) would land in, without interning: route()'s
+  // key, and the distributed engine's (net/dist_explore.*), where a worker
+  // process owns a contiguous shard range and only ever interns values
+  // whose shard falls inside it.
+  std::size_t shard_of(const ConfigT& value) const {
     // Run the hash through a splitmix finalizer before extracting shard
     // bits: raw high-middle bits (the old `h >> 24`) carry little entropy
     // for some key families and concentrated whole workloads onto a few
     // shards. unordered_map buckets still consume the unmixed low bits, so
     // shard choice and in-shard placement stay decorrelated.
-    const std::size_t shard_idx =
-        static_cast<std::size_t>(hash_mix(h)) & kShardMask;
-    Shard& s = shards_[shard_idx];
-    std::lock_guard<std::mutex> lock(s.mu);
-    const auto local = static_cast<std::int32_t>(s.ids.size());
-    const auto [it, fresh] = s.ids.try_emplace(value, local);
-    if (fresh) {
-      s.entry_bytes += entry_bytes(it->first);
-      total_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return {pack(it->second, shard_idx), fresh};
-  }
-
-  std::size_t size() const { return total_.load(std::memory_order_relaxed); }
-
-  // The shard intern(value) would land in, without interning. The
-  // distributed engine (net/dist_explore.*) routes configurations by this:
-  // a worker owns a contiguous shard range and only ever interns values
-  // whose shard falls inside it.
-  std::size_t shard_of(const ConfigT& value) const {
     return static_cast<std::size_t>(hash_mix(Hash{}(value))) & kShardMask;
   }
 
@@ -215,6 +274,16 @@ class ShardedConfigStore {
     std::size_t entry_bytes = 0;  // sum of entry_bytes() over ids
   };
 
+  // The probe-and-insert step of intern() and drain(). The caller holds
+  // s.mu or owns the shard; it also counts a fresh insert into total_.
+  static std::pair<typename Map::const_iterator, bool> find_or_insert(
+      Shard& s, const ConfigT& value) {
+    const auto local = static_cast<std::int32_t>(s.ids.size());
+    const auto [it, fresh] = s.ids.try_emplace(value, local);
+    if (fresh) s.entry_bytes += entry_bytes(it->first);
+    return {it, fresh};
+  }
+
   // One entry's share of bytes(): the stored key (with a vector key's heap
   // block) and id, plus the hash node's next pointer and cached hash. Keys
   // are immutable once stored, so summing this at insert time equals a walk
@@ -271,16 +340,28 @@ inline int explore_threads(const Machine& machine,
 // SCCs, interning into a caller-supplied store.
 //
 //  * `store` implements the ShardedConfigStore contract — intern() /
-//    size() / finalize() / dense() / shard_peak() / bytes(). The packed
-//    store (semantics/packed_config.hpp) is the other implementation.
+//    route() / drain() / size() / finalize() / dense() / shard_peak() /
+//    bytes(). The packed store (semantics/packed_config.hpp) is the other
+//    implementation.
 //  * make_expander(worker) must return a per-worker expander; calling
 //    expander(config, emit) invokes emit(succ) once per successor of
 //    `config` (duplicates allowed; silent self-steps must be skipped). The
 //    emitted reference may point at worker-local scratch — the engine
 //    copies what it keeps.
 //  * verdict_of(config) returns the configuration's uniform verdict
-//    (Neutral if mixed). Called once per distinct configuration, from
-//    whichever worker interned it first.
+//    (Neutral if mixed). Called once per distinct configuration, by the
+//    worker that owns its shard.
+//
+// Each BFS level runs in two phases separated by a barrier. The 64 shards
+// are split into one contiguous owner range per worker (workers past the
+// 64th own none):
+//
+//  * phase A — workers claim frontier chunks, expand them and route() each
+//    successor into a batch for the owner of its shard. The store is only
+//    read;
+//  * phase B — each owner drain()s the batches addressed to it into its own
+//    shards without a lock, recording every edge and, for each fresh
+//    configuration, its verdict and next-frontier entry.
 //
 // Both callables run concurrently on budget.resolve_threads() workers; pass
 // a budget clamped via explore_threads() when the machine is not
@@ -304,20 +385,39 @@ ExploreOutcome explore_and_classify_in(Store& store, const ConfigT& initial,
   if (progress != nullptr) progress->reset();
 
   using Entry = FrontierEntry<ConfigT>;
-  struct WorkerBuffers {
-    std::vector<Entry> next;
-    std::vector<std::pair<std::int64_t, Verdict>> verdicts;
+  using Expander = decltype(make_expander(0));
+  // A worker's edges fill one buffer that grows by doubling up to
+  // kEdgeBlock pairs (2 MiB) and then blocks of kEdgeBlock each, so a large
+  // exploration never copies or frees an edge buffer while workers run.
+  // build_csr takes the blocks as they are.
+  constexpr std::size_t kEdgeBlock = std::size_t{1} << 17;
+  // One worker's state, on cache lines of its own. In phase B an owner
+  // also clears the batches routed to it, each on its own line.
+  struct alignas(64) Worker {
+    explicit Worker(Expander e) : expander(std::move(e)) {}
+    Expander expander;
+    std::vector<typename Store::Batch> out;  // phase A: by owner
     std::size_t steals = 0;
+    ConfigT scratch;  // phase B: drain()'s decoded fresh configuration
+    // Phase B: every edge into an owned shard, in kEdgeBlock-pair blocks.
+    std::vector<GidEdges> edges = std::vector<GidEdges>(1);
+    std::vector<std::pair<std::int64_t, Verdict>> verdicts;
+    std::vector<Entry> next;
   };
 
   WorkerPool pool(threads);
   const auto num_workers = static_cast<std::size_t>(pool.num_workers());
-  std::vector<WorkerBuffers> buffers(num_workers);
-  std::vector<GidEdges> edges(num_workers);  // per worker, build_csr's input
-  std::vector<decltype(make_expander(0))> expanders;
-  expanders.reserve(num_workers);
+  const std::size_t num_owners = std::min(num_workers, Store::kNumShards);
+  std::array<std::uint32_t, Store::kNumShards> owner_of_shard{};
+  for (std::size_t sh = 0; sh < Store::kNumShards; ++sh) {
+    owner_of_shard[sh] =
+        static_cast<std::uint32_t>(sh * num_owners / Store::kNumShards);
+  }
+  std::vector<Worker> workers;
+  workers.reserve(num_workers);
   for (std::size_t w = 0; w < num_workers; ++w) {
-    expanders.push_back(make_expander(static_cast<int>(w)));
+    workers.emplace_back(make_expander(static_cast<int>(w)));
+    workers.back().out.resize(num_owners);
   }
 
   ExploreStats stats;
@@ -327,7 +427,7 @@ ExploreOutcome explore_and_classify_in(Store& store, const ConfigT& initial,
   {
     const auto seeded = store.intern(initial);
     frontier.push_back({seeded.gid, initial});
-    buffers[0].verdicts.emplace_back(seeded.gid, verdict_of(initial));
+    workers[0].verdicts.emplace_back(seeded.gid, verdict_of(initial));
   }
 
   bool capped = false;
@@ -347,50 +447,74 @@ ExploreOutcome explore_and_classify_in(Store& store, const ConfigT& initial,
     }
     obs::SpanScope level_span(tel.spans, obs::Phase::ExploreExpand,
                               frontier.size());
-    // Chunks small enough that uneven expansion cost rebalances, large
-    // enough that the cursor isn't contended.
+    // Phase A. Chunks small enough that uneven expansion cost rebalances,
+    // large enough that the cursor isn't contended.
     const std::size_t chunk =
         std::min<std::size_t>(256, frontier.size() / (num_workers * 4) + 1);
     std::atomic<std::size_t> cursor{0};
-    pool.run([&, tel](int worker) {
+    pool.run([&, tel](int w) {
       const obs::TelemetryScope telemetry_scope(tel);
-      WorkerBuffers& buf = buffers[static_cast<std::size_t>(worker)];
-      GidEdges& out_edges = edges[static_cast<std::size_t>(worker)];
-      auto& expander = expanders[static_cast<std::size_t>(worker)];
+      Worker& self = workers[static_cast<std::size_t>(w)];
+      const auto batches = std::span(self.out);
       for (;;) {
-        // Overshooting workers only waste a capped level's tail; the
-        // outcome is already determined, so stop claiming work.
-        if (store.size() > budget.max_configs) break;
         if (deadline.enabled() && deadline.expired()) break;
         const std::size_t begin = cursor.fetch_add(chunk);
         if (begin >= frontier.size()) break;
         const std::size_t end = std::min(begin + chunk, frontier.size());
-        if ((begin / chunk) % num_workers !=
-            static_cast<std::size_t>(worker)) {
-          ++buf.steals;  // claim deviates from a static round-robin split
+        if ((begin / chunk) % num_workers != static_cast<std::size_t>(w)) {
+          ++self.steals;  // claim deviates from a static round-robin split
         }
         for (std::size_t i = begin; i < end; ++i) {
           const Entry& entry = frontier[i];
-          expander(entry.config, [&](const ConfigT& succ) {
-            const auto interned = store.intern(succ);
-            out_edges.emplace_back(entry.gid, interned.gid);
-            if (interned.fresh) {
-              buf.verdicts.emplace_back(interned.gid, verdict_of(succ));
-              buf.next.push_back({interned.gid, succ});
-              if (progress != nullptr) {
-                progress->shard_sizes[static_cast<std::size_t>(interned.gid) &
-                                      Store::kShardMask]
-                    .fetch_add(1, std::memory_order_relaxed);
-              }
-            }
+          self.expander(entry.config, [&](const ConfigT& succ) {
+            store.route(succ, entry.gid, batches, owner_of_shard);
           });
         }
       }
     });
+    // Phase B. An owner stops once the store passes the cap: the level's
+    // outcome is already determined, and the count is clamped below.
+    std::size_t routed = 0;
+    for (const Worker& worker : workers) {
+      for (const auto& batch : worker.out) routed += batch.size();
+    }
+    {
+      obs::SpanScope intern_span(tel.spans, obs::Phase::ExploreIntern, routed);
+      pool.run([&, tel](int w) {
+        const auto owner = static_cast<std::size_t>(w);
+        if (owner >= num_owners) return;
+        const obs::TelemetryScope telemetry_scope(tel);
+        Worker& self = workers[owner];
+        for (Worker& from : workers) {
+          if (store.size() > budget.max_configs) break;
+          if (deadline.enabled() && deadline.expired()) break;
+          auto& batch = from.out[owner];
+          store.drain(batch, self.scratch,
+                      [&](std::int64_t src, std::int64_t gid,
+                          const ConfigT* fresh) {
+            if (self.edges.back().size() == kEdgeBlock) {
+              self.edges.emplace_back().reserve(kEdgeBlock);
+            }
+            self.edges.back().emplace_back(src, gid);
+            if (fresh == nullptr) return;
+            self.verdicts.emplace_back(gid, verdict_of(*fresh));
+            self.next.push_back({gid, *fresh});
+            if (progress != nullptr) {
+              progress->shard_sizes[static_cast<std::size_t>(gid) &
+                                    Store::kShardMask]
+                  .fetch_add(1, std::memory_order_relaxed);
+            }
+          });
+          batch.clear();
+        }
+      });
+    }
     if (progress != nullptr) {
       progress->configs.store(store.size(), std::memory_order_relaxed);
       std::uint64_t edges_so_far = 0;
-      for (const auto& out_edges : edges) edges_so_far += out_edges.size();
+      for (const Worker& worker : workers) {
+        for (const GidEdges& block : worker.edges) edges_so_far += block.size();
+      }
       progress->edges.store(edges_so_far, std::memory_order_relaxed);
     }
     if (store.size() > budget.max_configs) {
@@ -402,13 +526,20 @@ ExploreOutcome explore_and_classify_in(Store& store, const ConfigT& initial,
       break;
     }
     frontier.clear();
-    for (auto& buf : buffers) {
-      for (auto& entry : buf.next) frontier.push_back(std::move(entry));
-      buf.next.clear();
+    for (Worker& worker : workers) {
+      for (auto& entry : worker.next) frontier.push_back(std::move(entry));
+      worker.next.clear();
     }
   }
 
-  for (const auto& buf : buffers) stats.steals += buf.steals;
+  // The routed batches and frontiers are dead once the BFS ends: release
+  // them before the merge and the SCC pass allocate.
+  for (Worker& worker : workers) {
+    stats.steals += worker.steals;
+    decltype(worker.out)().swap(worker.out);
+    decltype(worker.next)().swap(worker.next);
+  }
+  decltype(frontier)().swap(frontier);
 
   ExploreOutcome outcome;
   if (capped || expired) {
@@ -437,11 +568,13 @@ ExploreOutcome explore_and_classify_in(Store& store, const ConfigT& initial,
   CsrGraph graph;
   {
     obs::SpanScope merge_span(tel.spans, obs::Phase::ExploreMerge, total);
-    for (auto& buf : buffers) {
-      for (const auto& [gid, verdict] : buf.verdicts) {
+    std::vector<GidEdges> edges;
+    for (Worker& worker : workers) {
+      for (const auto& [gid, verdict] : worker.verdicts) {
         verdicts[static_cast<std::size_t>(store.dense(gid))] = verdict;
       }
-      decltype(buf.verdicts)().swap(buf.verdicts);
+      decltype(worker.verdicts)().swap(worker.verdicts);
+      for (GidEdges& block : worker.edges) edges.push_back(std::move(block));
     }
     const bool in_range = build_csr(
         total, std::span<GidEdges>(edges),

@@ -93,7 +93,8 @@ class EdgeSpool {
  private:
   friend class ScanCursor;
 
-  struct Writer {
+  // One cache line each: workers append to their own writer on every edge.
+  struct alignas(64) Writer {
     int fd = -1;
     std::vector<std::int64_t> buf;  // interleaved src,dst
     std::uint64_t file_bytes = 0;
@@ -186,20 +187,22 @@ ExploreOutcome explore_and_classify_tiered(PackedConfigStore& store,
   obs::ExploreProgress* const progress = tel.progress;
   if (progress != nullptr) progress->reset();
 
-  WorkerPool pool(threads);
-  const auto num_workers = static_cast<std::size_t>(pool.num_workers());
-  std::vector<decltype(make_expander(0))> expanders;
-  expanders.reserve(num_workers);
-  for (std::size_t w = 0; w < num_workers; ++w) {
-    expanders.push_back(make_expander(static_cast<int>(w)));
-  }
-
-  struct WorkerBuffers {
+  // Everything one worker writes, on cache lines no other worker writes.
+  using Expander = decltype(make_expander(0));
+  struct alignas(64) Worker {
+    explicit Worker(Expander e) : expander(std::move(e)) {}
+    Expander expander;
     std::vector<std::int64_t> next;  // fresh gids found this level
     std::vector<std::pair<std::int64_t, Verdict>> verdicts;  // whole run
     std::size_t steals = 0;
   };
-  std::vector<WorkerBuffers> buffers(num_workers);
+  WorkerPool pool(threads);
+  const auto num_workers = static_cast<std::size_t>(pool.num_workers());
+  std::vector<Worker> workers;
+  workers.reserve(num_workers);
+  for (std::size_t w = 0; w < num_workers; ++w) {
+    workers.emplace_back(make_expander(static_cast<int>(w)));
+  }
   EdgeSpool espool(budget.spill_dir, static_cast<int>(num_workers));
 
   ExploreStats stats;
@@ -209,7 +212,7 @@ ExploreOutcome explore_and_classify_tiered(PackedConfigStore& store,
   {
     const auto seeded = store.intern(initial);
     frontier.push_back(seeded.gid);
-    buffers[0].verdicts.emplace_back(seeded.gid, verdict_of(initial));
+    workers[0].verdicts.emplace_back(seeded.gid, verdict_of(initial));
   }
 
   bool capped = false;
@@ -236,8 +239,7 @@ ExploreOutcome explore_and_classify_tiered(PackedConfigStore& store,
     std::atomic<std::size_t> cursor{0};
     pool.run([&, tel](int worker) {
       const obs::TelemetryScope telemetry_scope(tel);
-      WorkerBuffers& buf = buffers[static_cast<std::size_t>(worker)];
-      auto& expander = expanders[static_cast<std::size_t>(worker)];
+      Worker& self = workers[static_cast<std::size_t>(worker)];
       Config current;
       for (;;) {
         if (store.size() > budget.max_configs) break;
@@ -247,17 +249,17 @@ ExploreOutcome explore_and_classify_tiered(PackedConfigStore& store,
         const std::size_t end = std::min(begin + chunk, frontier.size());
         if ((begin / chunk) % num_workers !=
             static_cast<std::size_t>(worker)) {
-          ++buf.steals;
+          ++self.steals;
         }
         for (std::size_t i = begin; i < end; ++i) {
           const std::int64_t gid = frontier[i];
           store.value(gid, current);
-          expander(current, [&](const Config& succ) {
+          self.expander(current, [&](const Config& succ) {
             const auto interned = store.intern(succ);
             espool.append(worker, gid, interned.gid);
             if (interned.fresh) {
-              buf.verdicts.emplace_back(interned.gid, verdict_of(succ));
-              buf.next.push_back(interned.gid);
+              self.verdicts.emplace_back(interned.gid, verdict_of(succ));
+              self.next.push_back(interned.gid);
               if (progress != nullptr) {
                 progress
                     ->shard_sizes[static_cast<std::size_t>(interned.gid) &
@@ -283,9 +285,9 @@ ExploreOutcome explore_and_classify_tiered(PackedConfigStore& store,
     // Each fresh gid was interned by exactly one worker, so the
     // concatenation is the next level without duplicates.
     frontier.clear();
-    for (auto& buf : buffers) {
-      frontier.insert(frontier.end(), buf.next.begin(), buf.next.end());
-      buf.next.clear();
+    for (Worker& w : workers) {
+      frontier.insert(frontier.end(), w.next.begin(), w.next.end());
+      w.next.clear();
     }
 
     // Level-boundary budget enforcement: spill, then give up (MemoryCap)
@@ -305,7 +307,7 @@ ExploreOutcome explore_and_classify_tiered(PackedConfigStore& store,
     }
   }
 
-  for (const auto& buf : buffers) stats.steals += buf.steals;
+  for (const Worker& w : workers) stats.steals += w.steals;
   if (!espool.flush_all()) io_failed = true;
 
   stats.spill_arena_bytes = store.spilled_bytes();
@@ -351,11 +353,11 @@ ExploreOutcome explore_and_classify_tiered(PackedConfigStore& store,
   std::vector<Verdict> verdicts(total, Verdict::Neutral);
   {
     obs::SpanScope merge_span(tel.spans, obs::Phase::ExploreMerge, total);
-    for (auto& buf : buffers) {
-      for (const auto& [gid, verdict] : buf.verdicts) {
+    for (Worker& w : workers) {
+      for (const auto& [gid, verdict] : w.verdicts) {
         verdicts[static_cast<std::size_t>(store.dense(gid))] = verdict;
       }
-      decltype(buf.verdicts)().swap(buf.verdicts);
+      decltype(w.verdicts)().swap(w.verdicts);
     }
   }
 

@@ -168,7 +168,8 @@ TEST(Decide, ReportsAreBitIdenticalAcrossThreadCounts) {
         DecisionRequest req;
         req.budget = {.max_configs = cap, .max_threads = 1, .deadline_ms = 0};
         const DecisionReport one = decide(*m, g, req);
-        for (int threads : {2, 8}) {
+        // 3 and 5 workers split the 64 shards into uneven owner ranges.
+        for (int threads : {2, 3, 5, 8}) {
           req.budget.max_threads = threads;
           const DecisionReport many = decide(*m, g, req);
           EXPECT_TRUE(many == one)
@@ -230,7 +231,7 @@ TEST(Decide, CompiledReportsAreBitIdenticalAcrossThreadCounts) {
     for (std::size_t cap : {std::size_t{2'000'000}, std::size_t{20},
                             std::size_t{300}, std::size_t{6000}}) {
       const DecisionReport one = cap == 2'000'000 ? full : report(cap, 1);
-      for (int threads : {2, 8}) {
+      for (int threads : {2, 3, 5, 8}) {
         const DecisionReport many = report(cap, threads);
         EXPECT_TRUE(many == one)
             << c.name << " cap=" << cap << " threads=" << threads << ": "

@@ -1,9 +1,12 @@
 // The bit-packed configuration codec and store (semantics/packed_config):
 // round-trips across state-space sizes including 1-bit and word-straddling
 // layouts, hash/equality consistency against the vector store, byte-level
-// occupancy, and shard balance under the mixed shard selector.
+// occupancy, shard balance under the mixed shard selector, and the
+// owner-partitioned route()/drain() path against the locked intern().
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -12,6 +15,7 @@
 #include "dawn/automata/config.hpp"
 #include "dawn/automata/machine.hpp"
 #include "dawn/graph/generators.hpp"
+#include "dawn/semantics/clique_counted.hpp"
 #include "dawn/semantics/explicit_expand.hpp"
 #include "dawn/semantics/explicit_space.hpp"
 #include "dawn/semantics/packed_config.hpp"
@@ -211,6 +215,120 @@ TEST(PackedStore, ShardsStayBalancedUnderMixedSelector) {
   EXPECT_LE(reference.shard_peak(), 2 * even);
 }
 
+// Feeds `stream` through route() + drain() into `routed` and through the
+// locked intern() into its twin `interned`, level by level. Three owners
+// split the 64 shards unevenly; each source gid is the stream index, so
+// every drained (gid, fresh) pair can be matched against the intern() of
+// the same value. Per shard both paths insert in stream order, so gids,
+// sizes and bytes() must agree exactly.
+template <typename Store, typename ConfigT>
+void expect_route_drain_matches_intern(Store& routed, Store& interned,
+                                       const std::vector<ConfigT>& stream) {
+  constexpr std::size_t kOwners = 3;
+  constexpr std::size_t kLevel = 700;
+  std::array<std::uint32_t, Store::kNumShards> owner_of_shard{};
+  for (std::size_t sh = 0; sh < Store::kNumShards; ++sh) {
+    owner_of_shard[sh] =
+        static_cast<std::uint32_t>(sh * kOwners / Store::kNumShards);
+  }
+  std::vector<typename Store::Batch> batches(kOwners);
+  ConfigT scratch{};
+  for (std::size_t begin = 0; begin < stream.size(); begin += kLevel) {
+    const std::size_t end = std::min(begin + kLevel, stream.size());
+    for (std::size_t i = begin; i < end; ++i) {
+      routed.route(stream[i], static_cast<std::int64_t>(i), batches,
+                   owner_of_shard);
+    }
+    std::vector<std::int64_t> gids(end - begin, -1);
+    std::vector<bool> fresh(end - begin, false);
+    for (std::size_t owner = 0; owner < kOwners; ++owner) {
+      routed.drain(batches[owner], scratch,
+                   [&](std::int64_t src, std::int64_t gid,
+                       const ConfigT* value) {
+                     const auto i = static_cast<std::size_t>(src);
+                     ASSERT_GE(i, begin);
+                     ASSERT_LT(i, end);
+                     EXPECT_EQ(owner_of_shard[static_cast<std::size_t>(gid) &
+                                              Store::kShardMask],
+                               owner);
+                     gids[i - begin] = gid;
+                     fresh[i - begin] = value != nullptr;
+                     if (value != nullptr) {
+                       EXPECT_EQ(*value, stream[i]);
+                     }
+                   });
+      batches[owner].clear();
+    }
+    for (std::size_t i = begin; i < end; ++i) {
+      const auto want = interned.intern(stream[i]);
+      EXPECT_EQ(gids[i - begin], want.gid) << "item " << i;
+      EXPECT_EQ(fresh[i - begin], want.fresh) << "item " << i;
+    }
+    EXPECT_EQ(routed.size(), interned.size());
+  }
+  EXPECT_EQ(routed.bytes(), interned.bytes());
+}
+
+// A stream of `length` draws from a pool of `pool_size` random
+// configurations, so repeats are common.
+std::vector<Config> config_stream(int num_states, int nodes,
+                                  std::size_t pool_size, std::size_t length,
+                                  Rng& rng) {
+  std::vector<Config> pool;
+  for (std::size_t i = 0; i < pool_size; ++i) {
+    pool.push_back(random_config(num_states, nodes, rng));
+  }
+  std::vector<Config> stream;
+  for (std::size_t i = 0; i < length; ++i) {
+    stream.push_back(pool[static_cast<std::size_t>(
+        rng.uniform(0, static_cast<std::int64_t>(pool_size) - 1))]);
+  }
+  return stream;
+}
+
+TEST(PackedStore, RouteAndDrainInternExactlyLikeIntern) {
+  struct Case {
+    int num_states;
+    int nodes;
+    std::size_t words;
+  };
+  // One word; three words with fields straddling word boundaries; and
+  // |Q| = 1, which packs every configuration into zero words.
+  for (const Case& c : {Case{5, 9, 1}, Case{5, 50, 3}, Case{1, 40, 0}}) {
+    SCOPED_TRACE(testing::Message() << "|Q|=" << c.num_states
+                                    << " n=" << c.nodes);
+    const PackedCodec codec(c.num_states, c.nodes);
+    ASSERT_EQ(codec.words(), c.words);
+    Rng rng(17);
+    const auto stream = config_stream(c.num_states, c.nodes, 3'000, 8'000, rng);
+    PackedConfigStore routed(codec);
+    PackedConfigStore interned(codec);
+    expect_route_drain_matches_intern(routed, interned, stream);
+    EXPECT_EQ(routed.size(), c.num_states == 1 ? 1u : interned.size());
+  }
+}
+
+TEST(VectorStore, RouteAndDrainInternExactlyLikeIntern) {
+  Rng rng(18);
+  std::vector<CountedConfig> pool;
+  for (int i = 0; i < 2'000; ++i) {
+    CountedConfig c;
+    for (State q = 0; q < 6; ++q) {
+      const std::int64_t n = rng.uniform(0, 4);
+      if (n > 0) c.emplace_back(q, n);
+    }
+    pool.push_back(c);
+  }
+  std::vector<CountedConfig> stream;
+  for (int i = 0; i < 6'000; ++i) {
+    stream.push_back(pool[static_cast<std::size_t>(rng.uniform(0, 1'999))]);
+  }
+  ShardedConfigStore<CountedConfig, CountedConfigHash> routed;
+  ShardedConfigStore<CountedConfig, CountedConfigHash> interned;
+  expect_route_drain_matches_intern(routed, interned, stream);
+  EXPECT_GT(routed.size(), 1'000u);
+}
+
 // Two states that flip whenever an opposite neighbour is present: the
 // reachable space on a mixed-label cycle is tens of thousands of
 // configurations — enough to exercise store growth and shard balance.
@@ -279,6 +397,34 @@ TEST(PackedStore, EngineResultsIdenticalWithPackingAndBytesShrink) {
     EXPECT_LE(packed_stats.shard_peak, 2 * even + 8);
     EXPECT_LE(vector_stats.shard_peak, 2 * even + 8);
   }
+}
+
+TEST(PackedStore, WorkersPastTheSixtyFourthOwnNoShardAndChangeNothing) {
+  // 64 shards give at most 64 owners; the 65th worker on only expands.
+  const auto m = flip_machine();
+  std::vector<Label> labels(10, 0);
+  for (std::size_t i = 0; i < labels.size(); i += 3) labels[i] = 1;
+  const Graph g = make_cycle(labels);
+  const auto explore = [&](int threads) {
+    PackedConfigStore store(PackedCodec(*m->num_states(), g.n()));
+    ExploreStats stats;
+    const ExploreOutcome out = explore_and_classify_in<Config>(
+        store, initial_config(*m, g),
+        [&](int) {
+          return ExplicitExpander{*m, g, Neighbourhood{}, Config{}};
+        },
+        [&](const Config& c) { return consensus(*m, c); },
+        {.max_configs = 500'000, .max_threads = threads}, &stats);
+    EXPECT_EQ(stats.threads, threads);
+    EXPECT_EQ(stats.configs, out.num_configs);
+    return out;
+  };
+  const ExploreOutcome one = explore(1);
+  ASSERT_NE(one.decision, Decision::Unknown);
+  const ExploreOutcome many = explore(70);
+  EXPECT_EQ(many.decision, one.decision);
+  EXPECT_EQ(many.num_configs, one.num_configs);
+  EXPECT_EQ(many.num_bottom_sccs, one.num_bottom_sccs);
 }
 
 }  // namespace

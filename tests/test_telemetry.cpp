@@ -5,6 +5,7 @@
 // TrialSummary parity between the scalar and SoA batched trial engines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -278,8 +279,9 @@ TEST(SpanLog, PhaseNamesAreUniqueAndNonEmpty) {
   }
   EXPECT_EQ(names.size(), obs::kNumPhases);
   // The exploration phases the engines and docs/OBSERVABILITY.md name.
-  for (const char* n : {"explore.expand", "explore.merge", "explore.scc",
-                        "explore.spill", "explore.dist.exchange"}) {
+  for (const char* n : {"explore.expand", "explore.intern", "explore.merge",
+                        "explore.scc", "explore.spill",
+                        "explore.dist.exchange"}) {
     EXPECT_TRUE(names.count(n)) << n;
   }
 }
@@ -373,8 +375,24 @@ TEST(ChromeTrace, FullDecideTraceIsValidAndCoversTheEnginePhases) {
   }
   EXPECT_EQ(decide_spans, 1u);
   EXPECT_TRUE(phases.count(obs::Phase::ExploreExpand));
+  EXPECT_TRUE(phases.count(obs::Phase::ExploreIntern));
   EXPECT_TRUE(phases.count(obs::Phase::ExploreMerge));
   EXPECT_TRUE(phases.count(obs::Phase::ExploreScc));
+  // One owner-phase span per level, nested in that level's expand span on
+  // the same thread.
+  const auto merged = log.merged();
+  std::size_t expand_spans = 0;
+  std::size_t intern_spans = 0;
+  for (const auto& rec : merged) {
+    if (rec.phase == obs::Phase::ExploreExpand) ++expand_spans;
+    if (rec.phase != obs::Phase::ExploreIntern) continue;
+    ++intern_spans;
+    EXPECT_TRUE(std::any_of(merged.begin(), merged.end(), [&](const auto& e) {
+      return e.phase == obs::Phase::ExploreExpand && e.tid == rec.tid &&
+             e.begin_ns <= rec.begin_ns && rec.end_ns <= e.end_ns;
+    }));
+  }
+  EXPECT_EQ(intern_spans, expand_spans);
   expect_valid_chrome_trace(obs::chrome_trace_json(log));
 }
 
