@@ -266,11 +266,14 @@ std::optional<std::string> check_canonical_vs_plain(const FuzzCase& c) {
 }
 
 // -------------------------------------------------------------------------
-// tiered-vs-inmemory: the in-memory parallel explicit engine vs the
-// out-of-core engine (the packed store in spill mode). The byte budget is calibrated from the
-// in-memory run's config count so the tiered side is forced through its
-// spill path on any nontrivial case while its always-resident index still
-// fits (the packed words dominate the budget, the index alone does not).
+// tiered-vs-inmemory: the parallel explicit engine in memory vs the same
+// engine in spill mode (the packed store spilling, edges spooled to disk).
+// Both run one level loop, so this pair pins the store modes against each
+// other; explore-par stays the independent reference. The byte budget is
+// calibrated from the in-memory run's config count so the tiered side is
+// forced through its spill path on any nontrivial case while its
+// always-resident index still fits (the packed words dominate the budget,
+// the index alone does not).
 // Completed runs must agree on everything; a tiered MemoryCap (the case's
 // index outgrew even the calibrated budget) makes the case incomparable.
 

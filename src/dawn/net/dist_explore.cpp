@@ -172,6 +172,13 @@ std::optional<ShardInitRequest> shard_init_from_json(const JsonValue& v,
 
 namespace {
 
+// One frontier entry of a worker session: the configuration is a value
+// copy, so expanding it needs no store read.
+struct FrontierEntry {
+  std::int64_t gid = 0;
+  Config config;
+};
+
 // One detached worker session: owns its shard range of the configuration
 // space and runs the level-synchronous protocol against the coordinator.
 // Single-threaded and blocking — the coordinator never blocks, so the star
@@ -431,7 +438,7 @@ class WorkerSession {
     level_pushed_ = 0;
     bool ok = true;
     std::size_t processed = 0;
-    for (const FrontierEntry<Config>& entry : frontier_) {
+    for (const FrontierEntry& entry : frontier_) {
       if (hooks_.stop != nullptr &&
           hooks_.stop->load(std::memory_order_relaxed)) {
         return false;
@@ -604,8 +611,8 @@ class WorkerSession {
   std::size_t owned_begin_;
   std::size_t owned_end_;
   std::array<std::uint8_t, 64> owner_{};
-  std::vector<FrontierEntry<Config>> frontier_;
-  std::vector<FrontierEntry<Config>> next_;
+  std::vector<FrontierEntry> frontier_;
+  std::vector<FrontierEntry> next_;
   std::vector<std::pair<std::int64_t, std::int64_t>> edges_;
   std::vector<std::pair<std::int64_t, Verdict>> verdicts_;
   std::vector<PushBatch> batches_;
@@ -736,11 +743,6 @@ class Coordinator {
     // advertise |Q|, so the other shards pack; a worker refuses any machine
     // that does not.
     tiered_ = req_.budget.max_store_bytes > 0;
-    initial_ = initial_config(*machine_, req_.graph);
-    if (sym_) {
-      CanonScratch scratch;
-      canonicalize(grp_, initial_, scratch);
-    }
     DeadlineClock deadline(req_.budget);
     if (opts_.progress != nullptr) opts_.progress->reset();
 
@@ -1350,7 +1352,7 @@ class Coordinator {
     if (completed && !tiered_) {
       rep.memory.set_max(obs::MemoryAccount::PackedStoreBytes, store_bytes);
       rep.memory.set_max(obs::MemoryAccount::FrontierBytes,
-                         frontier_peak * frontier_entry_bytes(initial_));
+                         frontier_peak * sizeof(std::int64_t));
       rep.memory.set_max(obs::MemoryAccount::EdgeBytes,
                          num_edges * 2 * sizeof(std::int64_t));
     }
@@ -1367,7 +1369,6 @@ class Coordinator {
   SymmetryGroup grp_;
   bool sym_ = false;
   bool tiered_ = false;
-  Config initial_;
   GidEdges edges_raw_;
   WireError fail_error_ = WireError::None;
   std::string fail_detail_;

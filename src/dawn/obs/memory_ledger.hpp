@@ -33,11 +33,11 @@ class JsonValue;
 
 enum class MemoryAccount : std::uint8_t {
   VectorStoreBytes,  // ShardedConfigStore occupancy, per entry: node, value,
-                     // one bucket pointer
+                     // one bucket pointer, one key pointer
   PackedStoreBytes,  // PackedConfigStore arenas + hashes + index slots
   InternerBytes,     // lazily-interned machine states, all compiled layers;
                      // cumulative per machine instance
-  FrontierBytes,     // peak BFS frontier (entries + config payloads)
+  FrontierBytes,     // peak BFS frontier: 8 B (one gid) per entry
   EdgeBytes,         // exploration edge buffers at merge time
   TrialBlockBytes,   // one SoA batched-trial workspace (lanes, memo, CSR)
   // Tiered (out-of-core) store accounts. Resident = the always-in-memory

@@ -51,12 +51,12 @@ struct ExploreBudget {
 
   // Out-of-core exploration (docs/ENGINE.md "The tiered store"). When both
   // max_store_bytes > 0 and spill_dir is set, the parallel explicit engine
-  // runs the packed store in spill mode: packed config words spill to an
+  // runs its one level loop in spill mode: packed config words spill to an
   // unlinked file under spill_dir whenever the resident footprint exceeds
-  // max_store_bytes at a level boundary, and every edge goes to disk
-  // instead of RAM. The budget is enforced per level (resident bytes may
-  // overshoot within one BFS level); if the always-resident hash index
-  // alone exceeds it, or the classification CSR exceeds
+  // max_store_bytes at a level boundary, and edges go to disk in 128 KiB
+  // blocks instead of RAM. The budget is enforced per level (resident
+  // bytes may overshoot within one BFS level); if the always-resident hash
+  // index alone exceeds it, or the classification CSR exceeds
   // max(8 x max_store_bytes, 64 MiB), the run aborts with
   // UnknownReason::MemoryCap — deterministically, because level-end store
   // contents are thread-count-invariant. 0 / empty = never spill.

@@ -11,7 +11,6 @@
 #include "dawn/semantics/parallel_explore.hpp"
 #include "dawn/semantics/sequential_explore.hpp"
 #include "dawn/semantics/symmetry.hpp"
-#include "dawn/semantics/tiered_config.hpp"
 #include "dawn/util/check.hpp"
 #include "dawn/util/hash.hpp"
 
@@ -84,21 +83,25 @@ ExplicitResult decide_pseudo_stochastic_parallel(const Machine& machine,
   // The store follows the machine: any machine that advertises |Q| packs
   // (PackedCodec needs the bound up front); lazily-interning ones, the
   // paper's compiled constructions among them, use the vector store. The
-  // packed store spills (the out-of-core engine) only when the budget names
-  // both a byte cap and a spill directory.
+  // packed store spills, and the engine runs out of core, only when the
+  // budget names both a byte cap and a spill directory.
   const std::optional<int> nstates = machine.num_states();
   const bool packed = nstates.has_value();
 
   const auto verdict_of = [&](const Config& c) { return consensus(machine, c); };
-  // `explore(make_expander)` runs one of the two engine templates.
-  const auto run = [&](auto&& explore) {
+  const auto explore = [&](auto& store) {
     if (grp != nullptr) {
-      return explore(
-          [&](int) { return CanonExplicitExpander{machine, g, *grp}; });
+      return explore_and_classify_in(
+          store, initial,
+          [&](int) { return CanonExplicitExpander{machine, g, *grp}; },
+          verdict_of, clamped, stats);
     }
-    return explore([&](int) {
-      return ExplicitExpander{machine, g, Neighbourhood{}, Config{}};
-    });
+    return explore_and_classify_in(
+        store, initial,
+        [&](int) {
+          return ExplicitExpander{machine, g, Neighbourhood{}, Config{}};
+        },
+        verdict_of, clamped, stats);
   };
 
   ExploreOutcome out;
@@ -115,20 +118,10 @@ ExplicitResult decide_pseudo_stochastic_parallel(const Machine& machine,
                    store.error().c_str());
     }
     tiered_ran = store.spills();
-    out = run([&](auto&& make_expander) {
-      return tiered_ran ? explore_and_classify_tiered(store, initial,
-                                                      make_expander, verdict_of,
-                                                      clamped, stats)
-                        : explore_and_classify_in(store, initial,
-                                                  make_expander, verdict_of,
-                                                  clamped, stats);
-    });
+    out = explore(store);
   } else {
     ShardedConfigStore<Config, VectorHash<State>> store;
-    out = run([&](auto&& make_expander) {
-      return explore_and_classify_in(store, initial, make_expander,
-                                     verdict_of, clamped, stats);
-    });
+    out = explore(store);
   }
 
   ExplicitResult result = explicit_result(out);

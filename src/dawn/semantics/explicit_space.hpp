@@ -44,11 +44,10 @@ struct ExplicitResult {
   // sequential decider.
   bool symmetry_reduced = false;
   bool packed_store = false;
-  // Whether the out-of-core engine ran on the packed store in spill mode
+  // Whether the engine ran in spill mode, out of core on the packed store
   // (budget.max_store_bytes > 0, budget.spill_dir set, and the spill file
-  // opened). When the spill dir is unusable the engine warns and falls back
-  // to the in-memory engine, leaving this false. tiered_store implies
-  // packed_store.
+  // opened). When the spill dir is unusable the engine warns and runs in
+  // memory instead, leaving this false. tiered_store implies packed_store.
   bool tiered_store = false;
 };
 
@@ -68,12 +67,13 @@ struct SymmetryGroup;
 //
 // The engine interns into the bit-packed store (semantics/packed_config.hpp)
 // whenever the machine advertises num_states(), and into the vector store
-// otherwise. budget.use_symmetry opts into orbit-canonical interning
-// (semantics/symmetry.hpp). With symmetry on, the engine quotients the
-// configuration graph: the decision still matches the sequential reference,
-// but num_configs / num_bottom_sccs count orbits. `symmetry` overrides the
-// detected group (e.g. the closed-form grid_symmetry(); validated before
-// use); nullptr means compute_symmetry(g).
+// otherwise; the packed store in spill mode takes it out of core (see
+// ExploreBudget::max_store_bytes). budget.use_symmetry opts into
+// orbit-canonical interning (semantics/symmetry.hpp). With symmetry on, the
+// engine quotients the configuration graph: the decision still matches the
+// sequential reference, but num_configs / num_bottom_sccs count orbits.
+// `symmetry` overrides the detected group (e.g. the closed-form
+// grid_symmetry(); validated before use); nullptr means compute_symmetry(g).
 ExplicitResult decide_pseudo_stochastic_parallel(
     const Machine& machine, const Graph& g, const ExploreBudget& b = {},
     ExploreStats* stats = nullptr, const SymmetryGroup* symmetry = nullptr);

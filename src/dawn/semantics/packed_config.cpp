@@ -270,13 +270,12 @@ bool PackedConfigStore::spill_to_budget() {
   return true;
 }
 
-void PackedConfigStore::value(std::int64_t gid, Config& out) const {
-  const auto shard_idx = static_cast<std::size_t>(gid) & kShardMask;
+const Config& PackedConfigStore::value(std::int64_t gid, Config& out) const {
+  const Shard& s = shards_[static_cast<std::size_t>(gid) & kShardMask];
   const auto local = static_cast<std::size_t>(gid >> kShardBits);
-  const Shard& s = shards_[shard_idx];
-  std::lock_guard<std::mutex> lock(s.mu);
   DAWN_CHECK(local < s.count);
   codec_.decode(words_of(s, local), out);
+  return out;
 }
 
 }  // namespace dawn

@@ -32,18 +32,21 @@
 // At a BFS level boundary spill_to_budget() appends every hot arena to one
 // unlinked file under the spill dir and maps the file read-only; probes
 // and value() read spilled words through the mapping, so dedup is exact
-// across tiers. The in-memory mode is the same store with nothing spilled.
+// across tiers. The in-memory mode is the same store with nothing spilled,
+// and the explicit engine runs both modes through one level loop.
 //
 // Concurrency contract:
-//  * intern() and value() are thread-safe (per-shard locks; the mapping only
-//    changes at level boundaries, while no worker runs);
+//  * intern() is thread-safe (per-shard locks);
 //  * route() is const and reads only the codec, so any number of workers
 //    may route while no shard changes;
+//  * value() takes no lock: any number of threads may read while no shard
+//    changes (explore_and_classify_in's phase A, where every store access
+//    is a read, or single-threaded between levels);
 //  * drain() takes no lock: it may touch only shards that the calling
 //    thread owns, i.e. that no other thread interns into, drains into or
 //    reads until it returns (explore_and_classify_in's phase B);
 //  * spill_to_budget, finalize and the byte accessors are level-boundary /
-//    coordinator-only.
+//    coordinator-only, and the spill mapping changes only there.
 #pragma once
 
 #include <array>
@@ -157,24 +160,18 @@ class PackedConfigStore {
              std::span<const std::uint32_t, kNumShards> owner_of_shard) const;
 
   // Interns every item of `batch`, in order, calling fn(src, gid, fresh)
-  // for each. Probes with the carried hash and words; only a configuration
-  // this call inserts is decoded, into `scratch`, and `fresh` points at it
-  // (null for one already stored). Owner-only and lock-free — see the
-  // concurrency contract above.
+  // for each, where `fresh` says whether this call inserted it. Probes
+  // with the carried hash and words; decodes and copies nothing.
+  // Owner-only and lock-free — see the concurrency contract above.
   template <typename Fn>
-  void drain(const Batch& batch, Config& scratch, Fn&& fn) {
+  void drain(const Batch& batch, Fn&& fn) {
     const std::size_t stride = kRoutedHeader + codec_.words();
     std::size_t inserted = 0;
     for (std::size_t i = 0; i < batch.items.size(); i += stride) {
       const std::uint64_t* item = batch.items.data() + i;
-      const std::uint64_t* words = item + kRoutedHeader;
-      const InternResult r = find_or_insert(item[1], words);
-      if (r.fresh) {
-        ++inserted;
-        codec_.decode(words, scratch);
-      }
-      fn(static_cast<std::int64_t>(item[0]), r.gid,
-         r.fresh ? &scratch : nullptr);
+      const InternResult r = find_or_insert(item[1], item + kRoutedHeader);
+      inserted += r.fresh ? 1 : 0;
+      fn(static_cast<std::int64_t>(item[0]), r.gid, r.fresh);
     }
     total_.fetch_add(inserted, std::memory_order_relaxed);
   }
@@ -241,10 +238,10 @@ class PackedConfigStore {
   // UnknownReason::MemoryCap.
   bool spill_to_budget();
 
-  // Decodes the stored configuration for a gid. Thread-safe (locks the
-  // owning shard): the spilling engine re-decodes frontier configurations
-  // through this while other workers intern.
-  void value(std::int64_t gid, Config& out) const;
+  // Decodes the stored configuration for a gid into `out` and returns it.
+  // Lock-free: no thread may change the gid's shard meanwhile (see the
+  // concurrency contract above).
+  const Config& value(std::int64_t gid, Config& out) const;
 
   const PackedCodec& codec() const { return codec_; }
 
@@ -258,7 +255,7 @@ class PackedConfigStore {
   // The fields a probe reads come first, so it touches the shard's first
   // two cache lines; `extents` is read only for spilled words.
   struct alignas(64) Shard {
-    mutable std::mutex mu;
+    std::mutex mu;
     std::vector<std::int32_t> slots;    // open addressing; -1 = empty
     std::vector<std::uint64_t> hashes;  // per local id, for probes + growth
     std::vector<std::uint64_t> arena;   // words of local ids >= hot_first
@@ -280,8 +277,7 @@ class PackedConfigStore {
   // total_.
   InternResult find_or_insert(std::uint64_t h, const std::uint64_t* words);
 
-  // The packed words of `local`. Caller holds the shard lock (or runs
-  // single-threaded).
+  // The packed words of `local`. No other thread may change `s` meanwhile.
   const std::uint64_t* words_of(const Shard& s, std::size_t local) const {
     if (local >= s.hot_first) {
       return s.arena.data() + (local - s.hot_first) * codec_.words();

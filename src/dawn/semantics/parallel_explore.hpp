@@ -7,15 +7,23 @@
 //  * configurations are interned into a hash-sharded store (64 shards);
 //    each worker of a persistent WorkerPool (semantics/trials.hpp) owns a
 //    contiguous shard range, and only the owner writes a shard;
-//  * each BFS level runs in two barrier-separated phases: in phase A
-//    workers claim fixed-size frontier chunks through an atomic cursor,
-//    expand them and route every successor to the owner of its shard,
-//    only reading the store; in phase B each owner interns what was routed
-//    to it, lock-free, and records the edges, verdicts and next-frontier
-//    entries. No two workers write one cache line at the same time;
+//  * a BFS level is a vector of gids, and each level runs in two
+//    barrier-separated phases: in phase A workers claim fixed-size frontier
+//    chunks through an atomic cursor, read each configuration from the
+//    store without a lock, record its verdict, expand it and route every
+//    successor to the owner of its shard, only reading the store; in phase
+//    B each owner interns what was routed to it, lock-free, and records the
+//    edges and the next level's gids. No two workers write one cache line
+//    at the same time;
 //  * the per-worker edge buffers are merged into one CSR by counting sort,
 //    condensed by the iterative Tarjan in semantics/scc.{hpp,cpp} and
 //    classified by the bottom-SCC rule.
+//
+// Spill mode: when the store spills (a PackedConfigStore given a spill dir
+// and a byte budget), the same loop runs out of core. Full edge blocks go
+// to per-owner EdgeSpool files (semantics/tiered_config.hpp), the store
+// spills its arenas at level ends, and the spooled edges are classified
+// from disk. docs/ENGINE.md "The tiered store" has the rules.
 //
 // Determinism contract: the decision, the number of reachable
 // configurations, and the number of bottom SCCs are properties of the
@@ -37,6 +45,7 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -48,6 +57,7 @@
 #include "dawn/semantics/budget.hpp"
 #include "dawn/semantics/decision.hpp"
 #include "dawn/semantics/scc.hpp"
+#include "dawn/semantics/tiered_config.hpp"
 #include "dawn/semantics/trials.hpp"
 #include "dawn/util/hash.hpp"
 
@@ -68,9 +78,9 @@ struct ExploreStats {
   std::size_t shard_peak = 0;     // largest shard at the end (occupancy)
   std::size_t frontier_peak = 0;  // largest BFS level
   std::size_t store_bytes = 0;    // config-store occupancy (see store bytes())
-  // Tiered (out-of-core) runs only — zero for the in-memory engines. All
-  // thread-count-invariant: spilling happens at level boundaries against
-  // level-end store contents (semantics/tiered_config.hpp).
+  // Spill-mode runs only — zero in memory. All thread-count-invariant on
+  // completed runs: spilling happens at level boundaries against level-end
+  // store contents (docs/ENGINE.md "The tiered store").
   std::size_t resident_bytes = 0;     // in-memory store footprint at the end
   std::size_t spill_arena_bytes = 0;  // packed words written to the arena file
   std::size_t spill_edge_bytes = 0;   // edge-spool bytes written
@@ -116,7 +126,9 @@ inline double shard_chi_square(const std::size_t* occupancies,
 // batch of the worker that owns its shard, and drain() — called only by
 // that owner, while no other thread touches its shards — interns a batch
 // without locking. Both paths share one probe-and-insert step, so they
-// assign ids and charge bytes() identically.
+// assign ids and charge bytes() identically. value() reads a stored value
+// back by gid, lock-free, while no thread changes its shard: each shard
+// keeps a pointer to every stored key (unordered_map nodes never move).
 template <typename ConfigT, typename Hash>
 class ShardedConfigStore {
   struct Routed {
@@ -181,20 +193,26 @@ class ShardedConfigStore {
   }
 
   // Interns every item of `batch`, in order, calling fn(src, gid, fresh)
-  // for each: `fresh` points at the stored value when this call inserted
-  // it, and is null otherwise. Owner-only: the caller must be the one
-  // thread touching the batch's shards until it returns. Takes no lock.
-  // `scratch` is unused here; the packed store decodes into it.
+  // for each, where `fresh` says whether this call inserted it.
+  // Owner-only: the caller must be the one thread touching the batch's
+  // shards until it returns. Takes no lock.
   template <typename Fn>
-  void drain(const Batch& batch, ConfigT& /*scratch*/, Fn&& fn) {
+  void drain(const Batch& batch, Fn&& fn) {
     std::size_t inserted = 0;
     for (std::size_t i = 0; i < batch.size_; ++i) {
       const Routed& r = batch.items_[i];
       const auto [it, fresh] = find_or_insert(shards_[r.shard], r.value);
       inserted += fresh ? 1 : 0;
-      fn(r.src, pack(it->second, r.shard), fresh ? &it->first : nullptr);
+      fn(r.src, pack(it->second, r.shard), fresh);
     }
     total_.fetch_add(inserted, std::memory_order_relaxed);
+  }
+
+  // The stored value of a gid. Lock-free: no thread may change the gid's
+  // shard meanwhile. `scratch` is unused; the packed store decodes into it.
+  const ConfigT& value(std::int64_t gid, ConfigT& /*scratch*/) const {
+    const Shard& s = shards_[static_cast<std::size_t>(gid) & kShardMask];
+    return *s.keys[static_cast<std::size_t>(gid >> kShardBits)];
   }
 
   std::size_t size() const { return total_.load(std::memory_order_relaxed); }
@@ -244,9 +262,10 @@ class ShardedConfigStore {
 
   // Byte-level occupancy: per-entry value payload (including a vector
   // value's heap block), the hash-node overhead (next pointer + cached
-  // hash), and one bucket pointer per entry. An estimate — node layouts
-  // and bucket growth are implementation-defined — but measured the same
-  // way for every store so packed-vs-vector ratios are meaningful.
+  // hash), one bucket pointer and value()'s key pointer. An estimate —
+  // node layouts and bucket growth are implementation-defined — but
+  // measured the same way for every store so packed-vs-vector ratios are
+  // meaningful.
   // Single-threaded accounting: call after exploration, not during.
   std::size_t bytes() const { return bytes_for_shard_range(0, kNumShards); }
 
@@ -260,7 +279,8 @@ class ShardedConfigStore {
     std::size_t total = 0;
     for (std::size_t sh = begin; sh < end; ++sh) {
       const Shard& s = shards_[sh];
-      total += s.ids.size() * sizeof(void*) + s.entry_bytes;
+      total += s.ids.size() * sizeof(void*) +
+               s.keys.size() * sizeof(const ConfigT*) + s.entry_bytes;
     }
     return total;
   }
@@ -271,6 +291,7 @@ class ShardedConfigStore {
   struct alignas(64) Shard {
     std::mutex mu;
     Map ids;
+    std::vector<const ConfigT*> keys;  // by local id: the stored key
     std::size_t entry_bytes = 0;  // sum of entry_bytes() over ids
   };
 
@@ -280,7 +301,10 @@ class ShardedConfigStore {
       Shard& s, const ConfigT& value) {
     const auto local = static_cast<std::int32_t>(s.ids.size());
     const auto [it, fresh] = s.ids.try_emplace(value, local);
-    if (fresh) s.entry_bytes += entry_bytes(it->first);
+    if (fresh) {
+      s.entry_bytes += entry_bytes(it->first);
+      s.keys.push_back(&it->first);
+    }
     return {it, fresh};
   }
 
@@ -307,26 +331,6 @@ class ShardedConfigStore {
   std::size_t shard_peak_ = 0;
 };
 
-// One BFS frontier entry of the in-memory engine: the configuration is a
-// value copy, so a worker never reads another shard's value vector.
-template <typename ConfigT>
-struct FrontierEntry {
-  std::int64_t gid = 0;
-  ConfigT config;
-};
-
-// The FrontierBytes ledger charge per frontier entry: the entry plus a
-// vector configuration's heap block, sized like `config`. The distributed
-// coordinator replicates the engine's account through this.
-template <typename ConfigT>
-std::size_t frontier_entry_bytes(const ConfigT& config) {
-  std::size_t bytes = sizeof(FrontierEntry<ConfigT>);
-  if constexpr (requires { config.capacity(); }) {
-    bytes += config.capacity() * sizeof(typename ConfigT::value_type);
-  }
-  return bytes;
-}
-
 // Worker count for exploring `machine` under `budget`: machines whose
 // step() is not thread-safe are clamped to one worker (the engine still
 // runs, just sequentially — results are identical either way).
@@ -340,28 +344,34 @@ inline int explore_threads(const Machine& machine,
 // SCCs, interning into a caller-supplied store.
 //
 //  * `store` implements the ShardedConfigStore contract — intern() /
-//    route() / drain() / size() / finalize() / dense() / shard_peak() /
-//    bytes(). The packed store (semantics/packed_config.hpp) is the other
-//    implementation.
+//    route() / drain() / value() / size() / finalize() / dense() /
+//    shard_peak() / bytes(). The packed store (semantics/packed_config.hpp)
+//    is the other implementation, and the only one that can spill.
 //  * make_expander(worker) must return a per-worker expander; calling
 //    expander(config, emit) invokes emit(succ) once per successor of
 //    `config` (duplicates allowed; silent self-steps must be skipped). The
 //    emitted reference may point at worker-local scratch — the engine
 //    copies what it keeps.
 //  * verdict_of(config) returns the configuration's uniform verdict
-//    (Neutral if mixed). Called once per distinct configuration, by the
-//    worker that owns its shard.
+//    (Neutral if mixed). Called once per configuration the run expands, by
+//    the worker that expands it.
 //
-// Each BFS level runs in two phases separated by a barrier. The 64 shards
-// are split into one contiguous owner range per worker (workers past the
-// 64th own none):
+// Each BFS level is a vector of gids and runs in two phases separated by a
+// barrier. The 64 shards are split into one contiguous owner range per
+// worker (workers past the 64th own none):
 //
-//  * phase A — workers claim frontier chunks, expand them and route() each
-//    successor into a batch for the owner of its shard. The store is only
-//    read;
+//  * phase A — workers claim frontier chunks, read each configuration with
+//    value(), record its verdict, expand it and route() each successor
+//    into a batch for the owner of its shard. The store is only read;
 //  * phase B — each owner drain()s the batches addressed to it into its own
-//    shards without a lock, recording every edge and, for each fresh
-//    configuration, its verdict and next-frontier entry.
+//    shards without a lock, recording every edge and the gid of every fresh
+//    configuration.
+//
+// A completed run expands every reachable configuration exactly once, so
+// it has every verdict; capped and deadline runs use none. In spill mode
+// (store.spills()) the level end also spills the store and checks the
+// resident index against the budget (UnknownReason::MemoryCap), full edge
+// blocks go to an EdgeSpool, and the classification reads the spool back.
 //
 // Both callables run concurrently on budget.resolve_threads() workers; pass
 // a budget clamped via explore_threads() when the machine is not
@@ -384,25 +394,19 @@ ExploreOutcome explore_and_classify_in(Store& store, const ConfigT& initial,
   obs::ExploreProgress* const progress = tel.progress;
   if (progress != nullptr) progress->reset();
 
-  using Entry = FrontierEntry<ConfigT>;
   using Expander = decltype(make_expander(0));
-  // A worker's edges fill one buffer that grows by doubling up to
-  // kEdgeBlock pairs (2 MiB) and then blocks of kEdgeBlock each, so a large
-  // exploration never copies or frees an edge buffer while workers run.
-  // build_csr takes the blocks as they are.
-  constexpr std::size_t kEdgeBlock = std::size_t{1} << 17;
   // One worker's state, on cache lines of its own. In phase B an owner
   // also clears the batches routed to it, each on its own line.
   struct alignas(64) Worker {
     explicit Worker(Expander e) : expander(std::move(e)) {}
     Expander expander;
+    ConfigT scratch;  // phase A: value()'s decoded configuration
     std::vector<typename Store::Batch> out;  // phase A: by owner
+    std::vector<std::pair<std::int64_t, Verdict>> verdicts;  // phase A
     std::size_t steals = 0;
-    ConfigT scratch;  // phase B: drain()'s decoded fresh configuration
-    // Phase B: every edge into an owned shard, in kEdgeBlock-pair blocks.
+    // Phase B: every edge into an owned shard, in edge_block-pair blocks.
     std::vector<GidEdges> edges = std::vector<GidEdges>(1);
-    std::vector<std::pair<std::int64_t, Verdict>> verdicts;
-    std::vector<Entry> next;
+    std::vector<std::int64_t> next;  // phase B: fresh gids
   };
 
   WorkerPool pool(threads);
@@ -419,20 +423,35 @@ ExploreOutcome explore_and_classify_in(Store& store, const ConfigT& initial,
     workers.emplace_back(make_expander(static_cast<int>(w)));
     workers.back().out.resize(num_owners);
   }
+  // Spill mode: only the packed store can spill, and it does when its
+  // budget names a spill dir and a byte cap. Edges then go to one spool
+  // file per owner.
+  constexpr bool kCanSpill = requires { store.spill_to_budget(); };
+  std::optional<EdgeSpool> spool;
+  if constexpr (kCanSpill) {
+    if (store.spills()) {
+      spool.emplace(budget.spill_dir, static_cast<int>(num_owners));
+    }
+  }
+  // A worker's edges fill one buffer that grows by doubling up to
+  // kEdgeBlock pairs (2 MiB) and then blocks of kEdgeBlock each, so a large
+  // exploration never copies or frees an edge buffer while workers run.
+  // build_csr takes the blocks as they are. In spill mode the one block
+  // holds EdgeSpool::kBlockPairs and goes to the owner's spool file each
+  // time it fills.
+  constexpr std::size_t kEdgeBlock = std::size_t{1} << 17;
+  const std::size_t edge_block = spool ? EdgeSpool::kBlockPairs : kEdgeBlock;
 
   ExploreStats stats;
   stats.threads = pool.num_workers();
 
-  std::vector<Entry> frontier;
-  {
-    const auto seeded = store.intern(initial);
-    frontier.push_back({seeded.gid, initial});
-    workers[0].verdicts.emplace_back(seeded.gid, verdict_of(initial));
-  }
+  std::vector<std::int64_t> frontier{store.intern(initial).gid};
 
   bool capped = false;
   bool expired = false;
-  while (!frontier.empty()) {
+  bool mem_capped = false;
+  bool io_failed = spool && !spool->ok();
+  while (!frontier.empty() && !io_failed) {
     ++stats.levels;
     if (frontier.size() > stats.frontier_peak) {
       stats.frontier_peak = frontier.size();
@@ -465,9 +484,11 @@ ExploreOutcome explore_and_classify_in(Store& store, const ConfigT& initial,
           ++self.steals;  // claim deviates from a static round-robin split
         }
         for (std::size_t i = begin; i < end; ++i) {
-          const Entry& entry = frontier[i];
-          self.expander(entry.config, [&](const ConfigT& succ) {
-            store.route(succ, entry.gid, batches, owner_of_shard);
+          const std::int64_t gid = frontier[i];
+          const ConfigT& config = store.value(gid, self.scratch);
+          self.verdicts.emplace_back(gid, verdict_of(config));
+          self.expander(config, [&](const ConfigT& succ) {
+            store.route(succ, gid, batches, owner_of_shard);
           });
         }
       }
@@ -489,16 +510,19 @@ ExploreOutcome explore_and_classify_in(Store& store, const ConfigT& initial,
           if (store.size() > budget.max_configs) break;
           if (deadline.enabled() && deadline.expired()) break;
           auto& batch = from.out[owner];
-          store.drain(batch, self.scratch,
-                      [&](std::int64_t src, std::int64_t gid,
-                          const ConfigT* fresh) {
-            if (self.edges.back().size() == kEdgeBlock) {
-              self.edges.emplace_back().reserve(kEdgeBlock);
+          store.drain(batch, [&](std::int64_t src, std::int64_t gid,
+                                 bool fresh) {
+            if (self.edges.back().size() == edge_block) {
+              if (spool) {
+                spool->append_block(w, self.edges.back());
+                self.edges.back().clear();
+              } else {
+                self.edges.emplace_back().reserve(kEdgeBlock);
+              }
             }
             self.edges.back().emplace_back(src, gid);
-            if (fresh == nullptr) return;
-            self.verdicts.emplace_back(gid, verdict_of(*fresh));
-            self.next.push_back({gid, *fresh});
+            if (!fresh) return;
+            self.next.push_back(gid);
             if (progress != nullptr) {
               progress->shard_sizes[static_cast<std::size_t>(gid) &
                                     Store::kShardMask]
@@ -511,7 +535,7 @@ ExploreOutcome explore_and_classify_in(Store& store, const ConfigT& initial,
     }
     if (progress != nullptr) {
       progress->configs.store(store.size(), std::memory_order_relaxed);
-      std::uint64_t edges_so_far = 0;
+      std::uint64_t edges_so_far = spool ? spool->num_edges() : 0;
       for (const Worker& worker : workers) {
         for (const GidEdges& block : worker.edges) edges_so_far += block.size();
       }
@@ -525,10 +549,30 @@ ExploreOutcome explore_and_classify_in(Store& store, const ConfigT& initial,
       expired = true;
       break;
     }
+    // Each fresh gid was interned by exactly one owner, so the
+    // concatenation is the next level without duplicates.
     frontier.clear();
     for (Worker& worker : workers) {
-      for (auto& entry : worker.next) frontier.push_back(std::move(entry));
+      frontier.insert(frontier.end(), worker.next.begin(), worker.next.end());
       worker.next.clear();
+    }
+    if constexpr (kCanSpill) {
+      // Spill mode's level end: spill against the level-end contents, then
+      // give up (MemoryCap) if the always-resident index alone is over
+      // budget.
+      if (spool && store.resident_bytes() > store.max_resident_bytes()) {
+        obs::SpanScope spill_span(tel.spans, obs::Phase::ExploreSpill,
+                                  store.resident_bytes());
+        if (!store.spill_to_budget()) {
+          io_failed = true;
+          break;
+        }
+        ++stats.spill_events;
+        if (store.resident_bytes() > store.max_resident_bytes()) {
+          mem_capped = true;
+          break;
+        }
+      }
     }
   }
 
@@ -541,47 +585,80 @@ ExploreOutcome explore_and_classify_in(Store& store, const ConfigT& initial,
   }
   decltype(frontier)().swap(frontier);
 
+  if constexpr (kCanSpill) {
+    if (spool) {
+      // The owners' partly filled blocks.
+      for (std::size_t owner = 0; owner < num_owners; ++owner) {
+        GidEdges& tail = workers[owner].edges.back();
+        spool->append_block(static_cast<int>(owner), tail);
+        GidEdges().swap(tail);
+      }
+      if (!spool->ok()) io_failed = true;
+      stats.spill_arena_bytes = store.spilled_bytes();
+      stats.spill_edge_bytes = io_failed ? 0 : spool->bytes();
+      stats.resident_bytes = store.resident_bytes();
+    }
+  }
+
+  const auto emit_metrics = [&stats] {
+    obs::count(obs::Counter::ExploreConfigs, stats.configs);
+    obs::count(obs::Counter::ExploreEdges, stats.edges);
+    obs::count(obs::Counter::ExploreLevels, stats.levels);
+    obs::count(obs::Counter::ExploreSteals, stats.steals);
+    obs::count(obs::Counter::ExploreSpillEvents, stats.spill_events);
+    obs::count(obs::Counter::ExploreSpillBytes,
+               stats.spill_arena_bytes + stats.spill_edge_bytes);
+    obs::gauge_max(obs::Gauge::ExploreShardPeak, stats.shard_peak);
+    obs::gauge_max(obs::Gauge::ExploreStoreBytes, stats.store_bytes);
+    obs::gauge_max(obs::Gauge::ExploreResidentBytes, stats.resident_bytes);
+    obs::gauge_max(obs::Gauge::ExploreFrontierPeak, stats.frontier_peak);
+    obs::gauge_max(obs::Gauge::ExploreThreads,
+                   static_cast<std::uint64_t>(stats.threads));
+  };
+
   ExploreOutcome outcome;
-  if (capped || expired) {
+  if (capped || expired || mem_capped || io_failed) {
     outcome.decision = Decision::Unknown;
-    outcome.reason = capped ? UnknownReason::ConfigCap : UnknownReason::Deadline;
+    outcome.reason = capped    ? UnknownReason::ConfigCap
+                     : expired ? UnknownReason::Deadline
+                               : UnknownReason::MemoryCap;
     // Clamp so capped outcomes are thread-count-independent: how far past
-    // the cap the workers got is scheduling noise.
+    // the cap the workers got is scheduling noise. MemoryCap aborts happen
+    // at level boundaries, where store.size() is already invariant.
     outcome.num_configs =
         capped ? budget.max_configs : std::min(store.size(), budget.max_configs);
     stats.configs = outcome.num_configs;
     stats.store_bytes = store.bytes();
     if (stats_out != nullptr) *stats_out = stats;
-    obs::count(obs::Counter::ExploreConfigs, stats.configs);
-    obs::count(obs::Counter::ExploreLevels, stats.levels);
-    obs::count(obs::Counter::ExploreSteals, stats.steals);
-    obs::gauge_max(obs::Gauge::ExploreStoreBytes, stats.store_bytes);
-    obs::gauge_max(obs::Gauge::ExploreFrontierPeak, stats.frontier_peak);
-    obs::gauge_max(obs::Gauge::ExploreThreads,
-                   static_cast<std::uint64_t>(stats.threads));
+    emit_metrics();
     return outcome;
   }
 
   store.finalize();
   const std::size_t total = store.size();
+  const auto dense = [&store](std::int64_t gid) { return store.dense(gid); };
   std::vector<Verdict> verdicts(total, Verdict::Neutral);
+  std::size_t num_edges = spool ? spool->num_edges() : 0;
   CsrGraph graph;
   {
     obs::SpanScope merge_span(tel.spans, obs::Phase::ExploreMerge, total);
     std::vector<GidEdges> edges;
     for (Worker& worker : workers) {
       for (const auto& [gid, verdict] : worker.verdicts) {
-        verdicts[static_cast<std::size_t>(store.dense(gid))] = verdict;
+        verdicts[static_cast<std::size_t>(dense(gid))] = verdict;
       }
       decltype(worker.verdicts)().swap(worker.verdicts);
-      for (GidEdges& block : worker.edges) edges.push_back(std::move(block));
+      for (GidEdges& block : worker.edges) {
+        num_edges += block.size();
+        edges.push_back(std::move(block));
+      }
     }
-    const bool in_range = build_csr(
-        total, std::span<GidEdges>(edges),
-        [&store](std::int64_t gid) { return store.dense(gid); }, graph);
-    DAWN_CHECK_MSG(in_range, "edge endpoint outside the finalized store");
+    if (!spool) {
+      const bool in_range =
+          build_csr(total, std::span<GidEdges>(edges), dense, graph);
+      DAWN_CHECK_MSG(in_range, "edge endpoint outside the finalized store");
+    }
   }
-  const std::size_t num_edges = graph.targets.size();
 
   stats.configs = total;
   stats.edges = num_edges;
@@ -593,39 +670,47 @@ ExploreOutcome explore_and_classify_in(Store& store, const ConfigT& initial,
   }
 
   // Memory ledger — completed runs only, and only thread-count-invariant
-  // quantities (final store occupancy, peak frontier level, edge count), so
-  // the ledger keeps the DecisionReport bit-identical across thread counts.
-  // Capped/deadline runs stop at a scheduling-dependent point and are
-  // deliberately not accounted.
+  // quantities (final store occupancy, peak frontier level, edge count,
+  // level-end spills), so the ledger keeps the DecisionReport bit-identical
+  // across thread counts. Capped/deadline runs stop at a
+  // scheduling-dependent point and are deliberately not accounted.
   if (tel.ledger != nullptr) {
-    tel.ledger->set_max(Store::kMemoryAccount, stats.store_bytes);
     tel.ledger->set_max(obs::MemoryAccount::FrontierBytes,
-                        stats.frontier_peak * frontier_entry_bytes(initial));
-    tel.ledger->set_max(obs::MemoryAccount::EdgeBytes,
-                        num_edges * 2 * sizeof(std::int64_t));
+                        stats.frontier_peak * sizeof(std::int64_t));
+    if (spool) {
+      tel.ledger->set_max(obs::MemoryAccount::TieredResidentBytes,
+                          stats.resident_bytes);
+      tel.ledger->set_max(obs::MemoryAccount::SpillArenaBytes,
+                          stats.spill_arena_bytes);
+      tel.ledger->set_max(obs::MemoryAccount::SpillEdgeBytes,
+                          stats.spill_edge_bytes);
+    } else {
+      tel.ledger->set_max(Store::kMemoryAccount, stats.store_bytes);
+      tel.ledger->set_max(obs::MemoryAccount::EdgeBytes,
+                          num_edges * 2 * sizeof(std::int64_t));
+    }
   }
 
-  BottomClassification cls;
   {
     obs::SpanScope scc_span(tel.spans, obs::Phase::ExploreScc, total);
-    cls = classify_bottom_sccs(graph,
-                               [&](std::size_t i) { return verdicts[i]; });
+    if (!spool) {
+      const BottomClassification cls = classify_bottom_sccs(
+          graph, [&](std::size_t i) { return verdicts[i]; });
+      outcome.decision = cls.decision;
+      outcome.num_configs = total;
+      outcome.num_bottom_sccs = cls.num_bottom_sccs;
+    } else if constexpr (kCanSpill) {
+      // The classification CSR may use up to this many bytes: a formula
+      // over the budget, so MemoryCap here is deterministic too.
+      const std::size_t classify_cap =
+          std::max<std::size_t>(store.max_resident_bytes() * 8, 64u << 20);
+      outcome =
+          classify_bottom_sccs_external(*spool, verdicts, dense, classify_cap);
+    }
   }
 
-  outcome.decision = cls.decision;
-  outcome.num_configs = total;
-  outcome.num_bottom_sccs = cls.num_bottom_sccs;
-
   if (stats_out != nullptr) *stats_out = stats;
-  obs::count(obs::Counter::ExploreConfigs, stats.configs);
-  obs::count(obs::Counter::ExploreEdges, stats.edges);
-  obs::count(obs::Counter::ExploreLevels, stats.levels);
-  obs::count(obs::Counter::ExploreSteals, stats.steals);
-  obs::gauge_max(obs::Gauge::ExploreShardPeak, stats.shard_peak);
-  obs::gauge_max(obs::Gauge::ExploreStoreBytes, stats.store_bytes);
-  obs::gauge_max(obs::Gauge::ExploreFrontierPeak, stats.frontier_peak);
-  obs::gauge_max(obs::Gauge::ExploreThreads,
-                 static_cast<std::uint64_t>(stats.threads));
+  emit_metrics();
   return outcome;
 }
 

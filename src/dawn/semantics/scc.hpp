@@ -10,7 +10,7 @@
 // One SCC engine: an iterative Tarjan over a flat CSR graph (CsrGraph
 // below), for every graph size and worker count. The explicit engines
 // build the CSR straight from their per-worker (src, dst) gid edge buffers
-// by counting sort (build_csr); the tiered engine
+// by counting sort (build_csr); in spill mode the engine
 // (classify_bottom_sccs_external in tiered_config.hpp) builds it the same
 // way from two scans of its edge spool. The sequential explorer
 // (sequential_explore.hpp) appends each configuration's successors to a

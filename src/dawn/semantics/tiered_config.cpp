@@ -5,28 +5,24 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <type_traits>
 
 #include "dawn/util/check.hpp"
 #include "dawn/util/spill_file.hpp"
 
 namespace dawn {
-namespace {
 
-// 8192 pairs = 128 KiB of buffered edges per worker before a write().
-constexpr std::size_t kEdgeBufPairs = 8192;
-
-}  // namespace
+// append_block writes a block's pairs as they lie in memory, and the scan
+// reads them back as interleaved src, dst words.
+static_assert(sizeof(GidEdges::value_type) == 2 * sizeof(std::int64_t) &&
+              std::is_standard_layout_v<GidEdges::value_type>);
 
 EdgeSpool::EdgeSpool(const std::string& dir, int num_writers) {
   DAWN_CHECK(num_writers >= 1);
   writers_.resize(static_cast<std::size_t>(num_writers));
-  ok_ = true;
   for (Writer& w : writers_) {
-    w.fd = open_unlinked(dir, "edges", &error_);
-    if (w.fd < 0) {
-      ok_ = false;
-      return;
-    }
+    w.fd = open_unlinked(dir, "edges", &open_error_);
+    if (w.fd < 0) return;
   }
 }
 
@@ -36,40 +32,32 @@ EdgeSpool::~EdgeSpool() {
   }
 }
 
-void EdgeSpool::fail(const std::string& what) {
-  ok_ = false;
-  if (error_.empty()) error_ = what + ": " + std::strerror(errno);
+bool EdgeSpool::ok() const {
+  return open_error_.empty() &&
+         std::none_of(writers_.begin(), writers_.end(),
+                      [](const Writer& w) { return w.write_errno != 0; });
 }
 
-void EdgeSpool::append(int writer, std::int64_t src, std::int64_t dst) {
+std::string EdgeSpool::error() const {
+  if (!open_error_.empty()) return open_error_;
+  for (const Writer& w : writers_) {
+    if (w.write_errno != 0) {
+      return std::string("edge pwrite: ") + std::strerror(w.write_errno);
+    }
+  }
+  return {};
+}
+
+void EdgeSpool::append_block(int writer, const GidEdges& block) {
   Writer& w = writers_[static_cast<std::size_t>(writer)];
-  if (w.fail) return;
-  w.buf.push_back(src);
-  w.buf.push_back(dst);
-  ++w.edges;
-  if (w.buf.size() >= 2 * kEdgeBufPairs) flush(w);
-}
-
-bool EdgeSpool::flush(Writer& w) {
-  if (w.fail) return false;
-  if (w.buf.empty()) return true;
-  const std::size_t bytes = w.buf.size() * sizeof(std::int64_t);
-  if (!write_all(w.fd, w.buf.data(), bytes, w.file_bytes)) {
-    w.fail = true;
-    fail("edge pwrite");
-    return false;
+  if (w.write_errno != 0 || block.empty()) return;
+  const std::size_t bytes = block.size() * sizeof(GidEdges::value_type);
+  if (!write_all(w.fd, block.data(), bytes, w.file_bytes)) {
+    w.write_errno = errno != 0 ? errno : EIO;
+    return;
   }
   w.file_bytes += bytes;
-  w.buf.clear();
-  return true;
-}
-
-bool EdgeSpool::flush_all() {
-  bool all_ok = ok_;
-  for (Writer& w : writers_) {
-    if (!flush(w)) all_ok = false;
-  }
-  return all_ok;
+  w.edges += block.size();
 }
 
 std::uint64_t EdgeSpool::num_edges() const {

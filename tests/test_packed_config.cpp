@@ -219,8 +219,9 @@ TEST(PackedStore, ShardsStayBalancedUnderMixedSelector) {
 // locked intern() into its twin `interned`, level by level. Three owners
 // split the 64 shards unevenly; each source gid is the stream index, so
 // every drained (gid, fresh) pair can be matched against the intern() of
-// the same value. Per shard both paths insert in stream order, so gids,
-// sizes and bytes() must agree exactly.
+// the same value, and value(gid) must read that value back. Per shard both
+// paths insert in stream order, so gids, sizes and bytes() must agree
+// exactly.
 template <typename Store, typename ConfigT>
 void expect_route_drain_matches_intern(Store& routed, Store& interned,
                                        const std::vector<ConfigT>& stream) {
@@ -242,22 +243,24 @@ void expect_route_drain_matches_intern(Store& routed, Store& interned,
     std::vector<std::int64_t> gids(end - begin, -1);
     std::vector<bool> fresh(end - begin, false);
     for (std::size_t owner = 0; owner < kOwners; ++owner) {
-      routed.drain(batches[owner], scratch,
-                   [&](std::int64_t src, std::int64_t gid,
-                       const ConfigT* value) {
-                     const auto i = static_cast<std::size_t>(src);
-                     ASSERT_GE(i, begin);
-                     ASSERT_LT(i, end);
-                     EXPECT_EQ(owner_of_shard[static_cast<std::size_t>(gid) &
-                                              Store::kShardMask],
-                               owner);
-                     gids[i - begin] = gid;
-                     fresh[i - begin] = value != nullptr;
-                     if (value != nullptr) {
-                       EXPECT_EQ(*value, stream[i]);
-                     }
-                   });
+      routed.drain(batches[owner], [&](std::int64_t src, std::int64_t gid,
+                                       bool inserted) {
+        const auto i = static_cast<std::size_t>(src);
+        ASSERT_GE(i, begin);
+        ASSERT_LT(i, end);
+        EXPECT_EQ(
+            owner_of_shard[static_cast<std::size_t>(gid) & Store::kShardMask],
+            owner);
+        gids[i - begin] = gid;
+        fresh[i - begin] = inserted;
+      });
       batches[owner].clear();
+    }
+    // Every routed item, fresh or not, reads back as the routed value.
+    for (std::size_t i = begin; i < end; ++i) {
+      ASSERT_GE(gids[i - begin], 0) << "item " << i << " never drained";
+      EXPECT_EQ(routed.value(gids[i - begin], scratch), stream[i])
+          << "item " << i;
     }
     for (std::size_t i = begin; i < end; ++i) {
       const auto want = interned.intern(stream[i]);

@@ -1,20 +1,25 @@
 // Out-of-core exploration: the packed store's spill mode
 // (semantics/packed_config), the edge spool and the spooled-edge
-// classification (semantics/tiered_config), and the full tiered engine
-// against the in-memory reference — intern/dedupe/value round-trips across
-// spill boundaries, bit-identical outcomes, thread-count-invariant spill
-// accounting, MemoryCap on starved budgets and oversized classifications,
-// and the in-memory fallback when the spill dir is unusable.
+// classification (semantics/tiered_config), and the explicit engine's
+// spill mode against its in-memory mode — intern/dedupe/value round-trips
+// across spill boundaries, bit-identical outcomes and reports,
+// thread-count-invariant spill accounting, exact caps, MemoryCap on
+// starved budgets and oversized classifications, and the in-memory
+// fallback when the spill dir is unusable.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "dawn/automata/config.hpp"
 #include "dawn/automata/machine.hpp"
 #include "dawn/graph/generators.hpp"
+#include "dawn/obs/memory_ledger.hpp"
+#include "dawn/semantics/decision.hpp"
 #include "dawn/semantics/explicit_space.hpp"
 #include "dawn/semantics/packed_config.hpp"
 #include "dawn/semantics/parallel_explore.hpp"
@@ -146,14 +151,20 @@ TEST(EdgeSpool, PerWriterAppendsScanBackInFileOrder) {
   // Writer-major expected order: the scan concatenates the writer files.
   std::vector<std::pair<std::int64_t, std::int64_t>> expected;
   for (int w = 0; w < 3; ++w) {
-    for (int i = 0; i < 10'000; ++i) {  // larger than the flush buffer
+    for (int i = 0; i < 10'000; ++i) {  // more than one engine block
       expected.emplace_back(w * 1'000'000 + i, i);
     }
   }
-  for (const auto& [src, dst] : expected) {
-    spool.append(static_cast<int>(src / 1'000'000), src, dst);
+  // Each writer's edges in blocks of at most kBlockPairs, the writers'
+  // blocks interleaved.
+  for (std::size_t at = 0; at < 10'000; at += EdgeSpool::kBlockPairs) {
+    const std::size_t len = std::min(EdgeSpool::kBlockPairs, 10'000 - at);
+    for (std::size_t w = 0; w < 3; ++w) {
+      const auto* first = expected.data() + w * 10'000 + at;
+      spool.append_block(static_cast<int>(w), GidEdges(first, first + len));
+    }
   }
-  ASSERT_TRUE(spool.flush_all()) << spool.error();
+  ASSERT_TRUE(spool.ok()) << spool.error();
   EXPECT_EQ(spool.num_edges(), expected.size());
   EXPECT_EQ(spool.bytes(), expected.size() * 16);
 
@@ -181,13 +192,17 @@ ExploreOutcome classify_spooled(const Adjacency& adj,
   }
   EdgeSpool spool(".", 3);
   EXPECT_TRUE(spool.ok()) << spool.error();
+  std::vector<GidEdges> blocks(3);
   for (std::size_t u = 0; u < adj.size(); ++u) {
     for (const std::int32_t v : adj[u]) {
-      spool.append(static_cast<int>(rng.uniform(0, 2)), gid[u],
-                   gid[static_cast<std::size_t>(v)]);
+      blocks[static_cast<std::size_t>(rng.uniform(0, 2))].emplace_back(
+          gid[u], gid[static_cast<std::size_t>(v)]);
     }
   }
-  EXPECT_TRUE(spool.flush_all()) << spool.error();
+  for (std::size_t w = 0; w < blocks.size(); ++w) {
+    spool.append_block(static_cast<int>(w), blocks[w]);
+  }
+  EXPECT_TRUE(spool.ok()) << spool.error();
   return classify_bottom_sccs_external(
       spool, verdicts, [&](std::int64_t g) { return node_of.at(g); },
       classify_cap);
@@ -277,6 +292,19 @@ TEST(ExternalClassify, CapBelowTheCsrGivesMemoryCap) {
   EXPECT_EQ(capped.num_configs, 100u);
 }
 
+// A spill-forcing budget for a space of `configs` configurations,
+// calibrated like the fuzz oracle: the packed words overflow it (so
+// spilling happens) but the always-resident index fits (so the run
+// completes instead of MemoryCap-ing).
+ExploreBudget spill_budget(std::size_t configs, int threads) {
+  ExploreBudget budget;
+  budget.max_configs = 1'000'000;
+  budget.max_threads = threads;
+  budget.max_store_bytes = 5120 + 18 * configs;
+  budget.spill_dir = ".";
+  return budget;
+}
+
 TEST(TieredEngine, MatchesInMemoryAndIsThreadCountInvariant) {
   const auto machine = flood_machine();
   const Graph g = seeded_cycle(48);  // ~1.1k configs
@@ -289,15 +317,11 @@ TEST(TieredEngine, MatchesInMemoryAndIsThreadCountInvariant) {
   EXPECT_FALSE(mem.tiered_store);
 
   ExploreStats first_stats;
-  bool have_first = false;
-  for (const int threads : {1, 2, 8}) {
-    ExploreBudget budget = mem_budget;
-    budget.max_threads = threads;
-    // Calibrated like the fuzz oracle: the packed words overflow this (so
-    // spilling happens) but the always-resident index fits (so the run
-    // completes instead of MemoryCap-ing).
-    budget.max_store_bytes = 5120 + 18 * mem.num_configs;
-    budget.spill_dir = ".";
+  std::optional<DecisionReport> first_report;
+  // 3 and 5 owners split the 64 shards unevenly.
+  for (const int threads : {1, 2, 3, 5, 8}) {
+    SCOPED_TRACE(testing::Message() << threads << " workers");
+    const ExploreBudget budget = spill_budget(mem.num_configs, threads);
     ExploreStats stats;
     const ExplicitResult tiered =
         decide_pseudo_stochastic_parallel(*machine, g, budget, &stats);
@@ -310,9 +334,19 @@ TEST(TieredEngine, MatchesInMemoryAndIsThreadCountInvariant) {
     EXPECT_GT(stats.spill_events, 0u);
     EXPECT_GT(stats.spill_arena_bytes, 0u);
     EXPECT_GT(stats.spill_edge_bytes, 0u);
-    if (!have_first) {
+
+    // The whole report, ledger included, through the facade.
+    DecisionRequest req;
+    req.method = DecideMethod::Explicit;
+    req.budget = budget;
+    const DecisionReport report = decide(*machine, g, req);
+    EXPECT_EQ(report.decision, mem.decision);
+#ifndef DAWN_OBS_DISABLED  // -DDAWN_OBS=OFF compiles the ledger out
+    EXPECT_GT(report.memory.get(obs::MemoryAccount::SpillEdgeBytes), 0u);
+#endif
+    if (!first_report) {
       first_stats = stats;
-      have_first = true;
+      first_report = report;
     } else {
       // Spill accounting is part of the determinism contract.
       EXPECT_EQ(stats.spill_events, first_stats.spill_events);
@@ -321,6 +355,47 @@ TEST(TieredEngine, MatchesInMemoryAndIsThreadCountInvariant) {
       EXPECT_EQ(stats.resident_bytes, first_stats.resident_bytes);
       EXPECT_EQ(stats.configs, first_stats.configs);
       EXPECT_EQ(stats.levels, first_stats.levels);
+      EXPECT_TRUE(report == *first_report);
+    }
+  }
+}
+
+TEST(TieredEngine, CappedRunReportsExactlyTheCap) {
+  // The cap is checked in phase B, while owners intern; a spilling run
+  // capped below its reachable count must clamp to the cap at any worker
+  // count, like the in-memory engine.
+  const auto machine = flood_machine();
+  const Graph g = seeded_cycle(48);
+  ExploreBudget mem_budget;
+  mem_budget.max_configs = 1'000'000;
+  const ExplicitResult mem =
+      decide_pseudo_stochastic_parallel(*machine, g, mem_budget);
+  ASSERT_EQ(mem.decision, Decision::Accept);
+  const std::size_t cap = mem.num_configs / 2;
+
+  std::optional<DecisionReport> first;
+  for (const int threads : {1, 2, 5}) {
+    SCOPED_TRACE(testing::Message() << threads << " workers");
+    ExploreBudget budget = spill_budget(mem.num_configs, threads);
+    budget.max_configs = cap;
+    const ExplicitResult r =
+        decide_pseudo_stochastic_parallel(*machine, g, budget);
+    ASSERT_TRUE(r.tiered_store);
+    EXPECT_EQ(r.decision, Decision::Unknown);
+    EXPECT_EQ(r.reason, UnknownReason::ConfigCap);
+    EXPECT_EQ(r.num_configs, cap);
+    EXPECT_EQ(r.num_bottom_sccs, 0u);
+
+    DecisionRequest req;
+    req.method = DecideMethod::Explicit;
+    req.budget = budget;
+    const DecisionReport report = decide(*machine, g, req);
+    EXPECT_EQ(report.unknown_reason, UnknownReason::ConfigCap);
+    EXPECT_EQ(report.configs_explored, cap);
+    if (!first) {
+      first = report;
+    } else {
+      EXPECT_TRUE(report == *first);
     }
   }
 }
@@ -337,12 +412,8 @@ TEST(TieredEngine, InconsistentSingleSccMatchesInMemory) {
   ASSERT_EQ(mem.decision, Decision::Inconsistent);
   ASSERT_EQ(mem.num_bottom_sccs, 1u);
 
-  ExploreBudget budget = mem_budget;
-  budget.max_threads = 2;
-  budget.max_store_bytes = 5120 + 18 * mem.num_configs;
-  budget.spill_dir = ".";
-  const ExplicitResult tiered =
-      decide_pseudo_stochastic_parallel(*machine, g, budget);
+  const ExplicitResult tiered = decide_pseudo_stochastic_parallel(
+      *machine, g, spill_budget(mem.num_configs, 2));
   ASSERT_TRUE(tiered.tiered_store);
   EXPECT_EQ(tiered.decision, mem.decision);
   EXPECT_EQ(tiered.num_configs, mem.num_configs);
