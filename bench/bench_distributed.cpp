@@ -6,8 +6,13 @@
 // A fresh cluster per regime, so the per-worker dist_store_bytes counters
 // are exactly this decision's resident store split.
 //
+// Rows: W = 1 and W = 2 at one thread per process, then the threaded
+// shards — W = 1 at nproc threads and W = 2 at nproc/2 threads each — and
+// the local engine at nproc threads. Each distributed row carries its ratio
+// to the local engine at the same total thread count.
+//
 // Headline numbers and gates:
-//   * configs/sec per worker count, and the W=2 : W=1 speedup. On hosts
+//   * configs/sec per row, and the one-thread W=2 : W=1 speedup. On hosts
 //     with >= 8 hardware threads the speedup must be >= 1.5x (the perf
 //     acceptance criterion); below that the ratio is reported, not gated —
 //     two single-threaded workers plus a coordinator plus the benchmark
@@ -19,6 +24,7 @@
 //     single-process explicit engine on the same instance.
 //
 // Emits BENCH_distributed.json (schema v1; validated by bench_schema_check).
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -88,6 +94,8 @@ class LiveServer {
 };
 
 struct RunResult {
+  int workers = 0;  // 0: the local engine
+  int threads = 1;  // per process
   bool ok = false;
   double seconds = 0.0;
   double configs_per_sec = 0.0;
@@ -96,9 +104,38 @@ struct RunResult {
   std::uint64_t total_store_bytes = 0;
 };
 
-RunResult run_distributed(const net::DecideRequest& req, int num_workers) {
+double per_sec(std::size_t configs, double seconds) {
+  return seconds > 0 ? static_cast<double>(configs) / seconds : 0.0;
+}
+
+RunResult run_local(net::DecideRequest req, int threads) {
   RunResult out;
+  out.threads = threads;
+  const auto machine = fuzz::build_machine(req.machine);
+  DecisionRequest dr;
+  dr.method = req.method;
+  dr.budget = req.budget;
+  dr.budget.max_threads = threads;
+  const auto t0 = std::chrono::steady_clock::now();
+  out.report = dawn::decide(*machine, req.graph, dr);
+  out.seconds = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
+  out.configs_per_sec = per_sec(out.report.configs_explored, out.seconds);
+  out.ok = true;
+  return out;
+}
+
+// W workers and a coordinator whose thread caps admit `threads`, and a
+// request for that many threads per worker.
+RunResult run_distributed(net::DecideRequest req, int num_workers,
+                          int threads) {
+  RunResult out;
+  out.workers = num_workers;
+  out.threads = threads;
+  req.budget.max_threads = threads;
   net::ServerOptions wopts;
+  wopts.max_threads_cap = threads;
   std::vector<std::unique_ptr<LiveServer>> workers;
   for (int i = 0; i < num_workers; ++i) {
     workers.push_back(std::make_unique<LiveServer>(wopts));
@@ -106,6 +143,7 @@ RunResult run_distributed(const net::DecideRequest& req, int num_workers) {
   }
   net::ServerOptions copts;
   copts.coordinator = true;
+  copts.max_threads_cap = threads;
   for (const auto& w : workers) copts.peers.push_back(w->address());
   LiveServer coordinator(copts);
   if (!coordinator.ok()) return out;
@@ -128,10 +166,7 @@ RunResult run_distributed(const net::DecideRequest& req, int num_workers) {
     return out;
   }
   out.report = reply->report;
-  out.configs_per_sec =
-      out.seconds > 0
-          ? static_cast<double>(out.report.configs_explored) / out.seconds
-          : 0.0;
+  out.configs_per_sec = per_sec(out.report.configs_explored, out.seconds);
   // Worker counters over the wire: Server::stats() is poll-thread-only.
   for (const auto& w : workers) {
     net::Client stats_client;
@@ -161,74 +196,80 @@ int main(int argc, char** argv) {
   using namespace dawn;
   const bool smoke = obs::smoke_mode(argc, argv);
   const net::DecideRequest req = bench_request(smoke);
+  const unsigned cores = std::thread::hardware_concurrency();
+  const int nproc = std::max(1, static_cast<int>(cores));
 
-  // Local single-process reference: the distributed reports must match it
-  // bit-for-bit, and its throughput anchors the overhead discussion.
-  const auto machine = fuzz::build_machine(req.machine);
-  DecisionRequest dr;
-  dr.method = req.method;
-  dr.budget = req.budget;
-  const auto t0 = std::chrono::steady_clock::now();
-  const DecisionReport local = dawn::decide(*machine, req.graph, dr);
-  const double local_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-
-  const int worker_counts[] = {1, 2};
+  // Local single-process references: the distributed reports must match
+  // them bit-for-bit, and their throughput anchors each row's ratio.
+  const RunResult local = run_local(req, 1);
   std::vector<RunResult> runs;
-  for (const int w : worker_counts) {
-    runs.push_back(run_distributed(req, w));
-    if (!runs.back().ok) return 1;
-    if (!(runs.back().report == local)) {
+  runs.push_back(run_distributed(req, 1, 1));
+  runs.push_back(run_distributed(req, 2, 1));
+  runs.push_back(run_local(req, nproc));
+  runs.push_back(run_distributed(req, 1, nproc));
+  runs.push_back(run_distributed(req, 2, std::max(1, nproc / 2)));
+  for (const RunResult& run : runs) {
+    if (!run.ok) return 1;
+    if (!(run.report == local.report)) {
       std::fprintf(stderr,
-                   "FAIL: W=%d distributed report differs from the local "
+                   "FAIL: W=%d at %d threads: report differs from the local "
                    "explicit engine\n",
-                   w);
+                   run.workers, run.threads);
       return 1;
     }
   }
+  // The local engine at the row's total thread count.
+  const auto ratio_to_local = [&](const RunResult& run) {
+    const RunResult& base = run.threads == 1 ? local : runs[2];
+    return base.configs_per_sec > 0
+               ? run.configs_per_sec / base.configs_per_sec
+               : 0.0;
+  };
 
   const double speedup = runs[0].configs_per_sec > 0
                              ? runs[1].configs_per_sec / runs[0].configs_per_sec
                              : 0.0;
-  const unsigned cores = std::thread::hardware_concurrency();
 
   obs::BenchReport report("distributed", smoke);
-  report.meta("configs", obs::JsonValue(local.configs_explored));
+  report.meta("configs", obs::JsonValue(local.report.configs_explored));
   report.meta("hardware_threads", obs::JsonValue(static_cast<int>(cores)));
-  report.meta("local_configs_per_sec",
-              obs::JsonValue(local_seconds > 0
-                                 ? static_cast<double>(local.configs_explored) /
-                                       local_seconds
-                                 : 0.0));
+  report.meta("local_configs_per_sec", obs::JsonValue(local.configs_per_sec));
   report.meta("speedup_w2_over_w1", obs::JsonValue(speedup));
 
-  for (std::size_t i = 0; i < runs.size(); ++i) {
+  for (const RunResult& run : runs) {
     obs::JsonValue& row = report.add_row();
-    row.set("workers", obs::JsonValue(worker_counts[i]));
-    row.set("seconds", obs::JsonValue(runs[i].seconds));
-    row.set("configs", obs::JsonValue(runs[i].report.configs_explored));
-    row.set("configs_per_sec", obs::JsonValue(runs[i].configs_per_sec));
-    row.set("total_store_bytes", obs::JsonValue(runs[i].total_store_bytes));
-    obs::JsonValue per_worker = obs::JsonValue::array();
-    for (const std::uint64_t b : runs[i].worker_store_bytes) {
-      per_worker.push_back(obs::JsonValue(b));
+    row.set("workers", obs::JsonValue(run.workers));
+    row.set("threads", obs::JsonValue(run.threads));
+    row.set("seconds", obs::JsonValue(run.seconds));
+    row.set("configs", obs::JsonValue(run.report.configs_explored));
+    row.set("configs_per_sec", obs::JsonValue(run.configs_per_sec));
+    if (run.workers == 0) continue;  // the local engine
+    row.set("ratio_to_local", obs::JsonValue(ratio_to_local(run)));
+    row.set("total_store_bytes", obs::JsonValue(run.total_store_bytes));
+    // Rows hold scalars only (the exporter schema): one key per worker.
+    for (std::size_t i = 0; i < run.worker_store_bytes.size(); ++i) {
+      row.set("worker" + std::to_string(i) + "_store_bytes",
+              obs::JsonValue(run.worker_store_bytes[i]));
     }
-    row.set("worker_store_bytes", per_worker);
   }
 
   const std::string path = report.write(".", "distributed");
   if (path.empty()) return 1;
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    std::printf("W=%d  %9.1f configs/s  %6.2fs  store %llu B\n",
-                worker_counts[i], runs[i].configs_per_sec, runs[i].seconds,
-                static_cast<unsigned long long>(runs[i].total_store_bytes));
+  std::printf("local  x%-2d %9.1f configs/s  %6.2fs\n", local.threads,
+              local.configs_per_sec, local.seconds);
+  for (const RunResult& run : runs) {
+    if (run.workers == 0) {
+      std::printf("local  x%-2d %9.1f configs/s  %6.2fs\n", run.threads,
+                  run.configs_per_sec, run.seconds);
+      continue;
+    }
+    std::printf("W=%d    x%-2d %9.1f configs/s  %6.2fs  store %llu B  "
+                "%.2fx local\n",
+                run.workers, run.threads, run.configs_per_sec, run.seconds,
+                static_cast<unsigned long long>(run.total_store_bytes),
+                ratio_to_local(run));
   }
-  std::printf("speedup W2/W1: %.2fx  (local engine: %.0f configs/s)\n",
-              speedup,
-              local_seconds > 0
-                  ? static_cast<double>(local.configs_explored) / local_seconds
-                  : 0.0);
+  std::printf("speedup W2/W1 (one thread each): %.2fx\n", speedup);
   std::printf("wrote %s\n", path.c_str());
 
   // Gate 1 (always): at W=2 the resident store splits ~1/W per worker.

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <memory>
 #include <span>
@@ -18,8 +17,6 @@
 #include "dawn/obs/metrics.hpp"
 #include "dawn/semantics/explicit_expand.hpp"
 #include "dawn/semantics/packed_config.hpp"
-#include "dawn/semantics/parallel_explore.hpp"
-#include "dawn/semantics/scc.hpp"
 #include "dawn/semantics/symmetry.hpp"
 #include "dawn/util/varint.hpp"
 
@@ -47,13 +44,6 @@ inline constexpr std::uint8_t kResultVerdicts = 2;
 inline constexpr std::uint8_t kResultEdges = 3;
 inline constexpr std::uint8_t kResultEnd = 4;
 
-std::uint64_t now_ms() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 std::uint64_t zigzag_enc(std::int64_t v) {
   return (static_cast<std::uint64_t>(v) << 1) ^
          static_cast<std::uint64_t>(v >> 63);
@@ -71,26 +61,16 @@ void put_u32(std::uint8_t* out, std::uint32_t v) {
   out[3] = static_cast<std::uint8_t>(v >> 24);
 }
 
-std::uint32_t get_u32(const std::uint8_t* in) {
-  return static_cast<std::uint32_t>(in[0]) |
-         (static_cast<std::uint32_t>(in[1]) << 8) |
-         (static_cast<std::uint32_t>(in[2]) << 16) |
-         (static_cast<std::uint32_t>(in[3]) << 24);
-}
-
 bool fail(std::string* error, const std::string& what) {
   if (error != nullptr) *error = what;
   return false;
 }
 
-const JsonValue* require(const JsonValue& v, const char* key, Kind kind,
-                         std::string* error) {
-  const JsonValue* field = v.get(key);
-  if (field == nullptr || field->kind() != kind) {
-    fail(error, std::string("missing or mistyped field: ") + key);
-    return nullptr;
-  }
-  return field;
+// Reads v[key] as a count into *out; false if it is not an integer.
+bool read_count(const JsonValue& v, const char* key, std::uint64_t* out) {
+  const JsonValue* field = require(v, key, Kind::Int, nullptr);
+  if (field != nullptr) *out = static_cast<std::uint64_t>(field->as_int());
+  return field != nullptr;
 }
 
 }  // namespace
@@ -115,22 +95,11 @@ std::optional<ShardInitRequest> shard_init_from_json(const JsonValue& v,
     fail(error, "shard-init payload must be an object");
     return std::nullopt;
   }
-  static constexpr const char* kKnown[] = {
-      "spec_version", "worker", "num_workers", "machine",
-      "graph",        "budget", "store",       "symmetry"};
-  for (const auto& [key, value] : v.members()) {
-    (void)value;
-    bool known = false;
-    for (const char* k : kKnown) known = known || key == k;
-    if (!known) {
-      fail(error, "unknown shard-init key: " + key);
-      return std::nullopt;
-    }
-  }
-  const JsonValue* spec = require(v, "spec_version", Kind::Int, error);
-  if (spec == nullptr) return std::nullopt;
-  if (spec->as_int() != fuzz::kSpecVersion) {
-    fail(error, "unknown spec_version: " + std::to_string(spec->as_int()));
+  if (!reject_unknown_keys(v,
+                           {"spec_version", "worker", "num_workers", "machine",
+                            "graph", "budget", "store", "symmetry"},
+                           error) ||
+      !check_spec_version(v, error)) {
     return std::nullopt;
   }
   ShardInitRequest init;
@@ -145,87 +114,57 @@ std::optional<ShardInitRequest> shard_init_from_json(const JsonValue& v,
     return std::nullopt;
   }
   const JsonValue* machine = require(v, "machine", Kind::Object, error);
-  if (machine == nullptr) return std::nullopt;
+  const JsonValue* graph = require(v, "graph", Kind::Object, error);
+  const JsonValue* budget = require(v, "budget", Kind::Object, error);
+  const JsonValue* store = require(v, "store", Kind::String, error);
+  const JsonValue* symmetry = require(v, "symmetry", Kind::Bool, error);
+  if (machine == nullptr || graph == nullptr || budget == nullptr ||
+      store == nullptr || symmetry == nullptr) {
+    return std::nullopt;
+  }
   auto spec_parsed = fuzz::machine_spec_from_json(*machine, error);
   if (!spec_parsed.has_value()) return std::nullopt;
   init.machine = std::move(*spec_parsed);
-  const JsonValue* graph = require(v, "graph", Kind::Object, error);
-  if (graph == nullptr) return std::nullopt;
   auto graph_parsed = fuzz::graph_from_json(*graph, error);
   if (!graph_parsed.has_value()) return std::nullopt;
   init.graph = std::move(*graph_parsed);
-  const JsonValue* budget = require(v, "budget", Kind::Object, error);
-  if (budget == nullptr) return std::nullopt;
   if (!budget_from_json(*budget, &init.budget, error)) return std::nullopt;
-  const JsonValue* store = require(v, "store", Kind::String, error);
-  if (store == nullptr) return std::nullopt;
   init.store = store->as_string();
   if (init.store != "packed" && init.store != "tiered") {
     fail(error, "unknown store mode: " + init.store);
     return std::nullopt;
   }
-  const JsonValue* symmetry = require(v, "symmetry", Kind::Bool, error);
-  if (symmetry == nullptr) return std::nullopt;
   init.symmetry = symmetry->as_bool();
   return init;
 }
 
 namespace {
 
-// One frontier entry of a worker session: the configuration is a value
-// copy, so expanding it needs no store read.
-struct FrontierEntry {
-  std::int64_t gid = 0;
-  Config config;
-};
-
-// One detached worker session: owns its shard range of the configuration
-// space and runs the level-synchronous protocol against the coordinator.
-// Single-threaded and blocking — the coordinator never blocks, so the star
-// cannot deadlock.
-template <typename ExpanderT>
+// One detached worker session: it drives the explicit engine's level steps
+// (LevelExplorer, semantics/parallel_explore.hpp) over the shards this
+// process owns, one coordinator barrier at a time (docs/DISTRIBUTED.md has
+// the exchange). Only the session thread touches the socket: it is worker 0
+// of the engine's pool and sends heartbeat ticks from phase A's per-chunk
+// check. The coordinator never blocks, so the star cannot deadlock.
+template <typename Run>
 class WorkerSession {
  public:
   WorkerSession(int fd, FrameReader& reader, std::uint64_t nonce,
                 const ShardInitRequest& init, const WorkerSessionHooks& hooks,
-                const Machine& machine, PackedConfigStore& store,
-                ExpanderT& expander)
+                const PackedConfigStore& store, Run& run)
       : fd_(fd),
         reader_(reader),
         nonce_(nonce),
         init_(init),
         hooks_(hooks),
-        machine_(machine),
         store_(store),
-        expander_(expander),
-        g_(init.graph),
-        owned_begin_(shard_range_begin(init.worker, init.num_workers)),
-        owned_end_(shard_range_end(init.worker, init.num_workers)) {
-    for (std::size_t sh = 0; sh < 64; ++sh) {
-      int owner = 0;
-      for (int w = 0; w < init_.num_workers; ++w) {
-        if (sh >= shard_range_begin(w, init_.num_workers) &&
-            sh < shard_range_end(w, init_.num_workers)) {
-          owner = w;
-          break;
-        }
-      }
-      owner_[sh] = static_cast<std::uint8_t>(owner);
-    }
-    batches_.resize(static_cast<std::size_t>(init_.num_workers));
-  }
+        run_(run) {}
 
   void run(const Config& initial) {
     // Seed: the worker owning the initial configuration's shard interns it;
     // everyone reports `seeded` so the coordinator can check the ownership
     // partition (exactly one worker must claim it).
-    int seeded = 0;
-    if (owns(store_.shard_of(initial))) {
-      const auto r = store_.intern(initial);
-      verdicts_.emplace_back(r.gid, consensus(machine_, initial));
-      next_.push_back({r.gid, initial});
-      seeded = 1;
-    }
+    const bool seeded = run_.seed(initial);
     {
       JsonValue reply = JsonValue::object();
       reply.set("spec_version", JsonValue(fuzz::kSpecVersion));
@@ -235,70 +174,51 @@ class WorkerSession {
         return;
       }
     }
+    // Until the coordinator is gone, wedged or done, or the server stops.
     Frame f;
-    for (;;) {
-      if (!read_frame_blocking(fd_, reader_, &f, hooks_.stop,
-                               hooks_.barrier_timeout_ms, hooks_.bytes_in)) {
-        return;  // coordinator gone, wedged, or shutting down
-      }
-      if (f.header.nonce != nonce_ || f.header.kind != FrameKind::Request) {
-        protocol_error("frame does not match the shard session");
-        return;
-      }
-      switch (f.header.action) {
-        case Action::FrontierPush:
-          if (!handle_push(f)) return;
-          break;
-        case Action::LevelBarrier: {
-          std::string json_err;
-          const auto parsed = JsonValue::parse(f.payload, &json_err);
-          if (!parsed.has_value()) {
-            protocol_error("level-barrier payload is not JSON: " + json_err);
-            return;
-          }
-          const JsonValue& v = *parsed;
-          const JsonValue* cmd = require(v, "cmd", Kind::String, nullptr);
-          const JsonValue* level = v.get("level");
-          const std::int64_t lvl =
-              (level != nullptr && level->kind() == Kind::Int)
-                  ? level->as_int()
-                  : 0;
-          if (cmd == nullptr) {
-            protocol_error("level-barrier payload needs a cmd");
-            return;
-          }
-          if (cmd->as_string() == "expand") {
-            if (!do_expand(lvl)) return;
-          } else if (cmd->as_string() == "drain") {
-            if (!do_drain(lvl)) return;
-          } else if (cmd->as_string() == "classify") {
-            do_classify();
-            return;  // classify is terminal either way
-          } else if (cmd->as_string() == "abort") {
-            return;
-          } else {
-            protocol_error("unknown level-barrier cmd: " + cmd->as_string());
-            return;
-          }
-          break;
-        }
-        default:
-          protocol_error(std::string("unexpected action in shard session: ") +
-                         name(f.header.action));
-          return;
-      }
+    while (read_frame_blocking(fd_, reader_, &f, hooks_.stop,
+                               hooks_.barrier_timeout_ms, hooks_.bytes_in) &&
+           on_frame(f)) {
     }
   }
 
  private:
-  struct PushBatch {
-    std::vector<std::uint8_t> buf;
-    std::uint32_t count = 0;
-    std::int64_t prev = 0;
-  };
+  // One frame from the coordinator; false ends the session.
+  bool on_frame(const Frame& f) {
+    if (f.header.nonce != nonce_ || f.header.kind != FrameKind::Request) {
+      return protocol_error("frame does not match the shard session");
+    }
+    if (f.header.action == Action::FrontierPush) return on_push(f);
+    if (f.header.action != Action::LevelBarrier) {
+      return protocol_error(
+          std::string("unexpected action in shard session: ") +
+          name(f.header.action));
+    }
+    std::string json_err;
+    const auto v = JsonValue::parse(f.payload, &json_err);
+    if (!v.has_value()) {
+      return protocol_error("level-barrier payload is not JSON: " + json_err);
+    }
+    const JsonValue* cmd = require(*v, "cmd", Kind::String, nullptr);
+    if (cmd == nullptr) {
+      return protocol_error("level-barrier payload needs a cmd");
+    }
+    std::uint64_t level = 0;
+    read_count(*v, "level", &level);
+    const std::string& c = cmd->as_string();
+    if (c == "expand") return on_expand(static_cast<std::int64_t>(level));
+    if (c == "drain") return on_drain(static_cast<std::int64_t>(level));
+    if (c == "classify") {
+      on_classify();
+    } else if (c != "abort") {
+      protocol_error("unknown level-barrier cmd: " + c);
+    }
+    return false;  // classify and abort end the session
+  }
 
-  bool owns(std::size_t shard) const {
-    return shard >= owned_begin_ && shard < owned_end_;
+  bool stopping() const {
+    return hooks_.stop != nullptr &&
+           hooks_.stop->load(std::memory_order_relaxed);
   }
 
   bool send_frame(Action action, FrameKind kind, std::string_view payload) {
@@ -308,11 +228,30 @@ class WorkerSession {
                               hooks_.barrier_timeout_ms, hooks_.bytes_out);
   }
 
-  void protocol_error(const std::string& detail) {
-    const auto bytes = encode_error_frame(Action::LevelBarrier, nonce_,
-                                          WireError::BadSchema, detail);
+  bool send_bytes(Action action, const std::vector<std::uint8_t>& payload) {
+    return send_frame(
+        action, FrameKind::Response,
+        std::string_view(reinterpret_cast<const char*>(payload.data()),
+                         payload.size()));
+  }
+
+  void send_error(WireError e, const std::string& detail) {
+    const auto bytes =
+        encode_error_frame(Action::LevelBarrier, nonce_, e, detail);
     write_all_blocking(fd_, bytes.data(), bytes.size(), hooks_.stop, 5'000,
                        hooks_.bytes_out);
+  }
+
+  // Answers a malformed frame with a bad-schema error; the session ends.
+  bool protocol_error(const std::string& detail) {
+    send_error(WireError::BadSchema, detail);
+    return false;
+  }
+
+  bool send_barrier(JsonValue reply, const char* cmd, std::int64_t level) {
+    reply.set("cmd", JsonValue(cmd));
+    reply.set("level", JsonValue(level));
+    return send_frame(Action::LevelBarrier, FrameKind::Response, reply.dump());
   }
 
   // Long expansions emit heartbeat ticks so the coordinator's inactivity
@@ -320,74 +259,89 @@ class WorkerSession {
   bool maybe_tick(std::int64_t level) {
     const std::uint64_t quiet = hooks_.barrier_timeout_ms / 4 + 1;
     if (now_ms() - last_send_ms_ < quiet) return true;
-    JsonValue tick = JsonValue::object();
-    tick.set("cmd", JsonValue("tick"));
-    tick.set("level", JsonValue(level));
-    return send_frame(Action::LevelBarrier, FrameKind::Response, tick.dump());
+    return send_barrier(JsonValue::object(), "tick", level);
   }
 
-  bool append_push(int dest, std::int64_t pred, const Config& succ,
-                   std::int64_t level) {
-    PushBatch& b = batches_[static_cast<std::size_t>(dest)];
-    if (b.count == 0) {
-      b.buf.assign(kPushHeaderSize, 0);
-      append_varint(b.buf, static_cast<std::uint64_t>(pred));
+  bool append_push(int dest, std::int64_t pred, const Config& succ) {
+    if (push_count_ == 0) {
+      push_.assign(kPushHeaderSize, 0);
+      append_varint(push_, static_cast<std::uint64_t>(pred));
     } else {
-      append_varint(b.buf, zigzag_enc(pred - b.prev));
+      append_varint(push_, zigzag_enc(pred - push_prev_));
     }
-    b.prev = pred;
+    push_prev_ = pred;
     for (const State s : succ) {
-      append_varint(b.buf, static_cast<std::uint64_t>(s));
+      append_varint(push_, static_cast<std::uint64_t>(s));
     }
-    ++b.count;
-    ++level_pushed_;
-    if (b.count >= kPushFlushRecords || b.buf.size() >= kPushFlushBytes) {
-      return flush_push(dest, level);
-    }
-    return true;
+    ++push_count_;
+    const bool full =
+        push_count_ >= kPushFlushRecords || push_.size() >= kPushFlushBytes;
+    return !full || flush_push(dest);
   }
 
-  bool flush_push(int dest, std::int64_t level) {
-    (void)level;
-    PushBatch& b = batches_[static_cast<std::size_t>(dest)];
-    if (b.count == 0) return true;
-    b.buf[0] = static_cast<std::uint8_t>(dest);
-    b.buf[1] = static_cast<std::uint8_t>(init_.worker);
-    put_u32(b.buf.data() + 4, b.count);
-    put_u32(b.buf.data() + 8, static_cast<std::uint32_t>(g_.n()));
-    const bool ok = send_frame(
-        Action::FrontierPush, FrameKind::Response,
-        std::string_view(reinterpret_cast<const char*>(b.buf.data()),
-                         b.buf.size()));
+  bool flush_push(int dest) {
+    if (push_count_ == 0) return true;
+    push_[0] = static_cast<std::uint8_t>(dest);
+    push_[1] = static_cast<std::uint8_t>(init_.worker);
+    put_u32(push_.data() + 4, push_count_);
+    put_u32(push_.data() + 8, static_cast<std::uint32_t>(init_.graph.n()));
     obs::count(obs::Counter::NetDistPushes);
-    obs::count(obs::Counter::NetDistPushedConfigs, b.count);
-    pushed_total_ += b.count;
-    b.buf.clear();
-    b.count = 0;
-    b.prev = 0;
-    return ok;
+    obs::count(obs::Counter::NetDistPushedConfigs, push_count_);
+    pushed_total_ += push_count_;
+    push_count_ = 0;
+    return send_bytes(Action::FrontierPush, push_);
+  }
+
+  // Phase A, then the outboxes. The stop flag is read, and worker 0 ticks,
+  // once per chunk.
+  bool on_expand(std::int64_t level) {
+    bool link_failed = false;  // worker 0's
+    run_.expand([&](int worker) {
+      if (worker == 0 && !link_failed) link_failed = !maybe_tick(level);
+      return !stopping() && !(worker == 0 && link_failed);
+    });
+    if (link_failed || stopping()) return false;
+    const PackedCodec& codec = store_.codec();
+    const std::size_t stride = PackedConfigStore::kRoutedHeader + codec.words();
+    std::uint64_t pushed = 0;
+    bool ok = true;
+    for (int to = 0; to < init_.num_workers; ++to) {
+      if (to == init_.worker) continue;
+      run_.for_each_outbox(to, [&](PackedConfigStore::Batch& b) {
+        for (std::size_t i = 0; ok && i < b.items.size(); i += stride) {
+          codec.decode(b.items.data() + i + PackedConfigStore::kRoutedHeader,
+                       scratch_);
+          ok = append_push(to, static_cast<std::int64_t>(b.items[i]),
+                           scratch_);
+        }
+        pushed += b.size();
+        b.clear();
+      });
+      ok = ok && flush_push(to);
+      if (!ok) return false;
+    }
+    JsonValue done = JsonValue::object();
+    done.set("pushed", JsonValue(static_cast<std::int64_t>(pushed)));
+    return send_barrier(std::move(done), "expand_done", level);
   }
 
   // A batch of successors whose shard we own, routed here by the
-  // coordinator. The destination owner records the edge (the emitting
-  // worker does not), so every emit lands in exactly one edge record —
-  // matching the single-process engine's per-emit edge accounting.
-  bool handle_push(const Frame& f) {
+  // coordinator. It joins the owners' batches for phase B, where the owner
+  // records the edge (the emitting worker does not), so every emit lands in
+  // exactly one edge record — as in the single-process engine.
+  bool on_push(const Frame& f) {
     const auto* data = reinterpret_cast<const std::uint8_t*>(f.payload.data());
     const std::size_t len = f.payload.size();
     if (len < kPushHeaderSize) {
-      protocol_error("frontier-push payload shorter than its header");
-      return false;
+      return protocol_error("frontier-push payload shorter than its header");
     }
     if (data[0] != static_cast<std::uint8_t>(init_.worker)) {
-      protocol_error("frontier-push routed to the wrong worker");
-      return false;
+      return protocol_error("frontier-push routed to the wrong worker");
     }
     const std::uint32_t count = get_u32(data + 4);
     const std::uint32_t n = get_u32(data + 8);
-    if (n != static_cast<std::uint32_t>(g_.n())) {
-      protocol_error("frontier-push configuration width mismatch");
-      return false;
+    if (n != static_cast<std::uint32_t>(init_.graph.n())) {
+      return protocol_error("frontier-push configuration width mismatch");
     }
     std::size_t pos = kPushHeaderSize;
     std::int64_t prev = 0;
@@ -395,8 +349,7 @@ class WorkerSession {
     for (std::uint32_t i = 0; i < count; ++i) {
       std::uint64_t raw = 0;
       if (!read_varint(data, len, &pos, &raw)) {
-        protocol_error("truncated frontier-push record");
-        return false;
+        return protocol_error("truncated frontier-push record");
       }
       const std::int64_t pred =
           i == 0 ? static_cast<std::int64_t>(raw) : prev + zigzag_dec(raw);
@@ -404,108 +357,62 @@ class WorkerSession {
       for (std::uint32_t j = 0; j < n; ++j) {
         std::uint64_t s = 0;
         if (!read_varint(data, len, &pos, &s)) {
-          protocol_error("truncated frontier-push record");
-          return false;
+          return protocol_error("truncated frontier-push record");
         }
         scratch_[j] = static_cast<State>(s);
       }
-      if (!owns(store_.shard_of(scratch_))) {
-        protocol_error("frontier-push record outside the owned shard range");
-        return false;
-      }
-      const auto r = store_.intern(scratch_);
-      edges_.emplace_back(pred, r.gid);
-      if (r.fresh) {
-        verdicts_.emplace_back(r.gid, consensus(machine_, scratch_));
-        next_.push_back({r.gid, scratch_});
+      if (!run_.route_in(scratch_, pred)) {
+        return protocol_error(
+            "frontier-push record outside the owned shard range");
       }
     }
     if (pos != len) {
-      protocol_error("trailing bytes after the last frontier-push record");
-      return false;
+      return protocol_error(
+          "trailing bytes after the last frontier-push record");
     }
     return true;
   }
 
-  // Expand this worker's slice of the level. Owned successors intern
-  // locally (edge recorded here); non-owned successors are batched to their
-  // owner via the coordinator. The frontier swap happens first, so pushes
-  // read after expand_done — which all belong to the next level — land in
-  // the fresh next_ buffer.
-  bool do_expand(std::int64_t level) {
-    frontier_.swap(next_);
-    next_.clear();
-    level_pushed_ = 0;
-    bool ok = true;
-    std::size_t processed = 0;
-    for (const FrontierEntry& entry : frontier_) {
-      if (hooks_.stop != nullptr &&
-          hooks_.stop->load(std::memory_order_relaxed)) {
-        return false;
-      }
-      expander_(entry.config, [&](const Config& succ) {
-        if (!ok) return;
-        const std::size_t sh = store_.shard_of(succ);
-        if (owns(sh)) {
-          const auto r = store_.intern(succ);
-          edges_.emplace_back(entry.gid, r.gid);
-          if (r.fresh) {
-            verdicts_.emplace_back(r.gid, consensus(machine_, succ));
-            next_.push_back({r.gid, succ});
-          }
-        } else {
-          ok = ok && append_push(owner_[sh], entry.gid, succ, level);
-        }
-      });
-      if (!ok) return false;
-      if ((++processed & 1023) == 0 && !maybe_tick(level)) return false;
-    }
-    for (int w = 0; w < init_.num_workers; ++w) {
-      if (!flush_push(w, level)) return false;
-    }
-    frontier_.clear();
-    JsonValue done = JsonValue::object();
-    done.set("cmd", JsonValue("expand_done"));
-    done.set("level", JsonValue(level));
-    done.set("pushed", JsonValue(static_cast<std::int64_t>(level_pushed_)));
-    return send_frame(Action::LevelBarrier, FrameKind::Response, done.dump());
-  }
-
   // Close the level: every push routed during the expansion has been
   // delivered (per-link FIFO puts them ahead of the drain command), so the
-  // level-end store/next/edge counts are global invariants.
-  bool do_drain(std::int64_t level) {
-    // A spilling shard spills at the level boundary exactly like the
-    // single-process engine; a spill failure or an index that no longer
-    // fits the per-worker budget is a memory-cap abort. An in-memory shard
-    // never spills and has no budget.
-    std::string drain_error;
-    if (!store_.spill_to_budget()) {
-      drain_error = store_.error();
-    } else if (store_.resident_bytes() > store_.max_resident_bytes()) {
-      drain_error = "resident index exceeds the per-worker budget";
-    }
+  // level-end store/next/edge counts are global invariants. A spilling
+  // shard spills at the level end exactly like the single-process engine.
+  bool on_drain(std::int64_t level) {
+    run_.intern_routed();
+    const auto end = run_.end_level();
     JsonValue done = JsonValue::object();
-    done.set("cmd", JsonValue("drain_done"));
-    done.set("level", JsonValue(level));
     done.set("store", JsonValue(static_cast<std::int64_t>(store_.size())));
-    done.set("next", JsonValue(static_cast<std::int64_t>(next_.size())));
-    done.set("edges", JsonValue(static_cast<std::int64_t>(edges_.size())));
-    if (!drain_error.empty()) done.set("error", JsonValue(drain_error));
-    return send_frame(Action::LevelBarrier, FrameKind::Response, done.dump());
+    done.set("next",
+             JsonValue(static_cast<std::int64_t>(run_.frontier().size())));
+    done.set("edges", JsonValue(static_cast<std::int64_t>(run_.num_edges())));
+    if (end == Run::LevelEnd::IoFailed) {
+      done.set("error", JsonValue(store_.error()));
+    } else if (end == Run::LevelEnd::MemoryCap) {
+      done.set("error",
+               JsonValue("resident index exceeds the per-worker budget"));
+    }
+    return send_barrier(std::move(done), "drain_done", level);
   }
 
   // Ship everything the coordinator needs for the SCC classification:
   // stats (occupancies first, so the coordinator can build the dense
   // remap), per-shard verdict arrays in local-id order, raw gid edges, and
   // a final end marker. The session ends here.
-  void do_classify() {
-    store_.finalize();
+  void on_classify() {
+    if (!run_.finish_levels()) {
+      send_error(WireError::Internal, "edge spool write failed");
+      return;
+    }
+    ExploredGraph graph = run_.explored();
     const auto occ = store_.shard_occupancies();
+    const std::size_t owned_begin =
+        shard_range_begin(init_.worker, init_.num_workers);
+    const std::size_t owned_end =
+        shard_range_end(init_.worker, init_.num_workers);
     // Owned shards only: summing disjoint ranges across workers equals one
     // process measuring all 64 shards (bit-identical ledgers).
     const std::uint64_t store_bytes =
-        store_.bytes_for_shard_range(owned_begin_, owned_end_);
+        store_.bytes_for_shard_range(owned_begin, owned_end);
     {
       JsonValue stats = JsonValue::object();
       stats.set("spec_version", JsonValue(fuzz::kSpecVersion));
@@ -513,7 +420,7 @@ class WorkerSession {
       stats.set("store_bytes",
                 JsonValue(static_cast<std::int64_t>(store_bytes)));
       stats.set("num_edges",
-                JsonValue(static_cast<std::int64_t>(edges_.size())));
+                JsonValue(static_cast<std::int64_t>(run_.stats().edges)));
       stats.set("pushed",
                 JsonValue(static_cast<std::int64_t>(pushed_total_)));
       JsonValue occs = JsonValue::array();
@@ -528,61 +435,60 @@ class WorkerSession {
         return;
       }
     }
-    // Verdicts, per owned shard, indexed by local id.
-    for (std::size_t sh = owned_begin_; sh < owned_end_; ++sh) {
-      if (occ[sh] == 0) continue;
-      shard_verdicts_.assign(occ[sh], static_cast<std::uint8_t>(0));
-      for (const auto& [gid, verdict] : verdicts_) {
-        if ((static_cast<std::uint64_t>(gid) & 63u) != sh) continue;
-        shard_verdicts_[static_cast<std::size_t>(gid >> 6)] =
-            static_cast<std::uint8_t>(verdict);
-      }
-      std::size_t start = 0;
-      while (start < shard_verdicts_.size()) {
-        const std::size_t chunk = std::min<std::size_t>(
-            kResultChunkBytes, shard_verdicts_.size() - start);
+    // Verdicts, per owned shard, indexed by local id: the store holds no
+    // other shard, so its dense order is exactly that.
+    const auto* verdicts =
+        reinterpret_cast<const std::uint8_t*>(graph.verdicts.data());
+    for (std::size_t sh = owned_begin; sh < owned_end; ++sh) {
+      for (std::size_t start = 0; start < occ[sh];) {
+        const std::size_t chunk =
+            std::min<std::size_t>(kResultChunkBytes, occ[sh] - start);
         std::vector<std::uint8_t> payload(kPushHeaderSize, 0);
         payload[0] = kResultVerdicts;
         payload[1] = static_cast<std::uint8_t>(sh);
         put_u32(payload.data() + 4, static_cast<std::uint32_t>(start));
         put_u32(payload.data() + 8, static_cast<std::uint32_t>(chunk));
-        payload.insert(payload.end(), shard_verdicts_.begin() +
-                                          static_cast<std::ptrdiff_t>(start),
-                       shard_verdicts_.begin() +
-                           static_cast<std::ptrdiff_t>(start + chunk));
-        if (!send_frame(Action::ShardResult, FrameKind::Response,
-                        std::string_view(
-                            reinterpret_cast<const char*>(payload.data()),
-                            payload.size()))) {
-          return;
-        }
+        payload.insert(payload.end(), verdicts + start,
+                       verdicts + start + chunk);
+        if (!send_bytes(Action::ShardResult, payload)) return;
         start += chunk;
       }
+      verdicts += occ[sh];
     }
     // Edges, as (src gid, dst gid) varint pairs, byte-capped per frame.
-    {
-      std::vector<std::uint8_t> payload(kPushHeaderSize, 0);
-      std::uint32_t count = 0;
-      auto flush = [&]() -> bool {
-        if (count == 0) return true;
-        payload[0] = kResultEdges;
-        put_u32(payload.data() + 4, count);
-        const bool ok = send_frame(
-            Action::ShardResult, FrameKind::Response,
-            std::string_view(reinterpret_cast<const char*>(payload.data()),
-                             payload.size()));
-        payload.assign(kPushHeaderSize, 0);
-        count = 0;
-        return ok;
-      };
-      for (const auto& [src, dst] : edges_) {
-        append_varint(payload, static_cast<std::uint64_t>(src));
-        append_varint(payload, static_cast<std::uint64_t>(dst));
-        ++count;
-        if (payload.size() >= kResultChunkBytes && !flush()) return;
+    std::vector<std::uint8_t> payload(kPushHeaderSize, 0);
+    std::uint32_t count = 0;
+    const auto flush = [&] {
+      if (count == 0) return true;
+      payload[0] = kResultEdges;
+      put_u32(payload.data() + 4, count);
+      const bool ok = send_bytes(Action::ShardResult, payload);
+      payload.assign(kPushHeaderSize, 0);
+      count = 0;
+      return ok;
+    };
+    bool ok = true;
+    const auto add_edge = [&](std::int64_t src, std::int64_t dst) {
+      append_varint(payload, static_cast<std::uint64_t>(src));
+      append_varint(payload, static_cast<std::uint64_t>(dst));
+      ++count;
+      if (payload.size() >= kResultChunkBytes) ok = ok && flush();
+    };
+    if (graph.spool != nullptr) {
+      EdgeSpool::ScanCursor cur(*graph.spool);
+      std::int64_t src = 0;
+      std::int64_t dst = 0;
+      while (ok && cur.next(&src, &dst)) add_edge(src, dst);
+      if (cur.failed()) {
+        send_error(WireError::Internal, "edge spool read failed");
+        return;
       }
-      if (!flush()) return;
+    } else {
+      for (const GidEdges& block : graph.edges) {
+        for (const auto& [src, dst] : block) add_edge(src, dst);
+      }
     }
+    if (!ok || !flush()) return;
     // Count the session before the end marker: once the coordinator has
     // seen it (and so once its client has the report), the worker's
     // CacheStats already include this session's configs.
@@ -604,22 +510,14 @@ class WorkerSession {
   std::uint64_t nonce_;
   const ShardInitRequest& init_;
   const WorkerSessionHooks& hooks_;
-  const Machine& machine_;
-  PackedConfigStore& store_;
-  ExpanderT& expander_;
-  const Graph& g_;
-  std::size_t owned_begin_;
-  std::size_t owned_end_;
-  std::array<std::uint8_t, 64> owner_{};
-  std::vector<FrontierEntry> frontier_;
-  std::vector<FrontierEntry> next_;
-  std::vector<std::pair<std::int64_t, std::int64_t>> edges_;
-  std::vector<std::pair<std::int64_t, Verdict>> verdicts_;
-  std::vector<PushBatch> batches_;
-  std::vector<std::uint8_t> shard_verdicts_;
+  const PackedConfigStore& store_;
+  Run& run_;
+  // The FrontierPush batch being filled, for one destination at a time.
+  std::vector<std::uint8_t> push_;
+  std::uint32_t push_count_ = 0;
+  std::int64_t push_prev_ = 0;
   Config scratch_;
   std::uint64_t pushed_total_ = 0;
-  std::uint64_t level_pushed_ = 0;
   std::uint64_t last_send_ms_ = 0;
 };
 
@@ -632,68 +530,65 @@ void run_worker_session(int fd, FrameReader reader, std::uint64_t nonce,
   if (hooks.sessions != nullptr) {
     hooks.sessions->fetch_add(1, std::memory_order_relaxed);
   }
+  // Answers the ShardInit with one structured error frame and closes.
   const auto refuse = [&](WireError e, const std::string& detail) {
     const auto bytes = encode_error_frame(Action::ShardInit, nonce, e, detail);
     write_all_blocking(fd, bytes.data(), bytes.size(), hooks.stop, 5'000,
                        hooks.bytes_out);
+    ::close(fd);
   };
   const std::shared_ptr<Machine> machine = fuzz::build_machine(init.machine);
   if (machine == nullptr) {
-    refuse(WireError::BadSchema, "machine spec does not build");
-    ::close(fd);
-    return;
+    return refuse(WireError::BadSchema, "machine spec does not build");
   }
   // Every shard store packs. Wire machines are fuzz specs, which always
   // advertise |Q|; anything else is refused.
   const std::optional<int> nstates = machine->num_states();
   if (!nstates.has_value()) {
-    refuse(WireError::BadSchema,
-           init.store + " store needs a machine with a state-space bound");
-    ::close(fd);
-    return;
+    return refuse(
+        WireError::BadSchema,
+        init.store + " store needs a machine with a state-space bound");
   }
   if (init.store == "tiered" &&
       (hooks.spill_dir.empty() || init.budget.max_store_bytes == 0)) {
-    refuse(WireError::BadSchema,
-           "tiered shard needs a worker spill dir and a nonzero store budget");
-    ::close(fd);
-    return;
+    return refuse(
+        WireError::BadSchema,
+        "tiered shard needs a worker spill dir and a nonzero store budget");
   }
+  // The shard's engine runs on the threads its budget asks for (the server
+  // clamped them to its own cap), and a "tiered" shard spills under the
+  // worker's spill dir.
+  ExploreBudget budget = init.budget;
+  budget.max_threads = explore_threads(*machine, budget);
+  if (init.store == "tiered") budget.spill_dir = hooks.spill_dir;
   // Recompute the symmetry group locally: compute_symmetry is deterministic
   // and both ends run the same binary, so this matches the coordinator's
   // resolution exactly (docs/DISTRIBUTED.md).
-  SymmetryGroup grp;
-  bool canon = false;
-  if (init.symmetry) {
-    grp = compute_symmetry(init.graph);
-    canon = !grp.trivial();
-  }
-  Config initial = initial_config(*machine, init.graph);
-  if (canon) {
-    CanonScratch scratch;
-    canonicalize(grp, initial, scratch);
-  }
-  // A "tiered" shard is the packed store in spill mode.
-  PackedConfigStore store(
-      PackedCodec(*nstates, init.graph.n()),
-      init.store == "tiered" ? hooks.spill_dir : std::string(),
-      init.budget.max_store_bytes);
-  const auto run_with = [&](auto& expander) {
-    WorkerSession<std::decay_t<decltype(expander)>> session(
-        fd, reader, nonce, init, hooks, *machine, store, expander);
-    session.run(initial);
-  };
+  const SymmetryGroup grp =
+      init.symmetry ? compute_symmetry(init.graph) : SymmetryGroup{};
+  PackedConfigStore store(PackedCodec(*nstates, init.graph.n()),
+                          budget.spill_dir, budget.max_store_bytes);
   if (!store.ok()) {
-    refuse(WireError::Internal, "tiered store unavailable: " + store.error());
-  } else if (canon) {
-    CanonExplicitExpander expander{*machine, init.graph, grp};
-    run_with(expander);
-  } else {
-    ExplicitExpander expander{*machine, init.graph, Neighbourhood{},
-                              Config{}};
-    run_with(expander);
+    return refuse(WireError::Internal,
+                  "tiered store unavailable: " + store.error());
   }
-  ::close(fd);
+  with_explicit_expander(
+      *machine, init.graph, grp.trivial() ? nullptr : &grp,
+      [&](const Config& initial, auto& make_expander, auto& verdict_of) {
+        LevelExplorer<Config, PackedConfigStore,
+                      std::remove_reference_t<decltype(make_expander)>,
+                      std::remove_reference_t<decltype(verdict_of)>>
+            run(store, make_expander, verdict_of, budget, init.worker,
+                init.num_workers);
+        if (run.io_failed()) {
+          return refuse(WireError::Internal,
+                        "tiered store unavailable: edge spool");
+        }
+        WorkerSession<decltype(run)>(fd, reader, nonce, init, hooks, store,
+                                     run)
+            .run(initial);
+        ::close(fd);
+      });
 }
 
 namespace {
@@ -733,10 +628,7 @@ class Coordinator {
     if (machine_ == nullptr) {
       return refuse(WireError::BadSchema, "machine spec does not build");
     }
-    if (req_.budget.use_symmetry) {
-      grp_ = compute_symmetry(req_.graph);
-      sym_ = !grp_.trivial();
-    }
+    sym_ = req_.budget.use_symmetry && !compute_symmetry(req_.graph).trivial();
     // Store-mode resolution mirrors the single-process explicit engine
     // (explicit_space.cpp), with the workers' spill dirs standing in for the
     // single process's budget.spill_dir condition. Wire machines always
@@ -769,7 +661,6 @@ class Coordinator {
       init.graph = req_.graph;
       init.budget = req_.budget;
       init.budget.deadline_ms = 0;  // the coordinator alone enforces it
-      init.budget.max_threads = 1;  // shard expansion is single-threaded
       init.budget.spill_dir.clear();
       init.budget.max_store_bytes =
           tiered_ ? std::max<std::size_t>(
@@ -783,12 +674,7 @@ class Coordinator {
                                   Lp->link.nonce,
                                   shard_init_to_json(init).dump()));
     }
-    if (!pump([&] {
-          for (const auto& Lp : links_) {
-            if (!Lp->init_ok) return false;
-          }
-          return true;
-        })) {
+    if (!pump_until(&LinkState::init_ok)) {
       return fail_result();
     }
     int seeded = 0;
@@ -826,12 +712,7 @@ class Coordinator {
         Lp->drain_error.clear();
       }
       broadcast_barrier("expand", level);
-      if (!pump([&] {
-            for (const auto& Lp : links_) {
-              if (!Lp->expand_done) return false;
-            }
-            return true;
-          })) {
+      if (!pump_until(&LinkState::expand_done)) {
         return fail_result();
       }
       std::uint64_t level_pushed = 0;
@@ -847,12 +728,7 @@ class Coordinator {
                                      obs::Phase::ExploreDistExchange,
                                      level_pushed);
         broadcast_barrier("drain", level);
-        if (!pump([&] {
-              for (const auto& Lp : links_) {
-                if (!Lp->drain_done) return false;
-              }
-              return true;
-            })) {
+        if (!pump_until(&LinkState::drain_done)) {
           return fail_result();
         }
       }
@@ -913,12 +789,7 @@ class Coordinator {
     }
     classify_stage_ = true;
     broadcast_barrier("classify", static_cast<std::int64_t>(res.levels));
-    if (!pump([&] {
-          for (const auto& Lp : links_) {
-            if (!Lp->end_seen) return false;
-          }
-          return true;
-        })) {
+    if (!pump_until(&LinkState::end_seen)) {
       return fail_result();
     }
     for (auto& Lp : links_) Lp->link.close();
@@ -942,49 +813,37 @@ class Coordinator {
       return refuse(WireError::Internal,
                     "classify totals disagree with the last level barrier");
     }
+    // The engine's own classification. Dense ids run shard by shard, each in
+    // local-id order: the order the verdict arrays concatenate in.
     std::array<std::int32_t, 64> offsets{};
-    std::int64_t off = 0;
+    std::vector<Verdict> verdicts;
     for (std::size_t sh = 0; sh < 64; ++sh) {
-      offsets[sh] = static_cast<std::int32_t>(off);
-      off += static_cast<std::int64_t>(occ[sh]);
-    }
-    const auto total = static_cast<std::size_t>(off);
-    const auto dense = [&](std::int64_t gid) {
-      return static_cast<std::size_t>(
-          offsets[static_cast<std::size_t>(gid) & 63u] +
-          static_cast<std::int32_t>(gid >> 6));
-    };
-    std::vector<Verdict> verdicts(total, Verdict::Neutral);
-    CsrGraph graph;
-    {
-      obs::SpanScope merge_span(opts_.spans, obs::Phase::ExploreMerge, total);
+      offsets[sh] = static_cast<std::int32_t>(verdicts.size());
       for (const auto& Lp : links_) {
-        for (std::size_t sh = 0; sh < 64; ++sh) {
-          const auto& shard = Lp->verdicts[sh];
-          if (shard.empty()) continue;
-          if (shard.size() != occ[sh]) {
-            return refuse(WireError::Internal,
-                          "verdict array does not cover its shard");
-          }
-          for (std::size_t local = 0; local < shard.size(); ++local) {
-            if (shard[local] > 2) {
-              return refuse(WireError::Internal, "verdict byte out of range");
-            }
-            verdicts[static_cast<std::size_t>(offsets[sh]) + local] =
-                static_cast<Verdict>(shard[local]);
-          }
+        for (const std::uint8_t v : Lp->verdicts[sh]) {
+          verdicts.push_back(static_cast<Verdict>(v));
         }
       }
-      if (!build_csr(total, std::span<GidEdges>(&edges_raw_, 1), dense,
-                     graph)) {
-        return refuse(WireError::Internal, "edge gid out of range");
+      if (verdicts.size() - static_cast<std::size_t>(offsets[sh]) != occ[sh]) {
+        return refuse(WireError::Internal,
+                      "verdict array does not cover its shard");
       }
     }
-    BottomClassification cls;
-    {
-      obs::SpanScope scc_span(opts_.spans, obs::Phase::ExploreScc, total);
-      cls = classify_bottom_sccs(graph,
-                                 [&](std::size_t i) { return verdicts[i]; });
+    const std::optional<ExploreOutcome> outcome = classify_explored(
+        [&] {
+          ExploredGraph graph;
+          graph.verdicts = std::move(verdicts);
+          graph.edges.push_back(std::move(edges_raw_));
+          return graph;
+        },
+        [&](std::int64_t gid) {
+          return static_cast<std::size_t>(
+              offsets[static_cast<std::size_t>(gid) & 63u] +
+              static_cast<std::int32_t>(gid >> 6));
+        },
+        opts_.spans);
+    if (!outcome.has_value()) {
+      return refuse(WireError::Internal, "edge gid out of range");
     }
 
     if (opts_.progress != nullptr) {
@@ -994,10 +853,10 @@ class Coordinator {
       }
     }
     res.ok = true;
-    res.report.decision = cls.decision;
+    res.report.decision = outcome->decision;
     res.report.unknown_reason = UnknownReason::None;
-    res.report.configs_explored = total;
-    res.report.num_bottom_sccs = cls.num_bottom_sccs;
+    res.report.configs_explored = outcome->num_configs;
+    res.report.num_bottom_sccs = outcome->num_bottom_sccs;
     fill_report(res.report, /*completed=*/true, total_store_bytes,
                 frontier_peak, total_edges);
     fill_worker_stats(res);
@@ -1005,12 +864,13 @@ class Coordinator {
   }
 
  private:
-  template <typename Done>
-  bool pump(const Done& done) {
+  // Pumps every link until each has set `flag`.
+  bool pump_until(bool LinkState::*flag) {
     std::uint64_t activity_deadline = now_ms() + opts_.barrier_timeout_ms;
     std::vector<pollfd> fds;
     std::vector<LinkState*> order;
-    while (!done()) {
+    while (!std::all_of(links_.begin(), links_.end(),
+                        [&](const auto& Lp) { return (*Lp).*flag; })) {
       if (opts_.stop != nullptr &&
           opts_.stop->load(std::memory_order_relaxed)) {
         return set_fail(WireError::Draining, "coordinator shutting down");
@@ -1145,25 +1005,17 @@ class Coordinator {
         }
         if (cmd->as_string() == "tick") return true;  // heartbeat
         if (cmd->as_string() == "expand_done") {
-          const JsonValue* pushed = require(v, "pushed", Kind::Int, nullptr);
           L.expand_done = true;
-          L.level_pushed =
-              pushed != nullptr
-                  ? static_cast<std::uint64_t>(pushed->as_int())
-                  : 0;
+          if (!read_count(v, "pushed", &L.level_pushed)) L.level_pushed = 0;
           return true;
         }
         if (cmd->as_string() == "drain_done") {
-          const JsonValue* store = require(v, "store", Kind::Int, nullptr);
-          const JsonValue* next = require(v, "next", Kind::Int, nullptr);
-          const JsonValue* edges = require(v, "edges", Kind::Int, nullptr);
-          if (store == nullptr || next == nullptr || edges == nullptr) {
+          if (!read_count(v, "store", &L.level_store) ||
+              !read_count(v, "next", &L.level_next) ||
+              !read_count(v, "edges", &L.level_edges)) {
             return set_fail(WireError::Internal, "malformed drain reply");
           }
           L.drain_done = true;
-          L.level_store = static_cast<std::uint64_t>(store->as_int());
-          L.level_next = static_cast<std::uint64_t>(next->as_int());
-          L.level_edges = static_cast<std::uint64_t>(edges->as_int());
           const JsonValue* derr = v.get("error");
           if (derr != nullptr && derr->kind() == Kind::String) {
             L.drain_error = derr->as_string();
@@ -1193,21 +1045,16 @@ class Coordinator {
         std::string json_err;
         const JsonValue v = JsonValue::parse(f.payload.substr(1), &json_err)
                                 .value_or(JsonValue());
-        const JsonValue* store = require(v, "store", Kind::Int, nullptr);
-        const JsonValue* bytes =
-            require(v, "store_bytes", Kind::Int, nullptr);
-        const JsonValue* edges = require(v, "num_edges", Kind::Int, nullptr);
         const JsonValue* occs =
             require(v, "occupancies", Kind::Array, nullptr);
-        if (store == nullptr || bytes == nullptr || edges == nullptr ||
-            occs == nullptr || occs->size() != 64) {
+        if (!read_count(v, "store", &L.configs) ||
+            !read_count(v, "store_bytes", &L.store_bytes) ||
+            !read_count(v, "num_edges", &L.num_edges) || occs == nullptr ||
+            occs->size() != 64) {
           return set_fail(WireError::Internal,
                           "malformed shard-result stats from worker " +
                               std::to_string(L.worker));
         }
-        L.configs = static_cast<std::uint64_t>(store->as_int());
-        L.store_bytes = static_cast<std::uint64_t>(bytes->as_int());
-        L.num_edges = static_cast<std::uint64_t>(edges->as_int());
         for (std::size_t sh = 0; sh < 64; ++sh) {
           if (occs->at(sh).kind() != Kind::Int) {
             return set_fail(WireError::Internal, "malformed occupancy array");
@@ -1227,9 +1074,14 @@ class Coordinator {
         if (sh >= 64 || len != kPushHeaderSize + count) {
           return set_fail(WireError::Internal, "malformed verdict chunk");
         }
+        const std::uint8_t* bytes = data + kPushHeaderSize;
+        if (std::any_of(bytes, bytes + count,
+                        [](std::uint8_t v) { return v > 2; })) {
+          return set_fail(WireError::Internal, "verdict byte out of range");
+        }
         auto& out = L.verdicts[sh];
         if (out.size() < start + count) out.resize(start + count);
-        std::memcpy(out.data() + start, data + kPushHeaderSize, count);
+        std::memcpy(out.data() + start, bytes, count);
         return true;
       }
       case kResultEdges: {
@@ -1350,11 +1202,8 @@ class Coordinator {
     rep.exact = true;
 #ifndef DAWN_OBS_DISABLED
     if (completed && !tiered_) {
-      rep.memory.set_max(obs::MemoryAccount::PackedStoreBytes, store_bytes);
-      rep.memory.set_max(obs::MemoryAccount::FrontierBytes,
-                         frontier_peak * sizeof(std::int64_t));
-      rep.memory.set_max(obs::MemoryAccount::EdgeBytes,
-                         num_edges * 2 * sizeof(std::int64_t));
+      account_explored(rep.memory, obs::MemoryAccount::PackedStoreBytes,
+                       store_bytes, frontier_peak, num_edges);
     }
 #endif
     rep.budget_exhausted = is_exhaustion(rep.unknown_reason);
@@ -1366,7 +1215,6 @@ class Coordinator {
   const DistCoordinatorOptions& opts_;
   std::vector<std::unique_ptr<LinkState>> links_;
   std::shared_ptr<Machine> machine_;
-  SymmetryGroup grp_;
   bool sym_ = false;
   bool tiered_ = false;
   GidEdges edges_raw_;

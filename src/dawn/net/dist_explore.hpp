@@ -12,23 +12,18 @@
 //   FrontierPush   both directions         batched non-owned successors
 //   ShardResult    worker -> coordinator   verdicts, edges, final stats
 //
-// Ownership rule: a worker owns exactly the configurations whose store
-// shard — hash_mix(hash) & 63, the same shard the single-process sharded
-// stores use — falls in its range. Workers expand their slice of each BFS
-// level with the stock expanders (semantics/explicit_expand.hpp) and stores
-// (vector / packed / tiered), intern owned successors locally, and route
-// non-owned successors through the coordinator in delta-varint batches. A
-// LevelBarrier drain closes each level, so level-end quantities (store
-// size, next-frontier size, edge count) are global invariants — which is
-// what makes the distributed DecisionReport bit-identical to the
-// single-process explicit engine at any worker count (the deadline abort
-// stays the documented exception, and tiered runs skip the memory ledger).
-//
-// Failure semantics: a lost or wedged peer never hangs the coordinator —
-// every barrier wait is bounded by dist_barrier_timeout_ms, EOF on a link
-// is detected immediately, and either turns into one structured peer-lost
-// error frame to the client (never cached) plus a best-effort abort
-// broadcast to the surviving workers.
+// A worker owns the configurations whose store shard falls in its range,
+// and runs the explicit engine's level steps (LevelExplorer in
+// semantics/parallel_explore.hpp) over it, on as many threads as its
+// budget allows; successors it does not own leave through the engine's
+// outboxes as FrontierPush batches relayed by the coordinator. A
+// LevelBarrier drain closes each level, so level-end counts are global
+// invariants, and the coordinator classifies with the engine's own
+// post-level step: the DecisionReport is bit-identical to the
+// single-process explicit engine at any worker and thread count. A lost or
+// wedged peer never hangs the coordinator: it gets one structured
+// peer-lost error frame. docs/DISTRIBUTED.md has the protocol, the
+// determinism argument and the failure semantics.
 #pragma once
 
 #include <atomic>
@@ -47,6 +42,7 @@
 #include "dawn/obs/span_log.hpp"
 #include "dawn/semantics/budget.hpp"
 #include "dawn/semantics/decision.hpp"
+#include "dawn/semantics/parallel_explore.hpp"
 
 namespace dawn::net {
 
@@ -74,15 +70,10 @@ obs::JsonValue shard_init_to_json(const ShardInitRequest& init);
 std::optional<ShardInitRequest> shard_init_from_json(
     const obs::JsonValue& v, std::string* error = nullptr);
 
-// Shard range owned by worker i of W (end exclusive).
-inline std::size_t shard_range_begin(int worker, int num_workers) {
-  return static_cast<std::size_t>(worker) * 64 /
-         static_cast<std::size_t>(num_workers);
-}
-inline std::size_t shard_range_end(int worker, int num_workers) {
-  return static_cast<std::size_t>(worker + 1) * 64 /
-         static_cast<std::size_t>(num_workers);
-}
+// Shard range owned by worker i of W (end exclusive): the engine's split
+// of the 64 shards into W parts.
+using dawn::shard_range_begin;
+using dawn::shard_range_end;
 
 // Server-side plumbing handed to a detached worker session: shutdown flag,
 // peer-class byte counters, and the stats the worker dawnd surfaces through
@@ -96,7 +87,6 @@ struct WorkerSessionHooks {
   std::atomic<std::uint64_t>* dist_store_bytes = nullptr;
   std::uint64_t barrier_timeout_ms = 30'000;
   std::string spill_dir;  // required for tiered shards
-  std::size_t max_payload = kDefaultMaxPayload;
 };
 
 // Runs one worker session to completion. Blocking; owns (and closes) fd.
@@ -139,7 +129,6 @@ struct DistCoordinatorOptions {
   std::atomic<std::uint64_t>* bytes_out = nullptr;
   obs::ExploreProgress* progress = nullptr;  // merged worker heartbeats
   obs::SpanLog* spans = nullptr;  // ExploreExpand + ExploreDistExchange
-  std::string spill_dir;  // substituted for tiered budgets, like handle_decide
 };
 
 // Drives the decision across `peers` (worker dawnd addresses) and returns

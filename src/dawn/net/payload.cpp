@@ -15,6 +15,8 @@ bool fail(std::string* error, const std::string& what) {
   return false;
 }
 
+}  // namespace
+
 const obs::JsonValue* require(const obs::JsonValue& v, const char* key,
                               Kind kind, std::string* error) {
   const obs::JsonValue* field = v.get(key);
@@ -50,8 +52,6 @@ bool check_spec_version(const obs::JsonValue& v, std::string* error) {
   }
   return true;
 }
-
-}  // namespace
 
 obs::JsonValue budget_to_json(const ExploreBudget& b) {
   obs::JsonValue out = obs::JsonValue::object();

@@ -28,6 +28,7 @@
 // "repeated request returns a bit-identical report" contract work.
 #pragma once
 
+#include <initializer_list>
 #include <optional>
 #include <string>
 
@@ -100,5 +101,15 @@ std::optional<DecideMethod> method_from_name(const std::string& name);
 obs::JsonValue budget_to_json(const ExploreBudget& b);
 bool budget_from_json(const obs::JsonValue& v, ExploreBudget* out,
                       std::string* error = nullptr);
+
+// Strict-schema steps shared with the ShardInit parser; each records its
+// failure in *error (when non-null and still empty). require() returns
+// v[key] only if it has `kind`, else null.
+const obs::JsonValue* require(const obs::JsonValue& v, const char* key,
+                              obs::JsonValue::Kind kind, std::string* error);
+bool reject_unknown_keys(const obs::JsonValue& v,
+                         std::initializer_list<const char*> allowed,
+                         std::string* error);
+bool check_spec_version(const obs::JsonValue& v, std::string* error);
 
 }  // namespace dawn::net

@@ -16,7 +16,6 @@
 #include <thread>
 
 namespace dawn::net {
-namespace {
 
 std::uint64_t now_ms() {
   return static_cast<std::uint64_t>(
@@ -24,6 +23,8 @@ std::uint64_t now_ms() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
+
+namespace {
 
 struct ParsedAddress {
   bool ok = false;

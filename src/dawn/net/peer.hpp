@@ -25,6 +25,10 @@
 
 namespace dawn::net {
 
+// Milliseconds on the steady clock: the deadline base of every blocking
+// peer call.
+std::uint64_t now_ms();
+
 struct ConnectOptions {
   std::uint64_t timeout_ms = 5'000;  // per connect attempt
   int retries = 0;                   // extra attempts after the first

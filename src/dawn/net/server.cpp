@@ -758,6 +758,12 @@ void Server::handle_shard_init(Connection& c, const Frame& f) {
     send_error(c, Action::ShardInit, f.header.nonce, kind, error);
     return;
   }
+  // The shard runs on the coordinator's thread count, clamped to this
+  // server's own cap as a Decide's is.
+  int& threads = init->budget.max_threads;
+  if (threads <= 0 || threads > opts_.max_threads_cap) {
+    threads = opts_.max_threads_cap;
+  }
   if (c.inflight > 0 || !c.writeq.empty()) {
     // A session owns its fd exclusively; pending replies or inflight jobs
     // would race the session's frames on the same stream.
@@ -787,7 +793,6 @@ void Server::handle_shard_init(Connection& c, const Frame& f) {
       hooks.dist_store_bytes = &dist_store_bytes_;
       hooks.barrier_timeout_ms = opts_.dist_barrier_timeout_ms;
       hooks.spill_dir = opts_.spill_dir;
-      hooks.max_payload = opts_.max_payload;
       run_worker_session(fd, std::move(*reader), nonce, *init_ptr, hooks);
     });
   }
@@ -867,7 +872,6 @@ void Server::worker_main(int worker) {
         dopts.bytes_out = &bytes_out_peer_;
         dopts.progress = &dist_progress_;
         dopts.spans = trace_log.get();
-        dopts.spill_dir = opts_.spill_dir;
         DistResult dres = decide_distributed(job->req, opts_.peers, dopts);
         if (dres.ok) {
           reply.report = std::move(dres.report);

@@ -20,13 +20,6 @@ void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   }
 }
 
-std::uint32_t get_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
 std::uint64_t get_u64(const std::uint8_t* p) {
   std::uint64_t v = 0;
   for (int i = 7; i >= 0; --i) {
@@ -36,6 +29,13 @@ std::uint64_t get_u64(const std::uint8_t* p) {
 }
 
 }  // namespace
+
+std::uint32_t get_u32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
+}
 
 const char* name(Action a) {
   switch (a) {

@@ -111,6 +111,10 @@ struct Frame {
   std::string payload;
 };
 
+// A little-endian u32 at p: the header's payload size, and the counts in
+// the distributed payloads' batch headers.
+std::uint32_t get_u32(const std::uint8_t* p);
+
 // Serialises header + payload into one contiguous buffer ready to write.
 std::vector<std::uint8_t> encode_frame(Action action, FrameKind kind,
                                        std::uint64_t nonce,

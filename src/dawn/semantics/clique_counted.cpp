@@ -104,8 +104,9 @@ ExploreOutcome decide_clique_pseudo_stochastic_parallel(
     ExploreStats* stats) {
   ExploreBudget clamped = budget;
   clamped.max_threads = explore_threads(machine, budget);
-  return explore_and_classify<CountedConfig, CountedConfigHash>(
-      initial_counted_config(machine, L),
+  ShardedConfigStore<CountedConfig, CountedConfigHash> store;
+  return explore_and_classify_in(
+      store, initial_counted_config(machine, L),
       [&](int) { return CountedExpander{machine}; },
       [&](const CountedConfig& c) { return counted_consensus(machine, c); },
       clamped, stats);

@@ -1,11 +1,13 @@
 // Per-worker successor generators for the explicit-state engines.
 //
 // Shared by the in-process parallel decider (semantics/explicit_space.cpp)
-// and the distributed frontier engine (net/dist_explore.cpp): both must
-// enumerate successors of a configuration under exclusive selection with
-// exactly the same emit sequence, or their reachable sets (and reports)
-// would diverge.
+// and the distributed shard workers (net/dist_explore.cpp) through
+// with_explicit_expander: both must enumerate successors of a configuration
+// under exclusive selection with exactly the same emit sequence, or their
+// reachable sets (and reports) would diverge.
 #pragma once
+
+#include <utility>
 
 #include "dawn/automata/config.hpp"
 #include "dawn/automata/machine.hpp"
@@ -73,5 +75,31 @@ struct CanonExplicitExpander {
     }
   }
 };
+
+// Calls fn(initial, make_expander, verdict_of) with the explicit engine's
+// initial configuration, per-worker expander factory and verdict function
+// for `machine` on `g`, all canonicalised under `grp` when it is non-null,
+// and returns what fn returns. The local decider and a distributed shard
+// worker both explore through it.
+template <typename Fn>
+decltype(auto) with_explicit_expander(const Machine& machine, const Graph& g,
+                                      const SymmetryGroup* grp, Fn&& fn) {
+  Config initial = initial_config(machine, g);
+  auto verdict_of = [&machine](const Config& c) {
+    return consensus(machine, c);
+  };
+  if (grp != nullptr) {
+    CanonScratch scratch;
+    canonicalize(*grp, initial, scratch);
+    auto make_expander = [&machine, &g, grp](int) {
+      return CanonExplicitExpander{machine, g, *grp};
+    };
+    return fn(std::as_const(initial), make_expander, verdict_of);
+  }
+  auto make_expander = [&machine, &g](int) {
+    return ExplicitExpander{machine, g, Neighbourhood{}, Config{}};
+  };
+  return fn(std::as_const(initial), make_expander, verdict_of);
+}
 
 }  // namespace dawn

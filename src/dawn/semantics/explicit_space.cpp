@@ -74,12 +74,6 @@ ExplicitResult decide_pseudo_stochastic_parallel(const Machine& machine,
     if (grp->trivial()) grp = nullptr;
   }
 
-  Config initial = initial_config(machine, g);
-  if (grp != nullptr) {
-    CanonScratch init_scratch;
-    canonicalize(*grp, initial, init_scratch);
-  }
-
   // The store follows the machine: any machine that advertises |Q| packs
   // (PackedCodec needs the bound up front); lazily-interning ones, the
   // paper's compiled constructions among them, use the vector store. The
@@ -88,20 +82,13 @@ ExplicitResult decide_pseudo_stochastic_parallel(const Machine& machine,
   const std::optional<int> nstates = machine.num_states();
   const bool packed = nstates.has_value();
 
-  const auto verdict_of = [&](const Config& c) { return consensus(machine, c); };
   const auto explore = [&](auto& store) {
-    if (grp != nullptr) {
-      return explore_and_classify_in(
-          store, initial,
-          [&](int) { return CanonExplicitExpander{machine, g, *grp}; },
-          verdict_of, clamped, stats);
-    }
-    return explore_and_classify_in(
-        store, initial,
-        [&](int) {
-          return ExplicitExpander{machine, g, Neighbourhood{}, Config{}};
-        },
-        verdict_of, clamped, stats);
+    return with_explicit_expander(
+        machine, g, grp,
+        [&](const Config& initial, auto& make_expander, auto& verdict_of) {
+          return explore_and_classify_in(store, initial, make_expander,
+                                         verdict_of, clamped, stats);
+        });
   };
 
   ExploreOutcome out;

@@ -178,9 +178,9 @@ class PackedConfigStore {
 
   std::size_t size() const { return total_.load(std::memory_order_relaxed); }
 
-  // The shard intern(value) would land in, without interning — the routing
-  // key of the distributed engine (net/dist_explore.*). Must agree with
-  // intern() and route() exactly: same encode, same hash, same mix.
+  // The shard intern(value) would land in, without interning: how seeding
+  // tells whether a distributed shard worker owns a configuration. Must
+  // agree with intern() and route() exactly: same encode, hash and mix.
   std::size_t shard_of(const Config& value) const;
 
   // Freezes the dense remap. Call once, after all interning is done.
@@ -213,8 +213,8 @@ class PackedConfigStore {
   // Byte occupancy of shards [begin, end) only. Per-shard bytes are a
   // deterministic function of shard contents (slot growth depends only on
   // insertion count), so disjoint ranges measured on different processes
-  // sum to one process's bytes() — see bytes_for_shard_range in
-  // parallel_explore.hpp.
+  // sum to one process's bytes(): a distributed decide's ledger relies on
+  // it.
   std::size_t bytes_for_shard_range(std::size_t begin, std::size_t end) const;
 
   // In-memory footprint: bytes() minus the spilled arena words.

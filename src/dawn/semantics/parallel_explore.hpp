@@ -1,29 +1,30 @@
 // Frontier-parallel sharded explicit-state exploration.
 //
-// The generic engine behind the parallel pseudo-stochastic deciders
-// (explicit configurations, counted clique / star configurations). It runs
-// a level-synchronous BFS over the configuration graph:
+// The one BFS engine behind the parallel pseudo-stochastic deciders
+// (explicit configurations, counted clique / star configurations) and the
+// distributed shard workers. It runs a level-synchronous BFS over the
+// configuration graph:
 //
 //  * configurations are interned into a hash-sharded store (64 shards);
 //    each worker of a persistent WorkerPool (semantics/trials.hpp) owns a
 //    contiguous shard range, and only the owner writes a shard;
-//  * a BFS level is a vector of gids, and each level runs in two
-//    barrier-separated phases: in phase A workers claim fixed-size frontier
-//    chunks through an atomic cursor, read each configuration from the
-//    store without a lock, record its verdict, expand it and route every
-//    successor to the owner of its shard, only reading the store; in phase
-//    B each owner interns what was routed to it, lock-free, and records the
-//    edges and the next level's gids. No two workers write one cache line
-//    at the same time;
-//  * the per-worker edge buffers are merged into one CSR by counting sort,
-//    condensed by the iterative Tarjan in semantics/scc.{hpp,cpp} and
-//    classified by the bottom-SCC rule.
+//  * a BFS level is a vector of gids and runs in two barrier-separated
+//    phases: in phase A workers claim frontier chunks through an atomic
+//    cursor, expand them and route every successor to the owner of its
+//    shard, only reading the store; in phase B each owner interns what was
+//    routed to it, lock-free. No two workers write one cache line at the
+//    same time;
+//  * the edges are merged into one CSR by counting sort, condensed by the
+//    iterative Tarjan in semantics/scc.{hpp,cpp} and classified by the
+//    bottom-SCC rule.
 //
-// Spill mode: when the store spills (a PackedConfigStore given a spill dir
-// and a byte budget), the same loop runs out of core. Full edge blocks go
-// to per-owner EdgeSpool files (semantics/tiered_config.hpp), the store
-// spills its arenas at level ends, and the spooled edges are classified
-// from disk. docs/ENGINE.md "The tiered store" has the rules.
+// LevelExplorer holds the level loop's steps; explore_and_classify_in
+// drives them locally, and net/dist_explore.cpp drives them over one
+// process's shards. Spill mode: when the store spills (a PackedConfigStore
+// given a spill dir and a byte budget), the same steps run out of core,
+// with full edge blocks in per-owner EdgeSpool files
+// (semantics/tiered_config.hpp); docs/ENGINE.md "The tiered store" has the
+// rules.
 //
 // Determinism contract: the decision, the number of reachable
 // configurations, and the number of bottom SCCs are properties of the
@@ -47,6 +48,7 @@
 #include <mutex>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -218,9 +220,8 @@ class ShardedConfigStore {
   std::size_t size() const { return total_.load(std::memory_order_relaxed); }
 
   // The shard intern(value) would land in, without interning: route()'s
-  // key, and the distributed engine's (net/dist_explore.*), where a worker
-  // process owns a contiguous shard range and only ever interns values
-  // whose shard falls inside it.
+  // key, and how seeding tells whether a distributed shard worker owns a
+  // configuration.
   std::size_t shard_of(const ConfigT& value) const {
     // Run the hash through a splitmix finalizer before extracting shard
     // bits: raw high-middle bits (the old `h >> 24`) carry little entropy
@@ -265,20 +266,13 @@ class ShardedConfigStore {
   // hash), one bucket pointer and value()'s key pointer. An estimate —
   // node layouts and bucket growth are implementation-defined — but
   // measured the same way for every store so packed-vs-vector ratios are
-  // meaningful.
-  // Single-threaded accounting: call after exploration, not during.
-  std::size_t bytes() const { return bytes_for_shard_range(0, kNumShards); }
-
-  // Byte-level occupancy of shards [begin, end). Every charge is per entry,
-  // so the total depends only on the stored values, not on how they spread
-  // over shards: that spread follows state ids, which a compiled machine
-  // assigns in thread-timing order. Summing disjoint ranges measured on
-  // different processes equals one process measuring all 64 — the
-  // distributed engine relies on this for bit-identical ledgers.
-  std::size_t bytes_for_shard_range(std::size_t begin, std::size_t end) const {
+  // meaningful. Every charge is per entry, so the total depends only on
+  // the stored values, not on how they spread over shards: that spread
+  // follows state ids, which a compiled machine assigns in thread-timing
+  // order. Single-threaded accounting: call after exploration, not during.
+  std::size_t bytes() const {
     std::size_t total = 0;
-    for (std::size_t sh = begin; sh < end; ++sh) {
-      const Shard& s = shards_[sh];
+    for (const Shard& s : shards_) {
       total += s.ids.size() * sizeof(void*) +
                s.keys.size() * sizeof(const ConfigT*) + s.entry_bytes;
     }
@@ -340,8 +334,85 @@ inline int explore_threads(const Machine& machine,
   return machine.parallel_step_safe() ? t : 1;
 }
 
-// Explores the configuration graph from `initial` and classifies its bottom
-// SCCs, interning into a caller-supplied store.
+// The 64 shards split into `num_parts` contiguous ranges: part i owns
+// [shard_range_begin(i, n), shard_range_end(i, n)). A distributed decide
+// splits them over its worker processes this way.
+inline std::size_t shard_range_begin(int part, int num_parts) {
+  return static_cast<std::size_t>(part) * 64 /
+         static_cast<std::size_t>(num_parts);
+}
+inline std::size_t shard_range_end(int part, int num_parts) {
+  return shard_range_begin(part + 1, num_parts);
+}
+
+// The memory ledger of a completed in-memory run, local or distributed:
+// only thread-count-invariant quantities (final store occupancy, peak
+// frontier level, edge count), so the ledger keeps the DecisionReport
+// bit-identical across thread and worker counts.
+inline void account_explored(obs::MemoryLedger& ledger,
+                             obs::MemoryAccount store_account,
+                             std::size_t store_bytes,
+                             std::size_t frontier_peak, std::uint64_t edges) {
+  ledger.set_max(store_account, store_bytes);
+  ledger.set_max(obs::MemoryAccount::FrontierBytes,
+                 frontier_peak * sizeof(std::int64_t));
+  ledger.set_max(obs::MemoryAccount::EdgeBytes,
+                 edges * 2 * sizeof(std::int64_t));
+}
+
+// What the levels of a completed run leave for its classification:
+// verdicts[i] is dense configuration i's verdict, and the edges are the
+// owners' in-memory blocks or, in spill mode, the spool, whose CSR must fit
+// classify_cap bytes.
+struct ExploredGraph {
+  std::vector<Verdict> verdicts;
+  std::vector<GidEdges> edges;
+  const EdgeSpool* spool = nullptr;
+  std::size_t classify_cap = 0;
+};
+
+// The classification after the last level, for local, spill-mode and
+// distributed runs alike: collect() hands back the explored graph, the
+// merge builds its CSR through build_csr, mapping gids through dense(gid),
+// and the bottom-SCC rule classifies it. nullopt if an in-memory edge
+// endpoint falls outside the dense range.
+template <typename Collect, typename Dense>
+std::optional<ExploreOutcome> classify_explored(Collect&& collect,
+                                                const Dense& dense,
+                                                obs::SpanLog* spans) {
+  ExploredGraph graph;
+  CsrGraph csr;
+  {
+    obs::SpanScope merge_span(spans, obs::Phase::ExploreMerge);
+    graph = collect();
+    merge_span.add_items(graph.verdicts.size());
+    if (graph.spool == nullptr &&
+        !build_csr(graph.verdicts.size(), std::span<GidEdges>(graph.edges),
+                   dense, csr)) {
+      return std::nullopt;
+    }
+  }
+  obs::SpanScope scc_span(spans, obs::Phase::ExploreScc,
+                          graph.verdicts.size());
+  if (graph.spool != nullptr) {
+    return classify_bottom_sccs_external(*graph.spool, graph.verdicts, dense,
+                                         graph.classify_cap);
+  }
+  const BottomClassification cls = classify_bottom_sccs(
+      csr, [&](std::size_t i) { return graph.verdicts[i]; });
+  ExploreOutcome outcome;
+  outcome.decision = cls.decision;
+  outcome.num_configs = graph.verdicts.size();
+  outcome.num_bottom_sccs = cls.num_bottom_sccs;
+  return outcome;
+}
+
+// One exploration's BFS as the steps of its level loop: seed(), then per
+// level expand() (phase A), intern_routed() (phase B) and end_level(), and
+// after the last level finish_levels() and, for a completed run,
+// explored(). explore_and_classify_in below drives them over all 64
+// shards; a distributed shard worker (net/dist_explore.cpp) drives them
+// over the shards of its part, between the coordinator's barriers.
 //
 //  * `store` implements the ShardedConfigStore contract — intern() /
 //    route() / drain() / value() / size() / finalize() / dense() /
@@ -354,54 +425,27 @@ inline int explore_threads(const Machine& machine,
 //    copies what it keeps.
 //  * verdict_of(config) returns the configuration's uniform verdict
 //    (Neutral if mixed). Called once per configuration the run expands, by
-//    the worker that expands it.
+//    the worker that expands it, so a completed run has every verdict.
 //
-// Each BFS level is a vector of gids and runs in two phases separated by a
-// barrier. The 64 shards are split into one contiguous owner range per
-// worker (workers past the 64th own none):
-//
-//  * phase A — workers claim frontier chunks, read each configuration with
-//    value(), record its verdict, expand it and route() each successor
-//    into a batch for the owner of its shard. The store is only read;
-//  * phase B — each owner drain()s the batches addressed to it into its own
-//    shards without a lock, recording every edge and the gid of every fresh
-//    configuration.
-//
-// A completed run expands every reachable configuration exactly once, so
-// it has every verdict; capped and deadline runs use none. In spill mode
-// (store.spills()) the level end also spills the store and checks the
-// resident index against the budget (UnknownReason::MemoryCap), full edge
-// blocks go to an EdgeSpool, and the classification reads the spool back.
-//
-// Both callables run concurrently on budget.resolve_threads() workers; pass
-// a budget clamped via explore_threads() when the machine is not
-// thread-safe.
+// The owner map splits the part's shards (all 64 locally) into one
+// contiguous owner range per worker; workers past the range's size own
+// none. Every other shard maps to an outbox slot, one per other part, which
+// the driver empties between the phases. Both callables run concurrently
+// on budget.resolve_threads() workers; pass a budget clamped via
+// explore_threads() when the machine is not thread-safe.
 template <typename ConfigT, typename Store, typename MakeExpander,
           typename VerdictOf>
-ExploreOutcome explore_and_classify_in(Store& store, const ConfigT& initial,
-                                       MakeExpander&& make_expander,
-                                       VerdictOf&& verdict_of,
-                                       const ExploreBudget& budget,
-                                       ExploreStats* stats_out = nullptr) {
-  const int threads = budget.resolve_threads();
-  DeadlineClock deadline(budget);
+class LevelExplorer {
+  using Expander = std::invoke_result_t<MakeExpander&, int>;
+  static constexpr bool kCanSpill = requires(Store& s) { s.spill_to_budget(); };
 
-  // Ambient telemetry, read once and propagated by value into the worker
-  // lambdas (thread_locals do not cross thread boundaries). Every hook
-  // below is a null-check when telemetry is off; none of them feeds back
-  // into the exploration, so the outcome is identical either way.
-  const obs::Telemetry tel = obs::telemetry();
-  obs::ExploreProgress* const progress = tel.progress;
-  if (progress != nullptr) progress->reset();
-
-  using Expander = decltype(make_expander(0));
   // One worker's state, on cache lines of its own. In phase B an owner
   // also clears the batches routed to it, each on its own line.
   struct alignas(64) Worker {
     explicit Worker(Expander e) : expander(std::move(e)) {}
     Expander expander;
     ConfigT scratch;  // phase A: value()'s decoded configuration
-    std::vector<typename Store::Batch> out;  // phase A: by owner
+    std::vector<typename Store::Batch> out;  // phase A: owners, outboxes
     std::vector<std::pair<std::int64_t, Verdict>> verdicts;  // phase A
     std::size_t steals = 0;
     // Phase B: every edge into an owned shard, in edge_block-pair blocks.
@@ -409,112 +453,157 @@ ExploreOutcome explore_and_classify_in(Store& store, const ConfigT& initial,
     std::vector<std::int64_t> next;  // phase B: fresh gids
   };
 
-  WorkerPool pool(threads);
-  const auto num_workers = static_cast<std::size_t>(pool.num_workers());
-  const std::size_t num_owners = std::min(num_workers, Store::kNumShards);
-  std::array<std::uint32_t, Store::kNumShards> owner_of_shard{};
-  for (std::size_t sh = 0; sh < Store::kNumShards; ++sh) {
-    owner_of_shard[sh] =
-        static_cast<std::uint32_t>(sh * num_owners / Store::kNumShards);
-  }
-  std::vector<Worker> workers;
-  workers.reserve(num_workers);
-  for (std::size_t w = 0; w < num_workers; ++w) {
-    workers.emplace_back(make_expander(static_cast<int>(w)));
-    workers.back().out.resize(num_owners);
-  }
-  // Spill mode: only the packed store can spill, and it does when its
-  // budget names a spill dir and a byte cap. Edges then go to one spool
-  // file per owner.
-  constexpr bool kCanSpill = requires { store.spill_to_budget(); };
-  std::optional<EdgeSpool> spool;
-  if constexpr (kCanSpill) {
-    if (store.spills()) {
-      spool.emplace(budget.spill_dir, static_cast<int>(num_owners));
-    }
-  }
   // A worker's edges fill one buffer that grows by doubling up to
   // kEdgeBlock pairs (2 MiB) and then blocks of kEdgeBlock each, so a large
   // exploration never copies or frees an edge buffer while workers run.
   // build_csr takes the blocks as they are. In spill mode the one block
   // holds EdgeSpool::kBlockPairs and goes to the owner's spool file each
   // time it fills.
-  constexpr std::size_t kEdgeBlock = std::size_t{1} << 17;
-  const std::size_t edge_block = spool ? EdgeSpool::kBlockPairs : kEdgeBlock;
+  static constexpr std::size_t kEdgeBlock = std::size_t{1} << 17;
 
-  ExploreStats stats;
-  stats.threads = pool.num_workers();
+ public:
+  // How a level ended: go on, or stop because spilling failed or the
+  // resident index alone is over budget (UnknownReason::MemoryCap).
+  enum class LevelEnd { Next, IoFailed, MemoryCap };
 
-  std::vector<std::int64_t> frontier{store.intern(initial).gid};
-
-  bool capped = false;
-  bool expired = false;
-  bool mem_capped = false;
-  bool io_failed = spool && !spool->ok();
-  while (!frontier.empty() && !io_failed) {
-    ++stats.levels;
-    if (frontier.size() > stats.frontier_peak) {
-      stats.frontier_peak = frontier.size();
+  LevelExplorer(Store& store, MakeExpander& make_expander,
+                VerdictOf& verdict_of, const ExploreBudget& budget,
+                int part = 0, int num_parts = 1)
+      : store_(store),
+        verdict_of_(verdict_of),
+        budget_(budget),
+        deadline_(budget),
+        // Ambient telemetry, read once and propagated by value into the
+        // worker lambdas (thread_locals do not cross thread boundaries).
+        // Every hook is a null-check when telemetry is off; none of them
+        // feeds back into the exploration, so the outcome is identical
+        // either way.
+        tel_(obs::telemetry()),
+        pool_(budget.resolve_threads()),
+        num_workers_(static_cast<std::size_t>(pool_.num_workers())),
+        part_(static_cast<std::size_t>(part)) {
+    if (tel_.progress != nullptr) tel_.progress->reset();
+    const std::size_t begin = shard_range_begin(part, num_parts);
+    const std::size_t end = shard_range_end(part, num_parts);
+    num_owners_ = std::min(num_workers_, end - begin);
+    for (std::size_t sh = 0, to = 0; sh < Store::kNumShards; ++sh) {
+      while (sh >= shard_range_end(static_cast<int>(to), num_parts)) ++to;
+      owner_of_shard_[sh] = static_cast<std::uint32_t>(
+          to == part_ ? (sh - begin) * num_owners_ / (end - begin)
+                      : outbox_slot(to));
     }
-    if (progress != nullptr) {
-      progress->level.store(stats.levels, std::memory_order_relaxed);
-      progress->frontier.store(frontier.size(), std::memory_order_relaxed);
-      if (deadline.enabled()) {
-        progress->deadline_ms_remaining.store(deadline.remaining_ms(),
+    workers_.reserve(num_workers_);
+    for (std::size_t w = 0; w < num_workers_; ++w) {
+      workers_.emplace_back(make_expander(static_cast<int>(w)));
+      workers_.back().out.resize(num_owners_ + num_parts - 1);
+    }
+    // Spill mode: only the packed store can spill, and it does when its
+    // budget names a spill dir and a byte cap. Edges then go to one spool
+    // file per owner.
+    if constexpr (kCanSpill) {
+      if (store.spills()) {
+        spool_.emplace(budget.spill_dir, static_cast<int>(num_owners_));
+        io_failed_ = !spool_->ok();
+      }
+    }
+    edge_block_ = spool_ ? EdgeSpool::kBlockPairs : kEdgeBlock;
+    stats_.threads = pool_.num_workers();
+  }
+
+  // Interns `initial` as the first level if this part owns its shard.
+  bool seed(const ConfigT& initial) {
+    if (owner_of_shard_[store_.shard_of(initial)] >= num_owners_) {
+      return false;
+    }
+    frontier_.push_back(store_.intern(initial).gid);
+    return true;
+  }
+
+  // Phase A. Every worker checks the deadline and calls poll(worker) once
+  // per frontier chunk it claims, and stops when either says so.
+  template <typename Poll>
+  void expand(const Poll& poll) {
+    ++stats_.levels;
+    stats_.frontier_peak = std::max(stats_.frontier_peak, frontier_.size());
+    if (obs::ExploreProgress* const progress = tel_.progress) {
+      progress->level.store(stats_.levels, std::memory_order_relaxed);
+      progress->frontier.store(frontier_.size(), std::memory_order_relaxed);
+      if (deadline_.enabled()) {
+        progress->deadline_ms_remaining.store(deadline_.remaining_ms(),
                                               std::memory_order_relaxed);
       }
     }
-    obs::SpanScope level_span(tel.spans, obs::Phase::ExploreExpand,
-                              frontier.size());
-    // Phase A. Chunks small enough that uneven expansion cost rebalances,
-    // large enough that the cursor isn't contended.
+    // Chunks small enough that uneven expansion cost rebalances, large
+    // enough that the cursor isn't contended.
     const std::size_t chunk =
-        std::min<std::size_t>(256, frontier.size() / (num_workers * 4) + 1);
+        std::min<std::size_t>(256, frontier_.size() / (num_workers_ * 4) + 1);
     std::atomic<std::size_t> cursor{0};
-    pool.run([&, tel](int w) {
+    pool_.run([&, tel = tel_](int w) {
       const obs::TelemetryScope telemetry_scope(tel);
-      Worker& self = workers[static_cast<std::size_t>(w)];
+      Worker& self = workers_[static_cast<std::size_t>(w)];
       const auto batches = std::span(self.out);
       for (;;) {
-        if (deadline.enabled() && deadline.expired()) break;
+        if (deadline_.enabled() && deadline_.expired()) break;
+        if (!poll(w)) break;
         const std::size_t begin = cursor.fetch_add(chunk);
-        if (begin >= frontier.size()) break;
-        const std::size_t end = std::min(begin + chunk, frontier.size());
-        if ((begin / chunk) % num_workers != static_cast<std::size_t>(w)) {
+        if (begin >= frontier_.size()) break;
+        const std::size_t end = std::min(begin + chunk, frontier_.size());
+        if ((begin / chunk) % num_workers_ != static_cast<std::size_t>(w)) {
           ++self.steals;  // claim deviates from a static round-robin split
         }
         for (std::size_t i = begin; i < end; ++i) {
-          const std::int64_t gid = frontier[i];
-          const ConfigT& config = store.value(gid, self.scratch);
-          self.verdicts.emplace_back(gid, verdict_of(config));
+          const std::int64_t gid = frontier_[i];
+          const ConfigT& config = store_.value(gid, self.scratch);
+          self.verdicts.emplace_back(gid, verdict_of_(config));
           self.expander(config, [&](const ConfigT& succ) {
-            store.route(succ, gid, batches, owner_of_shard);
+            store_.route(succ, gid, batches, owner_of_shard_);
           });
         }
       }
     });
-    // Phase B. An owner stops once the store passes the cap: the level's
-    // outcome is already determined, and the count is clamped below.
+  }
+
+  // Calls fn(batch) on each worker's outbox for part `to`.
+  template <typename Fn>
+  void for_each_outbox(int to, Fn&& fn) {
+    const std::size_t slot = outbox_slot(static_cast<std::size_t>(to));
+    for (Worker& worker : workers_) fn(worker.out[slot]);
+  }
+
+  // Routes a successor that another part expanded (src is its gid there)
+  // to its owner's batch. False if this part does not own its shard.
+  bool route_in(const ConfigT& value, std::int64_t src) {
+    const auto batches = std::span(workers_.front().out);
+    store_.route(value, src, batches, owner_of_shard_);
+    return std::all_of(batches.begin() + num_owners_, batches.end(),
+                       [](const auto& outbox) { return outbox.size() == 0; });
+  }
+
+  // Phase B. An owner stops once the store passes the cap: the level's
+  // outcome is already determined, and the driver clamps the count.
+  void intern_routed() {
     std::size_t routed = 0;
-    for (const Worker& worker : workers) {
+    for (const Worker& worker : workers_) {
       for (const auto& batch : worker.out) routed += batch.size();
     }
+    obs::ExploreProgress* const progress = tel_.progress;
     {
-      obs::SpanScope intern_span(tel.spans, obs::Phase::ExploreIntern, routed);
-      pool.run([&, tel](int w) {
+      obs::SpanScope intern_span(tel_.spans, obs::Phase::ExploreIntern,
+                                 routed);
+      pool_.run([&, tel = tel_](int w) {
         const auto owner = static_cast<std::size_t>(w);
-        if (owner >= num_owners) return;
+        if (owner >= num_owners_) return;
         const obs::TelemetryScope telemetry_scope(tel);
-        Worker& self = workers[owner];
-        for (Worker& from : workers) {
-          if (store.size() > budget.max_configs) break;
-          if (deadline.enabled() && deadline.expired()) break;
+        Worker& self = workers_[owner];
+        for (Worker& from : workers_) {
+          if (store_.size() > budget_.max_configs) break;
+          if (deadline_.enabled() && deadline_.expired()) break;
           auto& batch = from.out[owner];
-          store.drain(batch, [&](std::int64_t src, std::int64_t gid,
-                                 bool fresh) {
-            if (self.edges.back().size() == edge_block) {
-              if (spool) {
-                spool->append_block(w, self.edges.back());
+          store_.drain(batch, [&](std::int64_t src, std::int64_t gid,
+                                  bool fresh) {
+            if (self.edges.back().size() == edge_block_) {
+              if (spool_) {
+                spool_->append_block(w, self.edges.back());
                 self.edges.back().clear();
               } else {
                 self.edges.emplace_back().reserve(kEdgeBlock);
@@ -534,199 +623,223 @@ ExploreOutcome explore_and_classify_in(Store& store, const ConfigT& initial,
       });
     }
     if (progress != nullptr) {
-      progress->configs.store(store.size(), std::memory_order_relaxed);
-      std::uint64_t edges_so_far = spool ? spool->num_edges() : 0;
-      for (const Worker& worker : workers) {
-        for (const GidEdges& block : worker.edges) edges_so_far += block.size();
-      }
-      progress->edges.store(edges_so_far, std::memory_order_relaxed);
+      progress->configs.store(store_.size(), std::memory_order_relaxed);
+      progress->edges.store(num_edges(), std::memory_order_relaxed);
     }
-    if (store.size() > budget.max_configs) {
-      capped = true;
-      break;
-    }
-    if (deadline.expired()) {
-      expired = true;
-      break;
-    }
+  }
+
+  // The level end: the fresh gids become the frontier. In spill mode the
+  // store then spills against the level-end contents, and the run must
+  // give up if the always-resident index alone is over budget.
+  LevelEnd end_level() {
     // Each fresh gid was interned by exactly one owner, so the
     // concatenation is the next level without duplicates.
-    frontier.clear();
-    for (Worker& worker : workers) {
-      frontier.insert(frontier.end(), worker.next.begin(), worker.next.end());
+    frontier_.clear();
+    for (Worker& worker : workers_) {
+      frontier_.insert(frontier_.end(), worker.next.begin(),
+                       worker.next.end());
       worker.next.clear();
     }
     if constexpr (kCanSpill) {
-      // Spill mode's level end: spill against the level-end contents, then
-      // give up (MemoryCap) if the always-resident index alone is over
-      // budget.
-      if (spool && store.resident_bytes() > store.max_resident_bytes()) {
-        obs::SpanScope spill_span(tel.spans, obs::Phase::ExploreSpill,
-                                  store.resident_bytes());
-        if (!store.spill_to_budget()) {
-          io_failed = true;
-          break;
-        }
-        ++stats.spill_events;
-        if (store.resident_bytes() > store.max_resident_bytes()) {
-          mem_capped = true;
-          break;
+      if (spool_ && store_.resident_bytes() > store_.max_resident_bytes()) {
+        obs::SpanScope spill_span(tel_.spans, obs::Phase::ExploreSpill,
+                                  store_.resident_bytes());
+        if (!store_.spill_to_budget()) return LevelEnd::IoFailed;
+        ++stats_.spill_events;
+        if (store_.resident_bytes() > store_.max_resident_bytes()) {
+          return LevelEnd::MemoryCap;
         }
       }
     }
+    return LevelEnd::Next;
   }
 
-  // The routed batches and frontiers are dead once the BFS ends: release
-  // them before the merge and the SCC pass allocate.
-  for (Worker& worker : workers) {
-    stats.steals += worker.steals;
-    decltype(worker.out)().swap(worker.out);
-    decltype(worker.next)().swap(worker.next);
-  }
-  decltype(frontier)().swap(frontier);
-
-  if constexpr (kCanSpill) {
-    if (spool) {
-      // The owners' partly filled blocks.
-      for (std::size_t owner = 0; owner < num_owners; ++owner) {
-        GidEdges& tail = workers[owner].edges.back();
-        spool->append_block(static_cast<int>(owner), tail);
-        GidEdges().swap(tail);
-      }
-      if (!spool->ok()) io_failed = true;
-      stats.spill_arena_bytes = store.spilled_bytes();
-      stats.spill_edge_bytes = io_failed ? 0 : spool->bytes();
-      stats.resident_bytes = store.resident_bytes();
+  // After the last level: releases the routed batches and the frontier
+  // before the merge and the SCC pass allocate, and in spill mode writes
+  // the owners' partly filled edge blocks. False if the spool failed.
+  bool finish_levels() {
+    for (Worker& worker : workers_) {
+      stats_.steals += worker.steals;
+      decltype(worker.out)().swap(worker.out);
+      decltype(worker.next)().swap(worker.next);
     }
+    decltype(frontier_)().swap(frontier_);
+    if constexpr (kCanSpill) {
+      if (spool_) {
+        for (std::size_t owner = 0; owner < num_owners_; ++owner) {
+          GidEdges& tail = workers_[owner].edges.back();
+          spool_->append_block(static_cast<int>(owner), tail);
+          GidEdges().swap(tail);
+        }
+        io_failed_ = io_failed_ || !spool_->ok();
+        stats_.spill_arena_bytes = store_.spilled_bytes();
+        stats_.spill_edge_bytes = io_failed_ ? 0 : spool_->bytes();
+        stats_.resident_bytes = store_.resident_bytes();
+      }
+    }
+    return !io_failed_;
   }
 
-  const auto emit_metrics = [&stats] {
-    obs::count(obs::Counter::ExploreConfigs, stats.configs);
-    obs::count(obs::Counter::ExploreEdges, stats.edges);
-    obs::count(obs::Counter::ExploreLevels, stats.levels);
-    obs::count(obs::Counter::ExploreSteals, stats.steals);
-    obs::count(obs::Counter::ExploreSpillEvents, stats.spill_events);
-    obs::count(obs::Counter::ExploreSpillBytes,
-               stats.spill_arena_bytes + stats.spill_edge_bytes);
-    obs::gauge_max(obs::Gauge::ExploreShardPeak, stats.shard_peak);
-    obs::gauge_max(obs::Gauge::ExploreStoreBytes, stats.store_bytes);
-    obs::gauge_max(obs::Gauge::ExploreResidentBytes, stats.resident_bytes);
-    obs::gauge_max(obs::Gauge::ExploreFrontierPeak, stats.frontier_peak);
-    obs::gauge_max(obs::Gauge::ExploreThreads,
-                   static_cast<std::uint64_t>(stats.threads));
-  };
-
-  ExploreOutcome outcome;
-  if (capped || expired || mem_capped || io_failed) {
-    outcome.decision = Decision::Unknown;
-    outcome.reason = capped    ? UnknownReason::ConfigCap
-                     : expired ? UnknownReason::Deadline
-                               : UnknownReason::MemoryCap;
-    // Clamp so capped outcomes are thread-count-independent: how far past
-    // the cap the workers got is scheduling noise. MemoryCap aborts happen
-    // at level boundaries, where store.size() is already invariant.
-    outcome.num_configs =
-        capped ? budget.max_configs : std::min(store.size(), budget.max_configs);
-    stats.configs = outcome.num_configs;
-    stats.store_bytes = store.bytes();
-    if (stats_out != nullptr) *stats_out = stats;
-    emit_metrics();
-    return outcome;
-  }
-
-  store.finalize();
-  const std::size_t total = store.size();
-  const auto dense = [&store](std::int64_t gid) { return store.dense(gid); };
-  std::vector<Verdict> verdicts(total, Verdict::Neutral);
-  std::size_t num_edges = spool ? spool->num_edges() : 0;
-  CsrGraph graph;
-  {
-    obs::SpanScope merge_span(tel.spans, obs::Phase::ExploreMerge, total);
-    std::vector<GidEdges> edges;
-    for (Worker& worker : workers) {
+  // A completed run's graph: freezes the store's dense ids and hands back
+  // every verdict by dense id, with the edges.
+  ExploredGraph explored() {
+    store_.finalize();
+    ExploredGraph graph;
+    graph.verdicts.assign(store_.size(), Verdict::Neutral);
+    stats_.edges = spool_ ? spool_->num_edges() : 0;
+    if constexpr (kCanSpill) {
+      if (spool_) {
+        graph.spool = &*spool_;
+        // A formula over the budget, so MemoryCap here is deterministic.
+        graph.classify_cap =
+            std::max<std::size_t>(store_.max_resident_bytes() * 8, 64u << 20);
+      }
+    }
+    for (Worker& worker : workers_) {
       for (const auto& [gid, verdict] : worker.verdicts) {
-        verdicts[static_cast<std::size_t>(dense(gid))] = verdict;
+        graph.verdicts[static_cast<std::size_t>(store_.dense(gid))] = verdict;
       }
       decltype(worker.verdicts)().swap(worker.verdicts);
       for (GidEdges& block : worker.edges) {
-        num_edges += block.size();
-        edges.push_back(std::move(block));
+        stats_.edges += block.size();
+        graph.edges.push_back(std::move(block));
       }
     }
-    if (!spool) {
-      const bool in_range =
-          build_csr(total, std::span<GidEdges>(edges), dense, graph);
-      DAWN_CHECK_MSG(in_range, "edge endpoint outside the finalized store");
+    stats_.configs = store_.size();
+    stats_.shard_peak = store_.shard_peak();
+    stats_.store_bytes = store_.bytes();
+    const auto occupancies = store_.shard_occupancies();
+    stats_.shard_chi2 =
+        shard_chi_square(occupancies.data(), occupancies.size());
+    return graph;
+  }
+
+  // Edges recorded so far, in memory and spooled.
+  std::uint64_t num_edges() const {
+    std::uint64_t edges = spool_ ? spool_->num_edges() : 0;
+    for (const Worker& worker : workers_) {
+      for (const GidEdges& block : worker.edges) edges += block.size();
     }
+    return edges;
   }
 
-  stats.configs = total;
-  stats.edges = num_edges;
-  stats.shard_peak = store.shard_peak();
-  stats.store_bytes = store.bytes();
-  {
-    const auto occupancies = store.shard_occupancies();
-    stats.shard_chi2 = shard_chi_square(occupancies.data(), occupancies.size());
+  const std::vector<std::int64_t>& frontier() const { return frontier_; }
+  bool spills() const { return spool_.has_value(); }
+  bool io_failed() const { return io_failed_; }
+  const DeadlineClock& deadline() const { return deadline_; }
+  ExploreStats& stats() { return stats_; }
+
+ private:
+  // Outbox slots follow the owners, one per other part, in part order.
+  std::size_t outbox_slot(std::size_t to) const {
+    return num_owners_ + to - (to > part_ ? 1 : 0);
   }
 
-  // Memory ledger — completed runs only, and only thread-count-invariant
-  // quantities (final store occupancy, peak frontier level, edge count,
-  // level-end spills), so the ledger keeps the DecisionReport bit-identical
-  // across thread counts. Capped/deadline runs stop at a
-  // scheduling-dependent point and are deliberately not accounted.
-  if (tel.ledger != nullptr) {
+  Store& store_;
+  VerdictOf& verdict_of_;
+  const ExploreBudget& budget_;
+  DeadlineClock deadline_;
+  const obs::Telemetry tel_;
+  WorkerPool pool_;
+  std::size_t num_workers_;
+  std::size_t part_;
+  std::size_t num_owners_ = 0;
+  std::array<std::uint32_t, Store::kNumShards> owner_of_shard_{};
+  std::vector<Worker> workers_;
+  std::optional<EdgeSpool> spool_;
+  std::size_t edge_block_ = kEdgeBlock;
+  std::vector<std::int64_t> frontier_;
+  bool io_failed_ = false;
+  ExploreStats stats_;
+};
+
+// Explores the configuration graph from `initial` and classifies its bottom
+// SCCs, interning into a caller-supplied store: LevelExplorer's local
+// driver. A run stops at the level that hit the config cap, the deadline
+// or (spill mode) the memory cap.
+template <typename ConfigT, typename Store, typename MakeExpander,
+          typename VerdictOf>
+ExploreOutcome explore_and_classify_in(Store& store, const ConfigT& initial,
+                                       MakeExpander&& make_expander,
+                                       VerdictOf&& verdict_of,
+                                       const ExploreBudget& budget,
+                                       ExploreStats* stats_out = nullptr) {
+  using Run =
+      LevelExplorer<ConfigT, Store, std::remove_reference_t<MakeExpander>,
+                    std::remove_reference_t<VerdictOf>>;
+  Run run(store, make_expander, verdict_of, budget);
+  const obs::Telemetry tel = obs::telemetry();
+  run.seed(initial);
+
+  bool capped = false;
+  bool expired = false;
+  auto end = run.io_failed() ? Run::LevelEnd::IoFailed : Run::LevelEnd::Next;
+  while (!run.frontier().empty() && end == Run::LevelEnd::Next) {
+    obs::SpanScope level_span(tel.spans, obs::Phase::ExploreExpand,
+                              run.frontier().size());
+    run.expand([](int) { return true; });
+    run.intern_routed();
+    capped = store.size() > budget.max_configs;
+    expired = !capped && run.deadline().expired();
+    if (capped || expired) break;
+    end = run.end_level();
+  }
+  const bool completed = run.finish_levels() && !capped && !expired &&
+                         end == Run::LevelEnd::Next;
+  ExploreStats& stats = run.stats();
+
+  std::optional<ExploreOutcome> outcome;
+  if (!completed) {
+    outcome.emplace();
+    outcome->reason = capped    ? UnknownReason::ConfigCap
+                      : expired ? UnknownReason::Deadline
+                                : UnknownReason::MemoryCap;
+    // Clamp so capped outcomes are thread-count-independent: how far past
+    // the cap the workers got is scheduling noise. MemoryCap aborts happen
+    // at level boundaries, where store.size() is already invariant.
+    outcome->num_configs =
+        capped ? budget.max_configs : std::min(store.size(), budget.max_configs);
+    stats.configs = outcome->num_configs;
+    stats.store_bytes = store.bytes();
+  } else {
+    outcome = classify_explored(
+        [&run] { return run.explored(); },
+        [&store](std::int64_t gid) { return store.dense(gid); }, tel.spans);
+    DAWN_CHECK_MSG(outcome.has_value(),
+                   "edge endpoint outside the finalized store");
+  }
+
+  // Memory ledger — completed runs only: capped/deadline runs stop at a
+  // scheduling-dependent point and are deliberately not accounted. Spill
+  // mode accounts its level-end spills, also thread-count-invariant.
+  if (completed && tel.ledger != nullptr && !run.spills()) {
+    account_explored(*tel.ledger, Store::kMemoryAccount, stats.store_bytes,
+                     stats.frontier_peak, stats.edges);
+  } else if (completed && tel.ledger != nullptr) {
     tel.ledger->set_max(obs::MemoryAccount::FrontierBytes,
                         stats.frontier_peak * sizeof(std::int64_t));
-    if (spool) {
-      tel.ledger->set_max(obs::MemoryAccount::TieredResidentBytes,
-                          stats.resident_bytes);
-      tel.ledger->set_max(obs::MemoryAccount::SpillArenaBytes,
-                          stats.spill_arena_bytes);
-      tel.ledger->set_max(obs::MemoryAccount::SpillEdgeBytes,
-                          stats.spill_edge_bytes);
-    } else {
-      tel.ledger->set_max(Store::kMemoryAccount, stats.store_bytes);
-      tel.ledger->set_max(obs::MemoryAccount::EdgeBytes,
-                          num_edges * 2 * sizeof(std::int64_t));
-    }
+    tel.ledger->set_max(obs::MemoryAccount::TieredResidentBytes,
+                        stats.resident_bytes);
+    tel.ledger->set_max(obs::MemoryAccount::SpillArenaBytes,
+                        stats.spill_arena_bytes);
+    tel.ledger->set_max(obs::MemoryAccount::SpillEdgeBytes,
+                        stats.spill_edge_bytes);
   }
-
-  {
-    obs::SpanScope scc_span(tel.spans, obs::Phase::ExploreScc, total);
-    if (!spool) {
-      const BottomClassification cls = classify_bottom_sccs(
-          graph, [&](std::size_t i) { return verdicts[i]; });
-      outcome.decision = cls.decision;
-      outcome.num_configs = total;
-      outcome.num_bottom_sccs = cls.num_bottom_sccs;
-    } else if constexpr (kCanSpill) {
-      // The classification CSR may use up to this many bytes: a formula
-      // over the budget, so MemoryCap here is deterministic too.
-      const std::size_t classify_cap =
-          std::max<std::size_t>(store.max_resident_bytes() * 8, 64u << 20);
-      outcome =
-          classify_bottom_sccs_external(*spool, verdicts, dense, classify_cap);
-    }
-  }
-
   if (stats_out != nullptr) *stats_out = stats;
-  emit_metrics();
-  return outcome;
-}
-
-// Convenience wrapper with a locally-constructed vector-backed store — the
-// original entry point; the counted deciders use it unchanged.
-template <typename ConfigT, typename Hash, typename MakeExpander,
-          typename VerdictOf>
-ExploreOutcome explore_and_classify(const ConfigT& initial,
-                                    MakeExpander&& make_expander,
-                                    VerdictOf&& verdict_of,
-                                    const ExploreBudget& budget,
-                                    ExploreStats* stats_out = nullptr) {
-  ShardedConfigStore<ConfigT, Hash> store;
-  return explore_and_classify_in<ConfigT>(
-      store, initial, std::forward<MakeExpander>(make_expander),
-      std::forward<VerdictOf>(verdict_of), budget, stats_out);
+  obs::count(obs::Counter::ExploreConfigs, stats.configs);
+  obs::count(obs::Counter::ExploreEdges, stats.edges);
+  obs::count(obs::Counter::ExploreLevels, stats.levels);
+  obs::count(obs::Counter::ExploreSteals, stats.steals);
+  obs::count(obs::Counter::ExploreSpillEvents, stats.spill_events);
+  obs::count(obs::Counter::ExploreSpillBytes,
+             stats.spill_arena_bytes + stats.spill_edge_bytes);
+  obs::gauge_max(obs::Gauge::ExploreShardPeak, stats.shard_peak);
+  obs::gauge_max(obs::Gauge::ExploreStoreBytes, stats.store_bytes);
+  obs::gauge_max(obs::Gauge::ExploreResidentBytes, stats.resident_bytes);
+  obs::gauge_max(obs::Gauge::ExploreFrontierPeak, stats.frontier_peak);
+  obs::gauge_max(obs::Gauge::ExploreThreads,
+                 static_cast<std::uint64_t>(stats.threads));
+  return *outcome;
 }
 
 }  // namespace dawn

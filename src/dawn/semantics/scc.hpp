@@ -9,23 +9,19 @@
 //
 // One SCC engine: an iterative Tarjan over a flat CSR graph (CsrGraph
 // below), for every graph size and worker count. The explicit engines
-// build the CSR straight from their per-worker (src, dst) gid edge buffers
-// by counting sort (build_csr); in spill mode the engine
-// (classify_bottom_sccs_external in tiered_config.hpp) builds it the same
-// way from two scans of its edge spool. The sequential explorer
-// (sequential_explore.hpp) appends each configuration's successors to a
-// CSR row as it expands it. The vector<vector<int32>> overload below is a
-// thin adapter that copies an adjacency into a CSR; no decider uses it,
-// but the repository benchmark's replay and the SCC tests do.
+// build the CSR straight from their (src, dst) gid edges by one counting
+// sort (build_csr), whatever holds the edges: the per-worker buffers, the
+// spill-mode edge spool (classify_bottom_sccs_external in
+// tiered_config.hpp) or the edges a distributed coordinator received. The
+// sequential explorer (sequential_explore.hpp) appends each configuration's
+// successors to a CSR row as it expands it. The vector<vector<int32>>
+// overload below is a thin adapter that copies an adjacency into a CSR; no
+// decider uses it, but the repository benchmark's replay and the SCC tests
+// do.
 //
-// A parallel trim + forward–backward (FB) pass used to run here for
-// graphs of 2^15+ nodes at more than one worker, over a vector<vector>
-// adjacency and its reverse. It was a net loss at the sizes we explore: on
-// 40 of the repository benchmark's explore-table decides (3.52M
-// configurations, 4-core AVX2 Xeon) the SCC pass took 3.2 s at 4 workers
-// and 1.4 s at one (the old Tarjan), against 0.5 s for this Tarjan on the
-// CSR at either count. A parallel SCC should come back only with a
-// measured win on a benchmark workload.
+// A parallel trim + forward–backward pass used to run here; it lost to this
+// Tarjan at every size we explore (docs/DECIDERS.md has the numbers), and
+// a parallel SCC should come back only with a measured win.
 //
 // The component numbering is Tarjan's emission order, but every decider
 // consumes only canonical quantities — the component PARTITION, `count`,
@@ -61,44 +57,66 @@ struct CsrGraph {
 // One worker's recorded edges, as (source gid, target gid) pairs.
 using GidEdges = std::vector<std::pair<std::int64_t, std::int64_t>>;
 
-// Builds the CSR over `num_nodes` nodes from edge buffers in gid space by
-// counting sort; dense(gid) maps a gid to its node id. Within a node,
-// targets keep buffer order. Each buffer is released once copied. Returns
-// false (with `out` unspecified) if dense() maps an endpoint outside
+// Builds the CSR over `num_nodes` nodes from edges in gid space by counting
+// sort; dense(gid) maps a gid to its node id. The edges come from a source:
+// edges(last, fn) calls fn(src gid, dst gid) for every edge, in the same
+// order on both passes, and returns false if reading failed. On the second
+// pass (`last` true) an in-memory source may release what it has read.
+// Within a node, targets keep source order. Returns false (with `out`
+// unspecified) if the source failed or dense() maps an endpoint outside
 // [0, num_nodes).
-template <typename Dense>
-bool build_csr(std::size_t num_nodes, std::span<GidEdges> buffers,
-               const Dense& dense, CsrGraph& out) {
-  std::size_t num_edges = 0;
-  for (const GidEdges& buf : buffers) num_edges += buf.size();
-  DAWN_CHECK_MSG(num_edges <= std::numeric_limits<std::uint32_t>::max(),
-                 "CSR offsets are 32-bit");
+template <typename EdgeSource, typename Dense>
+bool build_csr(std::size_t num_nodes, EdgeSource&& edges, const Dense& dense,
+               CsrGraph& out) {
+  bool in_range = true;
+  std::uint64_t num_edges = 0;
   // Out-degrees land one slot to the right, so the prefix sum leaves each
   // node's first edge at offsets[v].
   out.offsets.assign(num_nodes + 1, 0);
-  for (const GidEdges& buf : buffers) {
-    for (const auto& edge : buf) {
-      const auto src = static_cast<std::size_t>(dense(edge.first));
-      if (src >= num_nodes) return false;
-      ++out.offsets[src + 1];
-    }
+  if (!edges(false,
+             [&](std::int64_t src, std::int64_t) {
+               const auto u = static_cast<std::size_t>(dense(src));
+               in_range = in_range && u < num_nodes;
+               if (in_range) ++out.offsets[u + 1];
+               ++num_edges;
+             }) ||
+      !in_range) {
+    return false;
   }
+  DAWN_CHECK_MSG(num_edges <= std::numeric_limits<std::uint32_t>::max(),
+                 "CSR offsets are 32-bit");
   for (std::size_t v = 0; v < num_nodes; ++v) {
     out.offsets[v + 1] += out.offsets[v];
   }
   std::vector<std::uint32_t> cursor(out.offsets.begin(),
                                     out.offsets.end() - 1);
   out.targets.resize(num_edges);
-  for (GidEdges& buf : buffers) {
-    for (const auto& edge : buf) {
-      const auto dst = static_cast<std::size_t>(dense(edge.second));
-      if (dst >= num_nodes) return false;
-      const auto src = static_cast<std::size_t>(dense(edge.first));
-      out.targets[cursor[src]++] = static_cast<std::int32_t>(dst);
-    }
-    GidEdges().swap(buf);
-  }
-  return true;
+  return edges(true,
+               [&](std::int64_t src, std::int64_t dst) {
+                 const auto v = static_cast<std::size_t>(dense(dst));
+                 in_range = in_range && v < num_nodes;
+                 if (!in_range) return;
+                 const auto u = static_cast<std::size_t>(dense(src));
+                 out.targets[cursor[u]++] = static_cast<std::int32_t>(v);
+               }) &&
+         in_range;
+}
+
+// The in-memory source: per-worker edge buffers, each released once its
+// edges are scattered.
+template <typename Dense>
+bool build_csr(std::size_t num_nodes, std::span<GidEdges> buffers,
+               const Dense& dense, CsrGraph& out) {
+  return build_csr(
+      num_nodes,
+      [buffers](bool last, const auto& fn) {
+        for (GidEdges& buf : buffers) {
+          for (const auto& [src, dst] : buf) fn(src, dst);
+          if (last) GidEdges().swap(buf);
+        }
+        return true;
+      },
+      dense, out);
 }
 
 struct SccInfo {

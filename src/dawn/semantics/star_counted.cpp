@@ -125,8 +125,9 @@ ExploreOutcome decide_star_pseudo_stochastic_parallel(
     const ExploreBudget& budget, ExploreStats* stats) {
   ExploreBudget clamped = budget;
   clamped.max_threads = explore_threads(machine, budget);
-  return explore_and_classify<StarConfig, StarConfigHash>(
-      initial_star_config(machine, centre, leaves),
+  ShardedConfigStore<StarConfig, StarConfigHash> store;
+  return explore_and_classify_in(
+      store, initial_star_config(machine, centre, leaves),
       [&](int) { return StarExpander{machine}; },
       [&](const StarConfig& c) { return star_consensus(machine, c); }, clamped,
       stats);

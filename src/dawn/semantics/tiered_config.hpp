@@ -1,15 +1,9 @@
 // Out-of-core edges: the edge spool of the explicit engine's spill mode and
-// the bottom-SCC classification that reads it back.
-//
-// When its PackedConfigStore spills (packed_config.hpp, docs/ENGINE.md "The
-// tiered store"), explore_and_classify_in (parallel_explore.hpp) hands every
-// full edge block of an owner to that owner's EdgeSpool file instead of
-// keeping it in RAM, and writes the tails after the last level.
-// classify_bottom_sccs_external() then streams the spooled edges into one
-// CSR by counting sort and classifies it with scc.hpp's shared
-// classify_bottom_sccs. The CSR must fit a cap derived from the budget
-// (docs/ENGINE.md "The tiered store" has the rule and why it suffices);
-// a larger graph gives MemoryCap rather than silently blowing the budget.
+// the bottom-SCC classification that reads it back. When its
+// PackedConfigStore spills (packed_config.hpp, docs/ENGINE.md "The tiered
+// store"), the engine (parallel_explore.hpp) hands every full edge block of
+// an owner to that owner's EdgeSpool file instead of keeping it in RAM, and
+// writes the tails after the last level.
 #pragma once
 
 #include <cstddef>
@@ -26,8 +20,8 @@ namespace dawn {
 
 // Per-writer append-only edge files: each writer appends whole (src gid,
 // dst gid) blocks with one write (no locks, no buffer of its own), and
-// ScanCursor streams every edge back — twice, for the two counting-sort
-// passes of classify_bottom_sccs_external.
+// ScanCursor streams every edge back — twice for build_csr's two
+// counting-sort passes, once for a distributed shard's edge upload.
 class EdgeSpool {
  public:
   // The explicit engine's edge block in spill mode: 8192 pairs, 128 KiB per
@@ -87,13 +81,13 @@ class EdgeSpool {
   std::string open_error_;
 };
 
-// Bottom-SCC classification over the spooled edges: two sequential scans
-// build one CsrGraph by counting sort (out-degrees, then targets), mapping
-// every gid endpoint through dense(gid) as build_csr does, and the shared
-// classify_bottom_sccs classifies it; verdicts[i] is node i's verdict. The
-// CSR must fit classify_cap at 4 bytes per edge plus 12 per node; a larger
-// graph, or an edge-scan I/O failure, gives UnknownReason::MemoryCap.
-// num_configs is verdicts.size() either way.
+// Bottom-SCC classification over the spooled edges: build_csr scans the
+// spool twice (out-degrees, then targets), mapping every gid endpoint
+// through dense(gid), and the shared classify_bottom_sccs classifies the
+// CSR; verdicts[i] is node i's verdict. The CSR must fit classify_cap at 4
+// bytes per edge plus 12 per node; a larger graph, or an edge-scan I/O
+// failure, gives UnknownReason::MemoryCap. num_configs is verdicts.size()
+// either way.
 template <typename Dense>
 ExploreOutcome classify_bottom_sccs_external(
     const EdgeSpool& edges, const std::vector<Verdict>& verdicts,
@@ -110,34 +104,21 @@ ExploreOutcome classify_bottom_sccs_external(
       m > std::numeric_limits<std::uint32_t>::max()) {
     return out;
   }
-  const auto scan = [&](auto&& fn) {
-    EdgeSpool::ScanCursor cur(edges);
-    std::int64_t src = 0;
-    std::int64_t dst = 0;
-    while (cur.next(&src, &dst)) {
-      const auto u = static_cast<std::size_t>(dense(src));
-      const auto v = static_cast<std::size_t>(dense(dst));
-      DAWN_CHECK_MSG(u < n && v < n, "edge endpoint outside the dense range");
-      fn(u, v);
-    }
-    return !cur.failed();
-  };
+  bool scan_failed = false;
   CsrGraph graph;
-  graph.offsets.assign(n + 1, 0);
-  if (!scan([&](std::size_t u, std::size_t) { ++graph.offsets[u + 1]; })) {
-    return out;
-  }
-  for (std::size_t v = 0; v < n; ++v) {
-    graph.offsets[v + 1] += graph.offsets[v];
-  }
-  std::vector<std::uint32_t> cursor(graph.offsets.begin(),
-                                    graph.offsets.end() - 1);
-  graph.targets.resize(m);
-  if (!scan([&](std::size_t u, std::size_t v) {
-        graph.targets[cursor[u]++] = static_cast<std::int32_t>(v);
-      })) {
-    return out;
-  }
+  const bool built = build_csr(
+      n,
+      [&](bool, const auto& fn) {
+        EdgeSpool::ScanCursor cur(edges);
+        std::int64_t src = 0;
+        std::int64_t dst = 0;
+        while (cur.next(&src, &dst)) fn(src, dst);
+        scan_failed = cur.failed();
+        return !scan_failed;
+      },
+      dense, graph);
+  if (scan_failed) return out;
+  DAWN_CHECK_MSG(built, "edge endpoint outside the dense range");
   const BottomClassification cls = classify_bottom_sccs(
       graph, [&](std::size_t i) { return verdicts[i]; });
   out.decision = cls.decision;

@@ -287,6 +287,80 @@ TEST(DistDecide, TieredStoreMatchesDecisionFields) {
   EXPECT_EQ(reply->report.unknown_reason, want.unknown_reason);
 }
 
+TEST(DistDecide, ThreadedWorkersMatchLocal) {
+  // Shard workers run the engine on as many threads as the request asks,
+  // up to their own cap: with 2 and 3 local owners a worker splits its
+  // range of 64, 32 or 21-22 shards unevenly, and its phase A threads
+  // route to outboxes as well as to owners.
+  net::ServerOptions base;
+  base.max_threads_cap = 3;
+  DistCluster w1(1, 1, base), w2(2, 2, base), w3(3, 3, base);
+  LiveServer* coordinators[] = {&w1.coordinator(), &w2.coordinator(),
+                                &w3.coordinator()};
+  const Graph graphs[] = {make_line({0, 1, 0, 1, 0, 1}),
+                          make_cycle({0, 1, 1, 0, 1, 0})};
+  for (int gi = 0; gi < 2; ++gi) {
+    for (const int threads : {2, 3}) {
+      for (const bool symmetry : {false, true}) {
+        net::DecideRequest req = dist_request(gi == 0 ? 3 : 7, graphs[gi]);
+        req.budget.max_threads = threads;
+        req.budget.use_symmetry = symmetry;
+        const DecisionReport want = local_reference(req);
+        ASSERT_FALSE(want.budget_exhausted);
+        for (int wi = 0; wi < 3; ++wi) {
+          std::string error;
+          const auto reply =
+              decide_via(coordinators[wi]->address(), req, true, &error);
+          ASSERT_TRUE(reply.has_value())
+              << "W=" << (wi + 1) << " threads=" << threads << ": " << error;
+          EXPECT_TRUE(reply->report == want)
+              << "W=" << (wi + 1) << " graph=" << gi << " threads=" << threads
+              << " sym=" << symmetry << "\n got: "
+              << net::decide_reply_to_json(*reply).dump();
+        }
+      }
+    }
+  }
+
+  // A capped run at 3 threads per worker.
+  net::DecideRequest capped = dist_request(3, make_cycle({0, 1, 0, 1, 0, 1}));
+  capped.budget.max_threads = 3;
+  capped.budget.max_configs = 50;
+  const DecisionReport want_capped = local_reference(capped);
+  ASSERT_EQ(want_capped.unknown_reason, UnknownReason::ConfigCap);
+  std::string error;
+  const auto capped_reply =
+      decide_via(w2.coordinator().address(), capped, true, &error);
+  ASSERT_TRUE(capped_reply.has_value()) << error;
+  EXPECT_TRUE(capped_reply->report == want_capped)
+      << net::decide_reply_to_json(*capped_reply).dump();
+
+  // A tiered run at 3 threads per worker: its owners spool their edges.
+  char tmpl[] = "/tmp/dawn-dist-test-XXXXXX";
+  char* dir = mkdtemp(tmpl);
+  ASSERT_NE(dir, nullptr);
+  base.spill_dir = dir;
+  DistCluster tiered(2, 2, base);
+  net::DecideRequest req = dist_request(13, make_cycle({0, 1, 0, 1, 0, 1}));
+  req.budget.max_threads = 3;
+  req.budget.max_store_bytes = 1u << 20;
+  const auto machine = fuzz::build_machine(req.machine);
+  DecisionRequest dr;
+  dr.method = req.method;
+  dr.budget = req.budget;
+  dr.budget.spill_dir = dir;
+  const DecisionReport want = dawn::decide(*machine, req.graph, dr);
+  ASSERT_FALSE(want.budget_exhausted);
+  const auto reply =
+      decide_via(tiered.coordinator().address(), req, true, &error);
+  ASSERT_TRUE(reply.has_value()) << error;
+  EXPECT_EQ(reply->report.decision, want.decision);
+  EXPECT_EQ(reply->report.configs_explored, want.configs_explored);
+  EXPECT_EQ(reply->report.num_bottom_sccs, want.num_bottom_sccs);
+  EXPECT_EQ(reply->report.budget_exhausted, want.budget_exhausted);
+  EXPECT_EQ(reply->report.unknown_reason, want.unknown_reason);
+}
+
 TEST(DistDecide, SharesCacheEntryWithLocalExplicit) {
   // The distributed flag is excluded from the cache key: a local explicit
   // decide primes the coordinator's cache, the distributed decide hits it.
