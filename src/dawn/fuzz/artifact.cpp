@@ -15,6 +15,8 @@ bool fail(std::string* error, const std::string& what) {
   return false;
 }
 
+}  // namespace
+
 const obs::JsonValue* require(const obs::JsonValue& v, const char* key,
                               obs::JsonValue::Kind kind, std::string* error) {
   const obs::JsonValue* field = v.get(key);
@@ -44,8 +46,6 @@ bool reject_unknown_keys(const obs::JsonValue& v,
   return true;
 }
 
-// Checks the document's "spec_version" is present and a version this build
-// understands. Shared by case_from_json and the dawnd payload parser.
 bool check_spec_version(const obs::JsonValue& v, std::string* error) {
   const obs::JsonValue* field =
       require(v, "spec_version", obs::JsonValue::Kind::Int, error);
@@ -56,6 +56,8 @@ bool check_spec_version(const obs::JsonValue& v, std::string* error) {
   }
   return true;
 }
+
+namespace {
 
 std::optional<FuzzCase> case_from_json_impl(
     const obs::JsonValue& v, std::string* error,

@@ -14,6 +14,7 @@
 // its oracle pair; the regression tests pin shrunk artifacts the same way.
 #pragma once
 
+#include <initializer_list>
 #include <optional>
 #include <string>
 
@@ -46,6 +47,18 @@ std::optional<MachineSpec> machine_spec_from_json(const obs::JsonValue& v,
 obs::JsonValue graph_to_json(const Graph& g);
 std::optional<Graph> graph_from_json(const obs::JsonValue& v,
                                      std::string* error = nullptr);
+
+// Strict-schema steps, shared with the dawnd payload parsers. Each records
+// its failure in *error (when non-null and still empty). require() returns
+// v[key] only if it has `kind`, else null; reject_unknown_keys() names the
+// first key outside `allowed`; check_spec_version() accepts kSpecVersion
+// only.
+const obs::JsonValue* require(const obs::JsonValue& v, const char* key,
+                              obs::JsonValue::Kind kind, std::string* error);
+bool reject_unknown_keys(const obs::JsonValue& v,
+                         std::initializer_list<const char*> allowed,
+                         std::string* error);
+bool check_spec_version(const obs::JsonValue& v, std::string* error);
 
 obs::JsonValue case_to_json(const FuzzCase& c);
 std::optional<FuzzCase> case_from_json(const obs::JsonValue& v,

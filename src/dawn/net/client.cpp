@@ -1,5 +1,6 @@
 #include "dawn/net/client.hpp"
 
+#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -7,8 +8,11 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <functional>
+#include <random>
+#include <thread>
 
-#include "dawn/net/server.hpp"  // connect_address
+#include "dawn/net/server.hpp"  // parse_address
 
 namespace dawn::net {
 namespace {
@@ -18,14 +22,92 @@ bool fail(std::string* error, const std::string& what) {
   return false;
 }
 
+bool set_blocking(int fd, bool blocking) {
+  const int flags = fcntl(fd, F_GETFL, 0);
+  if (flags < 0) return false;
+  return fcntl(fd, F_SETFL,
+               blocking ? flags & ~O_NONBLOCK : flags | O_NONBLOCK) == 0;
+}
+
+// One non-blocking connect attempt with a poll deadline; the fd comes back
+// in blocking mode.
+int connect_once(int family, const sockaddr_storage& sa, socklen_t sa_len,
+                 std::uint64_t timeout_ms, std::string* error) {
+  const int fd = socket(family, SOCK_STREAM, 0);
+  if (fd < 0) {
+    fail(error, std::string("socket: ") + std::strerror(errno));
+    return -1;
+  }
+  const auto give_up = [&](const std::string& why) {
+    fail(error, why);
+    close(fd);
+    return -1;
+  };
+  if (!set_blocking(fd, false)) return give_up("fcntl(O_NONBLOCK) failed");
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&sa), sa_len) != 0) {
+    if (errno != EINPROGRESS) {
+      return give_up(std::string("connect: ") + std::strerror(errno));
+    }
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(timeout_ms);
+    for (;;) {
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          deadline - std::chrono::steady_clock::now());
+      if (left.count() <= 0) return give_up("connect timed out");
+      pollfd p{fd, POLLOUT, 0};
+      const int rc = poll(&p, 1, static_cast<int>(left.count()));
+      if (rc < 0 && errno == EINTR) continue;
+      if (rc <= 0) return give_up("connect timed out");
+      break;
+    }
+    int so_error = 0;
+    socklen_t len = sizeof(so_error);
+    if (getsockopt(fd, SOL_SOCKET, SO_ERROR, &so_error, &len) != 0 ||
+        so_error != 0) {
+      return give_up(std::string("connect: ") +
+                     std::strerror(so_error != 0 ? so_error : errno));
+    }
+  }
+  if (!set_blocking(fd, true)) return give_up("fcntl(restore blocking) failed");
+  return fd;
+}
+
 }  // namespace
+
+int connect_with_retry(const std::string& address, const ConnectOptions& opts,
+                       std::string* error) {
+  sockaddr_storage sa;
+  socklen_t sa_len = 0;
+  const int family = parse_address(address, &sa, &sa_len, error);
+  if (family == AF_UNSPEC) return -1;
+  const std::uint64_t timeout =
+      opts.timeout_ms == 0 ? 5'000 : opts.timeout_ms;
+  const int attempts = opts.retries < 0 ? 1 : opts.retries + 1;
+  // Jitter decorrelates simultaneous reconnect storms; the timing is
+  // deliberately outside the determinism contract.
+  std::minstd_rand rng(static_cast<std::uint32_t>(
+      std::chrono::steady_clock::now().time_since_epoch().count() ^
+      (std::hash<std::string>{}(address) << 1)));
+  std::string last_error;
+  std::uint64_t backoff = opts.backoff_ms == 0 ? 100 : opts.backoff_ms;
+  for (int attempt = 0; attempt < attempts; ++attempt) {
+    if (attempt > 0) {
+      const std::uint64_t jittered = backoff / 2 + rng() % (backoff / 2 + 1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(jittered));
+      backoff *= 2;
+    }
+    const int fd = connect_once(family, sa, sa_len, timeout, &last_error);
+    if (fd >= 0) return fd;
+  }
+  fail(error, last_error + " (" + std::to_string(attempts) + " attempt" +
+                  (attempts == 1 ? "" : "s") + " to " + address + ")");
+  return -1;
+}
 
 Client::~Client() { disconnect(); }
 
 bool Client::connect(const std::string& address, std::string* error) {
-  disconnect();
-  fd_ = connect_address(address, error);
-  return fd_ >= 0;
+  return connect(address, ConnectOptions{}, error);
 }
 
 bool Client::connect(const std::string& address, const ConnectOptions& opts,
@@ -136,13 +218,6 @@ std::optional<DecideReply> Client::decide(const DecideRequest& req,
   auto out = decide_reply_from_json(*doc, &parse_error);
   if (!out && error != nullptr) *error = "bad reply schema: " + parse_error;
   return out;
-}
-
-std::optional<DecideReply> Client::decide_distributed(DecideRequest req,
-                                                      std::string* error,
-                                                      std::uint64_t timeout_ms) {
-  req.distributed = true;
-  return decide(req, error, timeout_ms);
 }
 
 bool Client::ping(std::string* error) {

@@ -2,6 +2,11 @@
 // round-trip with a timeout, and typed wrappers for each action. Used by
 // the dawn_client CLI, the service tests and bench_service; the frame
 // fuzzer drives raw bytes through send_raw()/read_frame() instead.
+//
+// Every connect goes through connect_with_retry(): a non-blocking connect
+// with a per-attempt timeout and bounded, jitter-backed retries, so a down
+// or black-holed server fails in timeout_ms * (retries + 1) plus backoff
+// instead of the OS default connect timeout (minutes on some stacks).
 #pragma once
 
 #include <cstdint>
@@ -10,11 +15,25 @@
 #include <vector>
 
 #include "dawn/net/payload.hpp"
-#include "dawn/net/peer.hpp"
 #include "dawn/net/wire.hpp"
 #include "dawn/obs/json.hpp"
 
 namespace dawn::net {
+
+struct ConnectOptions {
+  std::uint64_t timeout_ms = 5'000;  // per connect attempt
+  int retries = 0;                   // extra attempts after the first
+  std::uint64_t backoff_ms = 100;    // base sleep between attempts; the
+                                     // actual sleep doubles per attempt and
+                                     // is jittered in [base/2, base)
+};
+
+// Connects to "tcp:HOST:PORT" / "unix:PATH" (the grammar of
+// parse_address() in server.hpp) with a per-attempt timeout and bounded
+// retries. Returns the connected fd (blocking mode) or -1 with *error,
+// which names the attempt count and the address.
+int connect_with_retry(const std::string& address, const ConnectOptions& opts,
+                       std::string* error);
 
 class Client {
  public:
@@ -24,11 +43,10 @@ class Client {
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
 
-  // "tcp:HOST:PORT" or "unix:PATH".
+  // "tcp:HOST:PORT" or "unix:PATH", one attempt with the default timeout.
   bool connect(const std::string& address, std::string* error = nullptr);
-  // Same, with a connect timeout and bounded jittered retries (peer.hpp
-  // ConnectOptions; dawn_client --connect-timeout-ms/--retries). The error
-  // names the attempt count and address on exhaustion.
+  // Same, with a connect timeout and bounded jittered retries
+  // (dawn_client --connect-timeout-ms/--retries).
   bool connect(const std::string& address, const ConnectOptions& opts,
                std::string* error = nullptr);
   void disconnect();
@@ -45,13 +63,6 @@ class Client {
   std::optional<DecideReply> decide(const DecideRequest& req,
                                     std::string* error = nullptr,
                                     std::uint64_t timeout_ms = 60'000);
-  // decide() with the distributed flag set: the server shards the
-  // exploration across its --peers (docs/DISTRIBUTED.md). The report is
-  // bit-identical to a local method=explicit decide; failures surface as
-  // "server error: ..." (peer-lost, bad-schema, ...).
-  std::optional<DecideReply> decide_distributed(
-      DecideRequest req, std::string* error = nullptr,
-      std::uint64_t timeout_ms = 120'000);
   bool ping(std::string* error = nullptr);
   std::optional<obs::JsonValue> cache_stats(std::string* error = nullptr);
   // True iff the server confirmed the cancel hit a queued job.

@@ -1,7 +1,5 @@
 #include "dawn/net/payload.hpp"
 
-#include <initializer_list>
-
 #include "dawn/fuzz/artifact.hpp"
 #include "dawn/obs/memory_ledger.hpp"
 
@@ -9,48 +7,13 @@ namespace dawn::net {
 namespace {
 
 using Kind = obs::JsonValue::Kind;
+using fuzz::check_spec_version;
+using fuzz::reject_unknown_keys;
+using fuzz::require;
 
 bool fail(std::string* error, const std::string& what) {
   if (error != nullptr && error->empty()) *error = what;
   return false;
-}
-
-}  // namespace
-
-const obs::JsonValue* require(const obs::JsonValue& v, const char* key,
-                              Kind kind, std::string* error) {
-  const obs::JsonValue* field = v.get(key);
-  if (field == nullptr || field->kind() != kind) {
-    fail(error, std::string("missing or mistyped field: ") + key);
-    return nullptr;
-  }
-  return field;
-}
-
-bool reject_unknown_keys(const obs::JsonValue& v,
-                         std::initializer_list<const char*> allowed,
-                         std::string* error) {
-  for (const auto& [key, value] : v.members()) {
-    bool known = false;
-    for (const char* a : allowed) {
-      if (key == a) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) return fail(error, "unknown top-level key: " + key);
-  }
-  return true;
-}
-
-bool check_spec_version(const obs::JsonValue& v, std::string* error) {
-  const obs::JsonValue* field = require(v, "spec_version", Kind::Int, error);
-  if (field == nullptr) return false;
-  if (field->as_int() != fuzz::kSpecVersion) {
-    return fail(error,
-                "unknown spec_version: " + std::to_string(field->as_int()));
-  }
-  return true;
 }
 
 obs::JsonValue budget_to_json(const ExploreBudget& b) {
@@ -119,6 +82,8 @@ bool budget_from_json(const obs::JsonValue& v, ExploreBudget* out,
   return true;
 }
 
+}  // namespace
+
 std::optional<DecideMethod> method_from_name(const std::string& name) {
   for (const DecideMethod m :
        {DecideMethod::Auto, DecideMethod::Explicit,
@@ -138,7 +103,6 @@ obs::JsonValue decide_request_to_json(const DecideRequest& req) {
   out.set("budget", budget_to_json(req.budget));
   out.set("method", obs::JsonValue(to_string(req.method)));
   if (req.want_trace) out.set("trace", obs::JsonValue(true));
-  if (req.distributed) out.set("distributed", obs::JsonValue(true));
   return out;
 }
 
@@ -150,7 +114,7 @@ std::optional<DecideRequest> decide_request_from_json(const obs::JsonValue& v,
   }
   if (!reject_unknown_keys(v,
                            {"spec_version", "machine", "graph", "budget",
-                            "method", "trace", "distributed"},
+                            "method", "trace"},
                            error)) {
     return std::nullopt;
   }
@@ -190,13 +154,6 @@ std::optional<DecideRequest> decide_request_from_json(const obs::JsonValue& v,
       return std::nullopt;
     }
     req.want_trace = t->as_bool();
-  }
-  if (const obs::JsonValue* d = v.get("distributed")) {
-    if (d->kind() != Kind::Bool) {
-      fail(error, "missing or mistyped field: distributed");
-      return std::nullopt;
-    }
-    req.distributed = d->as_bool();
   }
   return req;
 }

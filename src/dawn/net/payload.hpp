@@ -1,6 +1,6 @@
 // The dawnd JSON payload schema (spec_version 1, shared with the fuzz
-// artifacts — fuzz/artifact.hpp owns kSpecVersion and the machine/graph
-// halves).
+// artifacts — fuzz/artifact.hpp owns kSpecVersion, the machine/graph
+// halves and the strict-schema steps).
 //
 // Decide request:
 //   {
@@ -28,7 +28,6 @@
 // "repeated request returns a bit-identical report" contract work.
 #pragma once
 
-#include <initializer_list>
 #include <optional>
 #include <string>
 
@@ -49,12 +48,6 @@ struct DecideRequest {
   // return its path (only honoured when the server was started with a trace
   // directory; cached replies never carry one).
   bool want_trace = false;
-  // Ask the server to run the decision as a distributed frontier exploration
-  // across its configured --peers (docs/DISTRIBUTED.md). Serialised only when
-  // set, so spec-v1 request bytes stay pinned. Excluded from the cache key:
-  // a distributed run and a local explicit run of the same instance produce
-  // bit-identical reports, so they deliberately share a cache entry.
-  bool distributed = false;
 };
 
 struct DecideReply {
@@ -91,25 +84,5 @@ std::string cache_key(const DecideRequest& req);
 
 // Parses a DecideMethod from its to_string() name; nullopt on junk.
 std::optional<DecideMethod> method_from_name(const std::string& name);
-
-// Canonical budget (sub)object codec — the same encoding the request uses.
-// Public because the distributed ShardInit payload (net/dist_explore.*)
-// embeds a budget object and must stay byte-compatible with the request
-// schema. max_store_bytes is emitted only when nonzero; spill_dir never
-// crosses the wire. The parser still accepts a boolean "use_packing" from
-// older spec-v1 clients and ignores it: packing follows the machine.
-obs::JsonValue budget_to_json(const ExploreBudget& b);
-bool budget_from_json(const obs::JsonValue& v, ExploreBudget* out,
-                      std::string* error = nullptr);
-
-// Strict-schema steps shared with the ShardInit parser; each records its
-// failure in *error (when non-null and still empty). require() returns
-// v[key] only if it has `kind`, else null.
-const obs::JsonValue* require(const obs::JsonValue& v, const char* key,
-                              obs::JsonValue::Kind kind, std::string* error);
-bool reject_unknown_keys(const obs::JsonValue& v,
-                         std::initializer_list<const char*> allowed,
-                         std::string* error);
-bool check_spec_version(const obs::JsonValue& v, std::string* error);
 
 }  // namespace dawn::net

@@ -16,7 +16,6 @@
 
 #include "dawn/fuzz/artifact.hpp"
 #include "dawn/fuzz/gen.hpp"
-#include "dawn/net/dist_explore.hpp"
 #include "dawn/obs/telemetry.hpp"
 #include "dawn/semantics/decision.hpp"
 #include "dawn/semantics/trials.hpp"
@@ -31,8 +30,8 @@ bool set_nonblocking(int fd) {
   return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
-// Splits "tcp:HOST:PORT" / "unix:PATH" into a bound-ready sockaddr. Returns
-// the socket family or AF_UNSPEC on a parse error.
+}  // namespace
+
 int parse_address(const std::string& address, sockaddr_storage* out,
                   socklen_t* out_len, std::string* error) {
   if (address.rfind("unix:", 0) == 0) {
@@ -82,28 +81,6 @@ int parse_address(const std::string& address, sockaddr_storage* out,
   return AF_UNSPEC;
 }
 
-}  // namespace
-
-int connect_address(const std::string& address, std::string* error) {
-  sockaddr_storage sa;
-  socklen_t sa_len = 0;
-  const int family = parse_address(address, &sa, &sa_len, error);
-  if (family == AF_UNSPEC) return -1;
-  const int fd = socket(family, SOCK_STREAM, 0);
-  if (fd < 0) {
-    if (error != nullptr) *error = std::string("socket: ") + std::strerror(errno);
-    return -1;
-  }
-  if (connect(fd, reinterpret_cast<sockaddr*>(&sa), sa_len) != 0) {
-    if (error != nullptr) {
-      *error = "connect " + address + ": " + std::strerror(errno);
-    }
-    close(fd);
-    return -1;
-  }
-  return fd;
-}
-
 // -- Server internals --------------------------------------------------------
 
 struct Server::Connection {
@@ -121,10 +98,6 @@ struct Server::Connection {
   // other fatal condition) sets `dead` and the poll loop reaps the fd at the
   // end of the tick, so references held across send_frame() stay valid.
   bool dead = false;
-  // A valid ShardInit hijacks the connection into a dedicated worker-session
-  // thread: `detached` makes the reap skip close() — the session now owns
-  // the fd (and the FrameReader, moved out at detach time).
-  bool detached = false;
 
   explicit Connection(std::size_t max_payload) : reader(max_payload) {}
 };
@@ -164,18 +137,7 @@ Server::~Server() {
     queue_cv_.notify_all();
     exec_.join();
   }
-  {
-    // request_stop() above set stop_, which every worker session observes
-    // within one 200ms poll tick; joins here are bounded.
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    for (std::thread& t : sessions_) {
-      if (t.joinable()) t.join();
-    }
-    sessions_.clear();
-  }
-  for (auto& [fd, c] : conns_) {
-    if (!c->detached) close(fd);
-  }
+  for (auto& [fd, c] : conns_) close(fd);
   conns_.clear();
   if (listen_fd_ >= 0) close(listen_fd_);
   if (wake_rd_ >= 0) close(wake_rd_);
@@ -202,17 +164,6 @@ bool Server::start(std::string* error) {
   }
   if (opts_.max_queue == 0) {
     return fail_opts("max_queue must be nonzero");
-  }
-  if (opts_.peers.size() > static_cast<std::size_t>(kMaxDistWorkers)) {
-    return fail_opts("at most " + std::to_string(kMaxDistWorkers) +
-                     " peers (shard ranges partition 64 store shards), got " +
-                     std::to_string(opts_.peers.size()));
-  }
-  if (opts_.coordinator && opts_.peers.empty()) {
-    return fail_opts("--coordinator needs at least one --peers address");
-  }
-  if (opts_.dist_barrier_timeout_ms == 0) {
-    opts_.dist_barrier_timeout_ms = 30'000;  // 0 would mean "hang forever"
   }
 
   sockaddr_storage sa;
@@ -371,11 +322,8 @@ void Server::poll_loop() {
   drain_completions();
 
   // Close everything now (not in the destructor) so clients blocked on a
-  // reply see EOF the moment the drain completes. Detached fds belong to
-  // their session threads (joined in the destructor).
-  for (auto& [fd, c] : conns_) {
-    if (!c->detached) close(fd);
-  }
+  // reply see EOF the moment the drain completes.
+  for (auto& [fd, c] : conns_) close(fd);
   conns_.clear();
   if (listen_fd_ >= 0) {
     close(listen_fd_);
@@ -491,8 +439,7 @@ void Server::send_error(Connection& c, Action action, std::uint64_t nonce,
 void Server::reap_dead() {
   for (auto it = conns_.begin(); it != conns_.end();) {
     if (it->second->dead) {
-      // A detached connection's fd now belongs to its session thread.
-      if (!it->second->detached) close(it->first);
+      close(it->first);
       it = conns_.erase(it);
     } else {
       ++it;
@@ -538,11 +485,6 @@ void Server::handle_frame(Connection& c, const Frame& f) {
       body.set("inflight", obs::JsonValue(s.inflight));
       body.set("bytes_in_client", obs::JsonValue(s.bytes_in_client));
       body.set("bytes_out_client", obs::JsonValue(s.bytes_out_client));
-      body.set("bytes_in_peer", obs::JsonValue(s.bytes_in_peer));
-      body.set("bytes_out_peer", obs::JsonValue(s.bytes_out_peer));
-      body.set("dist_sessions", obs::JsonValue(s.dist_sessions));
-      body.set("dist_configs", obs::JsonValue(s.dist_configs));
-      body.set("dist_store_bytes", obs::JsonValue(s.dist_store_bytes));
       send_frame(c, encode_frame(Action::CacheStats, FrameKind::Response,
                                  f.header.nonce, body.dump()));
       return;
@@ -552,18 +494,6 @@ void Server::handle_frame(Connection& c, const Frame& f) {
       return;
     case Action::Decide:
       handle_decide(c, f);
-      return;
-    case Action::ShardInit:
-      handle_shard_init(c, f);
-      return;
-    case Action::FrontierPush:
-    case Action::LevelBarrier:
-    case Action::ShardResult:
-      // These only make sense inside a detached shard session; on the
-      // ordinary request loop they are a protocol error, answered (not
-      // dropped) like every other malformed input.
-      send_error(c, f.header.action, f.header.nonce, WireError::BadAction,
-                 "distributed actions are only valid inside a shard session");
       return;
     case Action::kCount:
       break;
@@ -591,26 +521,6 @@ void Server::handle_decide(Connection& c, const Frame& f) {
                                : WireError::BadSchema;
     send_error(c, Action::Decide, f.header.nonce, kind, error);
     return;
-  }
-
-  // Distributed requests are normalised before cache keying: the flag is
-  // excluded from the key (the report is bit-identical to the local explicit
-  // engine, so both populations share entries), which requires the method to
-  // be pinned to Explicit here.
-  if (req->distributed) {
-    if (opts_.peers.empty()) {
-      send_error(c, Action::Decide, f.header.nonce, WireError::BadSchema,
-                 "server has no --peers configured for distributed decide");
-      return;
-    }
-    if (req->method == DecideMethod::Auto) {
-      req->method = DecideMethod::Explicit;
-    }
-    if (req->method != DecideMethod::Explicit) {
-      send_error(c, Action::Decide, f.header.nonce, WireError::BadSchema,
-                 "distributed decide supports method explicit only");
-      return;
-    }
   }
 
   // Clamp the request budget against the server-wide caps. The cache is
@@ -737,67 +647,6 @@ void Server::handle_cancel(Connection& c, const Frame& f) {
                              f.header.nonce, body.dump()));
 }
 
-void Server::handle_shard_init(Connection& c, const Frame& f) {
-  if (draining_.load(std::memory_order_acquire)) {
-    send_error(c, Action::ShardInit, f.header.nonce, WireError::Draining,
-               "server is draining");
-    return;
-  }
-  std::string error;
-  const auto doc = obs::JsonValue::parse(f.payload, &error);
-  if (!doc) {
-    send_error(c, Action::ShardInit, f.header.nonce, WireError::BadJson,
-               error);
-    return;
-  }
-  auto init = shard_init_from_json(*doc, &error);
-  if (!init) {
-    const WireError kind = error.rfind("unknown spec_version", 0) == 0
-                               ? WireError::BadSpecVersion
-                               : WireError::BadSchema;
-    send_error(c, Action::ShardInit, f.header.nonce, kind, error);
-    return;
-  }
-  // The shard runs on the coordinator's thread count, clamped to this
-  // server's own cap as a Decide's is.
-  int& threads = init->budget.max_threads;
-  if (threads <= 0 || threads > opts_.max_threads_cap) {
-    threads = opts_.max_threads_cap;
-  }
-  if (c.inflight > 0 || !c.writeq.empty()) {
-    // A session owns its fd exclusively; pending replies or inflight jobs
-    // would race the session's frames on the same stream.
-    send_error(c, Action::ShardInit, f.header.nonce, WireError::BadAction,
-               "shard-init on a connection with pending request traffic");
-    return;
-  }
-
-  // Detach: the session thread takes the fd and the FrameReader (bytes that
-  // arrived pipelined behind the ShardInit frame move with it); the poll
-  // loop reaps the Connection at end of tick without closing the fd.
-  const int fd = c.fd;
-  const std::uint64_t nonce = f.header.nonce;
-  auto reader = std::make_shared<FrameReader>(std::move(c.reader));
-  auto init_ptr = std::make_shared<ShardInitRequest>(std::move(*init));
-  c.detached = true;
-  c.dead = true;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    sessions_.emplace_back([this, fd, nonce, reader, init_ptr] {
-      WorkerSessionHooks hooks;
-      hooks.stop = &stop_;
-      hooks.bytes_in = &bytes_in_peer_;
-      hooks.bytes_out = &bytes_out_peer_;
-      hooks.sessions = &dist_sessions_;
-      hooks.dist_configs = &dist_configs_;
-      hooks.dist_store_bytes = &dist_store_bytes_;
-      hooks.barrier_timeout_ms = opts_.dist_barrier_timeout_ms;
-      hooks.spill_dir = opts_.spill_dir;
-      run_worker_session(fd, std::move(*reader), nonce, *init_ptr, hooks);
-    });
-  }
-}
-
 void Server::scan_timeouts() {
   // send_error() only marks connections dead (never erases them), so
   // iterating conns_ while sending is safe; reap_dead() runs right after.
@@ -853,57 +702,20 @@ void Server::worker_main(int worker) {
     if (job->req.want_trace && !opts_.trace_dir.empty()) {
       trace_log = std::make_unique<obs::SpanLog>();
     }
-    WireError dist_error = WireError::None;
-    std::string dist_error_detail;
     {
       obs::Telemetry tel;
       tel.spans = trace_log.get();
       obs::TelemetryScope scope(tel);
-      if (job->req.distributed) {
-        // Shard this decision across the configured worker peers. The
-        // coordinator enforces the deadline at level granularity and divides
-        // any tiered byte budget among the workers; the report it returns is
-        // bit-identical to dawn::decide with method Explicit.
-        DistCoordinatorOptions dopts;
-        dopts.barrier_timeout_ms = opts_.dist_barrier_timeout_ms;
-        dopts.connect = opts_.peer_connect;
-        dopts.stop = &stop_;
-        dopts.bytes_in = &bytes_in_peer_;
-        dopts.bytes_out = &bytes_out_peer_;
-        dopts.progress = &dist_progress_;
-        dopts.spans = trace_log.get();
-        DistResult dres = decide_distributed(job->req, opts_.peers, dopts);
-        if (dres.ok) {
-          reply.report = std::move(dres.report);
-        } else {
-          dist_error = dres.error;
-          dist_error_detail = std::move(dres.error_detail);
-        }
-      } else {
-        const auto machine = fuzz::build_machine(job->req.machine);
-        DecisionRequest dr;
-        dr.method = job->req.method;
-        dr.budget = job->req.budget;
-        // The spill dir is server config, never wire input: inject it only
-        // when the (already clamped) request opted into a byte budget.
-        if (dr.budget.max_store_bytes != 0) {
-          dr.budget.spill_dir = opts_.spill_dir;
-        }
-        reply.report = dawn::decide(*machine, job->req.graph, dr);
+      const auto machine = fuzz::build_machine(job->req.machine);
+      DecisionRequest dr;
+      dr.method = job->req.method;
+      dr.budget = job->req.budget;
+      // The spill dir is server config, never wire input: inject it only
+      // when the (already clamped) request opted into a byte budget.
+      if (dr.budget.max_store_bytes != 0) {
+        dr.budget.spill_dir = opts_.spill_dir;
       }
-    }
-    if (dist_error != WireError::None) {
-      // A failed distributed run (lost peer, timeout, bad parameters) is one
-      // structured error frame; never cached.
-      done.frame = encode_error_frame(Action::Decide, job->nonce, dist_error,
-                                      dist_error_detail);
-      job->state.store(Job::Done, std::memory_order_release);
-      {
-        std::lock_guard<std::mutex> lock(done_mu_);
-        done_.push_back(std::move(done));
-      }
-      wake();
-      continue;
+      reply.report = dawn::decide(*machine, job->req.graph, dr);
     }
     {
       // Spill accounting for CacheStats, from the report's ledger.
@@ -983,11 +795,6 @@ ServerStats Server::stats() const {
   s.spill_bytes = spill_bytes_.load(std::memory_order_relaxed);
   s.bytes_in_client = bytes_in_client_.load(std::memory_order_relaxed);
   s.bytes_out_client = bytes_out_client_.load(std::memory_order_relaxed);
-  s.bytes_in_peer = bytes_in_peer_.load(std::memory_order_relaxed);
-  s.bytes_out_peer = bytes_out_peer_.load(std::memory_order_relaxed);
-  s.dist_sessions = dist_sessions_.load(std::memory_order_relaxed);
-  s.dist_configs = dist_configs_.load(std::memory_order_relaxed);
-  s.dist_store_bytes = dist_store_bytes_.load(std::memory_order_relaxed);
   s.cache = cache_.stats();
   return s;
 }

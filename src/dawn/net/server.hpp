@@ -23,6 +23,8 @@
 //     work, rejects new Decides with "draining", flushes, and exits run().
 #pragma once
 
+#include <sys/socket.h>
+
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -37,10 +39,8 @@
 
 #include "dawn/net/cache.hpp"
 #include "dawn/net/payload.hpp"
-#include "dawn/net/peer.hpp"
 #include "dawn/net/wire.hpp"
 #include "dawn/obs/metrics.hpp"
-#include "dawn/obs/progress.hpp"
 #include "dawn/obs/span_log.hpp"
 
 namespace dawn {
@@ -91,18 +91,6 @@ struct ServerOptions {
   // the wire — the server injects its own directory into the budget.
   std::string spill_dir;
   std::size_t max_store_bytes_cap = 0;
-
-  // Distributed frontier exploration (net/dist_explore.*). `peers` lists the
-  // worker dawnd addresses this server may shard a Decide across; a request
-  // opts in with "distributed": true. `coordinator` merely asserts intent at
-  // startup (a coordinator without peers is a configuration error caught by
-  // start()); any server with peers can coordinate. The barrier timeout
-  // bounds every distributed wait — a lost worker turns into one structured
-  // peer-lost error frame, never a hang.
-  std::vector<std::string> peers;
-  bool coordinator = false;
-  std::uint64_t dist_barrier_timeout_ms = 30'000;
-  ConnectOptions peer_connect;
 };
 
 struct ServerStats {
@@ -115,16 +103,9 @@ struct ServerStats {
   // cumulative bytes they wrote to spill files (arena + edges).
   std::uint64_t spilled_requests = 0;
   std::uint64_t spill_bytes = 0;
-  // Wire bytes per connection class: ordinary request/response connections
-  // (client) vs distributed shard-session and coordinator links (peer).
+  // Wire bytes read from and written to client connections.
   std::uint64_t bytes_in_client = 0;
   std::uint64_t bytes_out_client = 0;
-  std::uint64_t bytes_in_peer = 0;
-  std::uint64_t bytes_out_peer = 0;
-  // Distributed worker-session counters (this server acting as a worker).
-  std::uint64_t dist_sessions = 0;
-  std::uint64_t dist_configs = 0;
-  std::uint64_t dist_store_bytes = 0;
   CacheStats cache;
 };
 
@@ -164,11 +145,6 @@ class Server {
   // thread, after the byte accounting of every reply it sent before.
   ServerStats stats() const;
 
-  // Live progress of the distributed decision this server is currently
-  // coordinating (level / frontier / configs / shard sizes, merged from
-  // worker heartbeats). Zeroed between decisions.
-  const obs::ExploreProgress& dist_progress() const { return dist_progress_; }
-
  private:
   struct Connection;
   struct Job;
@@ -181,7 +157,6 @@ class Server {
   void handle_frame(Connection& c, const Frame& f);
   void handle_decide(Connection& c, const Frame& f);
   void handle_cancel(Connection& c, const Frame& f);
-  void handle_shard_init(Connection& c, const Frame& f);
   void send_frame(Connection& c, std::vector<std::uint8_t> bytes);
   void send_error(Connection& c, Action action, std::uint64_t nonce,
                   WireError e, std::string_view detail);
@@ -219,22 +194,9 @@ class Server {
   std::atomic<std::uint64_t> spilled_requests_{0};
   std::atomic<std::uint64_t> spill_bytes_{0};
 
-  // Wire byte counters per connection class (client vs peer) and the
-  // distributed worker-session stats, all surfaced through CacheStats.
+  // Client wire byte counters, surfaced through CacheStats.
   std::atomic<std::uint64_t> bytes_in_client_{0};
   std::atomic<std::uint64_t> bytes_out_client_{0};
-  std::atomic<std::uint64_t> bytes_in_peer_{0};
-  std::atomic<std::uint64_t> bytes_out_peer_{0};
-  std::atomic<std::uint64_t> dist_sessions_{0};
-  std::atomic<std::uint64_t> dist_configs_{0};
-  std::atomic<std::uint64_t> dist_store_bytes_{0};
-
-  // Detached shard-session threads (this server acting as a distributed
-  // worker), joined at shutdown.
-  std::mutex sessions_mu_;
-  std::vector<std::thread> sessions_;
-
-  obs::ExploreProgress dist_progress_;
 
   ResultCache cache_;
   obs::RunMetrics metrics_;  // poll thread only
@@ -243,8 +205,11 @@ class Server {
   std::string unix_path_;  // unlinked on shutdown
 };
 
-// Parses "tcp:HOST:PORT" / "unix:PATH", connects, returns the fd (or -1
-// with *error). Shared by Client and the frame fuzzer.
-int connect_address(const std::string& address, std::string* error);
+// Splits "tcp:HOST:PORT" (IPv4 literal) / "unix:PATH" into a sockaddr.
+// Returns the socket family, or AF_UNSPEC with *error on a parse error. The
+// one address grammar: the server binds and connect_with_retry (client.hpp)
+// connects through it.
+int parse_address(const std::string& address, sockaddr_storage* out,
+                  socklen_t* out_len, std::string* error);
 
 }  // namespace dawn::net

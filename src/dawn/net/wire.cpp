@@ -20,6 +20,13 @@ void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   }
 }
 
+std::uint32_t get_u32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
+}
+
 std::uint64_t get_u64(const std::uint8_t* p) {
   std::uint64_t v = 0;
   for (int i = 7; i >= 0; --i) {
@@ -30,23 +37,12 @@ std::uint64_t get_u64(const std::uint8_t* p) {
 
 }  // namespace
 
-std::uint32_t get_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
 const char* name(Action a) {
   switch (a) {
     case Action::Decide: return "decide";
     case Action::Ping: return "ping";
     case Action::CacheStats: return "cache-stats";
     case Action::Cancel: return "cancel";
-    case Action::ShardInit: return "shard-init";
-    case Action::FrontierPush: return "frontier-push";
-    case Action::LevelBarrier: return "level-barrier";
-    case Action::ShardResult: return "shard-result";
     case Action::kCount: break;
   }
   return "?";
@@ -80,7 +76,6 @@ const char* name(WireError e) {
     case WireError::ReadTimeout: return "read-timeout";
     case WireError::IdleTimeout: return "idle-timeout";
     case WireError::Internal: return "internal";
-    case WireError::PeerLost: return "peer-lost";
   }
   return "?";
 }

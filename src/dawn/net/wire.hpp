@@ -51,14 +51,6 @@ enum class Action : std::uint8_t {
   Ping = 1,        // liveness probe; empty payloads both ways
   CacheStats = 2,  // result-cache and server counters snapshot
   Cancel = 3,      // cancel the queued Decide whose nonce equals this frame's
-  // Distributed frontier exploration (net/dist_explore.*, docs/DISTRIBUTED.md).
-  // A ShardInit request detaches the connection from the request/response
-  // server loop into a dedicated worker session; the remaining three actions
-  // are only valid inside such a session (and echo its nonce).
-  ShardInit = 4,     // coordinator -> worker: adopt a shard range
-  FrontierPush = 5,  // batched non-owned successors, routed via coordinator
-  LevelBarrier = 6,  // level-synchronous commands: expand / drain / ...
-  ShardResult = 7,   // worker -> coordinator: verdicts / edges / stats
   kCount,
 };
 
@@ -93,7 +85,6 @@ enum class WireError : std::uint8_t {
   ReadTimeout,      // a partial frame sat unfinished past the read timeout
   IdleTimeout,      // no frames at all past the idle timeout
   Internal,         // server-side failure (never expected; a bug)
-  PeerLost,         // a distributed worker died / timed out mid-decision
 };
 
 const char* name(WireError e);
@@ -110,10 +101,6 @@ struct Frame {
   FrameHeader header;
   std::string payload;
 };
-
-// A little-endian u32 at p: the header's payload size, and the counts in
-// the distributed payloads' batch headers.
-std::uint32_t get_u32(const std::uint8_t* p);
 
 // Serialises header + payload into one contiguous buffer ready to write.
 std::vector<std::uint8_t> encode_frame(Action action, FrameKind kind,

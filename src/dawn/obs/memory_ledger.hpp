@@ -15,7 +15,7 @@
 // bit-identical for every thread count and regardless of whether spans or
 // heartbeats are enabled. Engines do NOT fill store accounts on capped or
 // deadline-aborted runs — what the store holds at an abort is scheduling
-// noise — and account_interner_bytes (semantics/decision.hpp) leaves the
+// noise — and account_interner_bytes (semantics/decide.cpp) leaves the
 // interner account empty on every budget-exhausted report for the same
 // reason. Compiled machines number their states in thread-timing order,
 // which moves configurations between store shards, so the vector store

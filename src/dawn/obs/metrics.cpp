@@ -33,10 +33,6 @@ const char* name(Counter c) {
     case Counter::NetRequests: return "net.requests";
     case Counter::NetErrors: return "net.errors";
     case Counter::NetCacheHits: return "net.cache_hits";
-    case Counter::NetDistSessions: return "net.dist.sessions";
-    case Counter::NetDistPushes: return "net.dist.pushes";
-    case Counter::NetDistPushedConfigs: return "net.dist.pushed_configs";
-    case Counter::NetDistBarriers: return "net.dist.barriers";
     case Counter::kCount: break;
   }
   return "counter.unknown";

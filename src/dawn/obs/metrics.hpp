@@ -64,10 +64,6 @@ enum class Counter : std::uint16_t {
   NetRequests,           // dawnd: request frames handled (all actions)
   NetErrors,             // dawnd: error frames sent
   NetCacheHits,          // dawnd: Decide requests served from the result cache
-  NetDistSessions,       // distributed worker sessions adopted (shard-init)
-  NetDistPushes,         // frontier-push frames sent (worker + coordinator)
-  NetDistPushedConfigs,  // configurations routed to a non-owning peer
-  NetDistBarriers,       // level barriers completed by a coordinator
   kCount,
 };
 

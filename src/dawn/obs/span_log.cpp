@@ -21,7 +21,6 @@ const char* name(Phase p) {
     case Phase::SimulateRun: return "simulate.run";
     case Phase::FuzzCase: return "fuzz.case";
     case Phase::NetRequest: return "net.request";
-    case Phase::ExploreDistExchange: return "explore.dist.exchange";
     case Phase::ExploreIntern: return "explore.intern";
     case Phase::kCount: break;
   }

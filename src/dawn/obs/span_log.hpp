@@ -56,7 +56,6 @@ enum class Phase : std::uint8_t {
   SimulateRun,     // one simulate() run
   FuzzCase,        // one differential fuzz case (all selected pairs)
   NetRequest,      // one dawnd Decide request executed by a server worker
-  ExploreDistExchange,  // one distributed level's frontier exchange + barrier
   ExploreIntern,   // one BFS level's owner phase: routed successors interned
   kCount,
 };

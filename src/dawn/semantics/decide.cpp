@@ -39,6 +39,29 @@ NodeId star_hub(const Graph& g) {
   return hub;
 }
 
+// Fills the report's interner account from machine.footprint(): every
+// state the machine's lazily-interning layers hold, at a nominal cost per
+// state. The count is cumulative per machine instance, so it includes
+// states that earlier decides on the same instance interned. A report with
+// budget_exhausted set leaves the account empty, like the store, frontier
+// and edge accounts: workers overshoot a cap by a schedule-dependent amount
+// and intern different states. Call after setting budget_exhausted. Plain
+// machines report no layers and leave it empty too.
+void account_interner_bytes(const Machine& machine, DecisionReport& report) {
+  if (report.budget_exhausted) return;
+  // A nominal per-state cost (value slot + index slots), like the stores'
+  // bytes().
+  constexpr std::size_t kBytesPerInternedState = 64;
+  std::vector<LayerFootprint> layers;
+  machine.footprint(layers);
+  std::size_t states = 0;
+  for (const auto& layer : layers) states += layer.interned_states;
+  if (states > 0) {
+    report.memory.set_max(obs::MemoryAccount::InternerBytes,
+                          states * kBytesPerInternedState);
+  }
+}
+
 DecideMethod resolve_auto(const Graph& g) {
   // Counted semantics quotient the configuration space by node symmetry, so
   // prefer them whenever the topology allows; everything else goes to the
@@ -193,21 +216,6 @@ DecisionReport decide(const Machine& machine, const Graph& g,
   report.budget_exhausted = is_exhaustion(report.unknown_reason);
   account_interner_bytes(machine, report);
   return report;
-}
-
-void account_interner_bytes(const Machine& machine, DecisionReport& report) {
-  if (report.budget_exhausted) return;
-  // A nominal per-state cost (value slot + index slots), like the stores'
-  // bytes().
-  constexpr std::size_t kBytesPerInternedState = 64;
-  std::vector<LayerFootprint> layers;
-  machine.footprint(layers);
-  std::size_t states = 0;
-  for (const auto& layer : layers) states += layer.interned_states;
-  if (states > 0) {
-    report.memory.set_max(obs::MemoryAccount::InternerBytes,
-                          states * kBytesPerInternedState);
-  }
 }
 
 }  // namespace dawn

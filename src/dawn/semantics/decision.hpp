@@ -201,15 +201,4 @@ struct DecisionReport {
 DecisionReport decide(const Machine& machine, const Graph& g,
                       const DecisionRequest& request = {});
 
-// Fills the report's interner account from machine.footprint(): every
-// state the machine's lazily-interning layers hold, at a nominal cost per
-// state. The count is cumulative per machine instance, so it includes
-// states that earlier decides on the same instance interned. A report with
-// budget_exhausted set leaves the account empty, like the store, frontier
-// and edge accounts: workers overshoot a cap by a schedule-dependent amount
-// and intern different states. Call after setting budget_exhausted. Plain
-// machines report no layers and leave it empty too. decide() and the
-// distributed coordinator both account through this.
-void account_interner_bytes(const Machine& machine, DecisionReport& report);
-
 }  // namespace dawn

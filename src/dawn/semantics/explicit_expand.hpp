@@ -1,10 +1,7 @@
-// Per-worker successor generators for the explicit-state engines.
-//
-// Shared by the in-process parallel decider (semantics/explicit_space.cpp)
-// and the distributed shard workers (net/dist_explore.cpp) through
-// with_explicit_expander: both must enumerate successors of a configuration
-// under exclusive selection with exactly the same emit sequence, or their
-// reachable sets (and reports) would diverge.
+// Per-worker successor generators for the explicit-state engine: exclusive
+// selection, one emitted successor per node whose step is not silent, in
+// node order. The parallel decider (semantics/explicit_space.cpp) explores
+// through with_explicit_expander.
 #pragma once
 
 #include <utility>
@@ -79,8 +76,7 @@ struct CanonExplicitExpander {
 // Calls fn(initial, make_expander, verdict_of) with the explicit engine's
 // initial configuration, per-worker expander factory and verdict function
 // for `machine` on `g`, all canonicalised under `grp` when it is non-null,
-// and returns what fn returns. The local decider and a distributed shard
-// worker both explore through it.
+// and returns what fn returns.
 template <typename Fn>
 decltype(auto) with_explicit_expander(const Machine& machine, const Graph& g,
                                       const SymmetryGroup* grp, Fn&& fn) {

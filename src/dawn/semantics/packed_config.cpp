@@ -144,10 +144,6 @@ void PackedConfigStore::route(
   std::copy(words, words + codec_.words(), items.begin() + at + kRoutedHeader);
 }
 
-std::size_t PackedConfigStore::shard_of(const Config& value) const {
-  return shard_index(pack_hashed(codec_, value).second);
-}
-
 PackedConfigStore::InternResult PackedConfigStore::find_or_insert(
     std::uint64_t h, const std::uint64_t* words) {
   const std::uint64_t mixed = hash_mix(h);
@@ -201,14 +197,8 @@ void PackedConfigStore::finalize() {
 }
 
 std::size_t PackedConfigStore::bytes() const {
-  return bytes_for_shard_range(0, kNumShards);
-}
-
-std::size_t PackedConfigStore::bytes_for_shard_range(std::size_t begin,
-                                                     std::size_t end) const {
   std::size_t total = 0;
-  for (std::size_t sh = begin; sh < end; ++sh) {
-    const Shard& s = shards_[sh];
+  for (const Shard& s : shards_) {
     // Every local id below hot_first was spilled exactly once.
     total += (s.arena.size() + s.hot_first * codec_.words()) *
              sizeof(std::uint64_t);

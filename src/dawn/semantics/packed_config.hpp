@@ -45,8 +45,8 @@
 //  * drain() takes no lock: it may touch only shards that the calling
 //    thread owns, i.e. that no other thread interns into, drains into or
 //    reads until it returns (explore_and_classify_in's phase B);
-//  * spill_to_budget, finalize and the byte accessors are level-boundary /
-//    coordinator-only, and the spill mapping changes only there.
+//  * spill_to_budget, finalize and the byte accessors are level-boundary
+//    only, and the spill mapping changes only there.
 #pragma once
 
 #include <array>
@@ -140,9 +140,9 @@ class PackedConfigStore {
   InternResult intern(const Config& value);
 
   // Routed configurations bound for one owner: per item, the source gid,
-  // the word hash and the packed words (kRoutedHeader + codec().words()
-  // words). One cache line each: a worker grows its batches on every
-  // successor.
+  // the word hash and the packed words (kRoutedHeader + the codec's
+  // words() words). One cache line each: a worker grows its batches on
+  // every successor.
   struct alignas(64) Batch {
     std::vector<std::uint64_t> items;
     std::size_t count = 0;  // routed configurations in `items`
@@ -178,11 +178,6 @@ class PackedConfigStore {
 
   std::size_t size() const { return total_.load(std::memory_order_relaxed); }
 
-  // The shard intern(value) would land in, without interning: how seeding
-  // tells whether a distributed shard worker owns a configuration. Must
-  // agree with intern() and route() exactly: same encode, hash and mix.
-  std::size_t shard_of(const Config& value) const;
-
   // Freezes the dense remap. Call once, after all interning is done.
   void finalize();
 
@@ -210,13 +205,6 @@ class PackedConfigStore {
   // accounting — call after exploration, not during.
   std::size_t bytes() const;
 
-  // Byte occupancy of shards [begin, end) only. Per-shard bytes are a
-  // deterministic function of shard contents (slot growth depends only on
-  // insertion count), so disjoint ranges measured on different processes
-  // sum to one process's bytes(): a distributed decide's ledger relies on
-  // it.
-  std::size_t bytes_for_shard_range(std::size_t begin, std::size_t end) const;
-
   // In-memory footprint: bytes() minus the spilled arena words.
   std::size_t resident_bytes() const;
 
@@ -242,8 +230,6 @@ class PackedConfigStore {
   // Lock-free: no thread may change the gid's shard meanwhile (see the
   // concurrency contract above).
   const Config& value(std::int64_t gid, Config& out) const;
-
-  const PackedCodec& codec() const { return codec_; }
 
  private:
   // A run of consecutive local ids whose words live in the spill file.

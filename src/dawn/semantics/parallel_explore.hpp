@@ -1,9 +1,8 @@
 // Frontier-parallel sharded explicit-state exploration.
 //
 // The one BFS engine behind the parallel pseudo-stochastic deciders
-// (explicit configurations, counted clique / star configurations) and the
-// distributed shard workers. It runs a level-synchronous BFS over the
-// configuration graph:
+// (explicit configurations, counted clique / star configurations). It runs
+// a level-synchronous BFS over the configuration graph:
 //
 //  * configurations are interned into a hash-sharded store (64 shards);
 //    each worker of a persistent WorkerPool (semantics/trials.hpp) owns a
@@ -18,13 +17,11 @@
 //    iterative Tarjan in semantics/scc.{hpp,cpp} and classified by the
 //    bottom-SCC rule.
 //
-// LevelExplorer holds the level loop's steps; explore_and_classify_in
-// drives them locally, and net/dist_explore.cpp drives them over one
-// process's shards. Spill mode: when the store spills (a PackedConfigStore
-// given a spill dir and a byte budget), the same steps run out of core,
-// with full edge blocks in per-owner EdgeSpool files
-// (semantics/tiered_config.hpp); docs/ENGINE.md "The tiered store" has the
-// rules.
+// LevelExplorer holds the level loop's steps, and explore_and_classify_in
+// drives them. Spill mode: when the store spills (a PackedConfigStore given
+// a spill dir and a byte budget), the same steps run out of core, with full
+// edge blocks in per-owner EdgeSpool files (semantics/tiered_config.hpp);
+// docs/ENGINE.md "The tiered store" has the rules.
 //
 // Determinism contract: the decision, the number of reachable
 // configurations, and the number of bottom SCCs are properties of the
@@ -220,8 +217,7 @@ class ShardedConfigStore {
   std::size_t size() const { return total_.load(std::memory_order_relaxed); }
 
   // The shard intern(value) would land in, without interning: route()'s
-  // key, and how seeding tells whether a distributed shard worker owns a
-  // configuration.
+  // key.
   std::size_t shard_of(const ConfigT& value) const {
     // Run the hash through a splitmix finalizer before extracting shard
     // bits: raw high-middle bits (the old `h >> 24`) carry little entropy
@@ -334,21 +330,10 @@ inline int explore_threads(const Machine& machine,
   return machine.parallel_step_safe() ? t : 1;
 }
 
-// The 64 shards split into `num_parts` contiguous ranges: part i owns
-// [shard_range_begin(i, n), shard_range_end(i, n)). A distributed decide
-// splits them over its worker processes this way.
-inline std::size_t shard_range_begin(int part, int num_parts) {
-  return static_cast<std::size_t>(part) * 64 /
-         static_cast<std::size_t>(num_parts);
-}
-inline std::size_t shard_range_end(int part, int num_parts) {
-  return shard_range_begin(part + 1, num_parts);
-}
-
-// The memory ledger of a completed in-memory run, local or distributed:
-// only thread-count-invariant quantities (final store occupancy, peak
-// frontier level, edge count), so the ledger keeps the DecisionReport
-// bit-identical across thread and worker counts.
+// The memory ledger of a completed in-memory run: only
+// thread-count-invariant quantities (final store occupancy, peak frontier
+// level, edge count), so the ledger keeps the DecisionReport bit-identical
+// across thread counts.
 inline void account_explored(obs::MemoryLedger& ledger,
                              obs::MemoryAccount store_account,
                              std::size_t store_bytes,
@@ -371,11 +356,11 @@ struct ExploredGraph {
   std::size_t classify_cap = 0;
 };
 
-// The classification after the last level, for local, spill-mode and
-// distributed runs alike: collect() hands back the explored graph, the
-// merge builds its CSR through build_csr, mapping gids through dense(gid),
-// and the bottom-SCC rule classifies it. nullopt if an in-memory edge
-// endpoint falls outside the dense range.
+// The classification after the last level, in memory and in spill mode
+// alike: collect() hands back the explored graph, the merge builds its CSR
+// through build_csr, mapping gids through dense(gid), and the bottom-SCC
+// rule classifies it. nullopt if an in-memory edge endpoint falls outside
+// the dense range.
 template <typename Collect, typename Dense>
 std::optional<ExploreOutcome> classify_explored(Collect&& collect,
                                                 const Dense& dense,
@@ -410,9 +395,7 @@ std::optional<ExploreOutcome> classify_explored(Collect&& collect,
 // One exploration's BFS as the steps of its level loop: seed(), then per
 // level expand() (phase A), intern_routed() (phase B) and end_level(), and
 // after the last level finish_levels() and, for a completed run,
-// explored(). explore_and_classify_in below drives them over all 64
-// shards; a distributed shard worker (net/dist_explore.cpp) drives them
-// over the shards of its part, between the coordinator's barriers.
+// explored(). explore_and_classify_in below drives them.
 //
 //  * `store` implements the ShardedConfigStore contract — intern() /
 //    route() / drain() / value() / size() / finalize() / dense() /
@@ -427,12 +410,11 @@ std::optional<ExploreOutcome> classify_explored(Collect&& collect,
 //    (Neutral if mixed). Called once per configuration the run expands, by
 //    the worker that expands it, so a completed run has every verdict.
 //
-// The owner map splits the part's shards (all 64 locally) into one
-// contiguous owner range per worker; workers past the range's size own
-// none. Every other shard maps to an outbox slot, one per other part, which
-// the driver empties between the phases. Both callables run concurrently
-// on budget.resolve_threads() workers; pass a budget clamped via
-// explore_threads() when the machine is not thread-safe.
+// The owner map splits the 64 shards into one contiguous range per worker
+// (shard s goes to worker s * min(W, 64) / 64); workers past the 64th own
+// none. Both callables run concurrently on budget.resolve_threads()
+// workers; pass a budget clamped via explore_threads() when the machine is
+// not thread-safe.
 template <typename ConfigT, typename Store, typename MakeExpander,
           typename VerdictOf>
 class LevelExplorer {
@@ -445,12 +427,21 @@ class LevelExplorer {
     explicit Worker(Expander e) : expander(std::move(e)) {}
     Expander expander;
     ConfigT scratch;  // phase A: value()'s decoded configuration
-    std::vector<typename Store::Batch> out;  // phase A: owners, outboxes
-    std::vector<std::pair<std::int64_t, Verdict>> verdicts;  // phase A
+    std::vector<typename Store::Batch> out;  // phase A: one per owner
     std::size_t steals = 0;
     // Phase B: every edge into an owned shard, in edge_block-pair blocks.
     std::vector<GidEdges> edges = std::vector<GidEdges>(1);
     std::vector<std::int64_t> next;  // phase B: fresh gids
+  };
+
+  // One shard's verdicts by local id, one byte per configuration. The
+  // owner appends a slot when it interns a fresh configuration (phase B
+  // and the seed), and the worker that expands the configuration fills it
+  // in phase A, while no array grows. Concatenated in shard order, the
+  // arrays are in dense order. Each on a cache line of its own: owners
+  // append to their shards' arrays concurrently in phase B.
+  struct alignas(64) ShardVerdicts {
+    std::vector<Verdict> slots;
   };
 
   // A worker's edges fill one buffer that grows by doubling up to
@@ -467,8 +458,7 @@ class LevelExplorer {
   enum class LevelEnd { Next, IoFailed, MemoryCap };
 
   LevelExplorer(Store& store, MakeExpander& make_expander,
-                VerdictOf& verdict_of, const ExploreBudget& budget,
-                int part = 0, int num_parts = 1)
+                VerdictOf& verdict_of, const ExploreBudget& budget)
       : store_(store),
         verdict_of_(verdict_of),
         budget_(budget),
@@ -481,21 +471,16 @@ class LevelExplorer {
         tel_(obs::telemetry()),
         pool_(budget.resolve_threads()),
         num_workers_(static_cast<std::size_t>(pool_.num_workers())),
-        part_(static_cast<std::size_t>(part)) {
+        num_owners_(std::min(num_workers_, Store::kNumShards)) {
     if (tel_.progress != nullptr) tel_.progress->reset();
-    const std::size_t begin = shard_range_begin(part, num_parts);
-    const std::size_t end = shard_range_end(part, num_parts);
-    num_owners_ = std::min(num_workers_, end - begin);
-    for (std::size_t sh = 0, to = 0; sh < Store::kNumShards; ++sh) {
-      while (sh >= shard_range_end(static_cast<int>(to), num_parts)) ++to;
-      owner_of_shard_[sh] = static_cast<std::uint32_t>(
-          to == part_ ? (sh - begin) * num_owners_ / (end - begin)
-                      : outbox_slot(to));
+    for (std::size_t sh = 0; sh < Store::kNumShards; ++sh) {
+      owner_of_shard_[sh] =
+          static_cast<std::uint32_t>(sh * num_owners_ / Store::kNumShards);
     }
     workers_.reserve(num_workers_);
     for (std::size_t w = 0; w < num_workers_; ++w) {
       workers_.emplace_back(make_expander(static_cast<int>(w)));
-      workers_.back().out.resize(num_owners_ + num_parts - 1);
+      workers_.back().out.resize(num_owners_);
     }
     // Spill mode: only the packed store can spill, and it does when its
     // budget names a spill dir and a byte cap. Edges then go to one spool
@@ -510,19 +495,16 @@ class LevelExplorer {
     stats_.threads = pool_.num_workers();
   }
 
-  // Interns `initial` as the first level if this part owns its shard.
-  bool seed(const ConfigT& initial) {
-    if (owner_of_shard_[store_.shard_of(initial)] >= num_owners_) {
-      return false;
-    }
-    frontier_.push_back(store_.intern(initial).gid);
-    return true;
+  // Interns `initial` as the first level.
+  void seed(const ConfigT& initial) {
+    const std::int64_t gid = store_.intern(initial).gid;
+    add_verdict_slot(gid);
+    frontier_.push_back(gid);
   }
 
-  // Phase A. Every worker checks the deadline and calls poll(worker) once
-  // per frontier chunk it claims, and stops when either says so.
-  template <typename Poll>
-  void expand(const Poll& poll) {
+  // Phase A. Every worker checks the deadline once per frontier chunk it
+  // claims, and stops once it has passed.
+  void expand() {
     ++stats_.levels;
     stats_.frontier_peak = std::max(stats_.frontier_peak, frontier_.size());
     if (obs::ExploreProgress* const progress = tel_.progress) {
@@ -544,7 +526,6 @@ class LevelExplorer {
       const auto batches = std::span(self.out);
       for (;;) {
         if (deadline_.enabled() && deadline_.expired()) break;
-        if (!poll(w)) break;
         const std::size_t begin = cursor.fetch_add(chunk);
         if (begin >= frontier_.size()) break;
         const std::size_t end = std::min(begin + chunk, frontier_.size());
@@ -554,29 +535,13 @@ class LevelExplorer {
         for (std::size_t i = begin; i < end; ++i) {
           const std::int64_t gid = frontier_[i];
           const ConfigT& config = store_.value(gid, self.scratch);
-          self.verdicts.emplace_back(gid, verdict_of_(config));
+          verdict_slot(gid) = verdict_of_(config);
           self.expander(config, [&](const ConfigT& succ) {
             store_.route(succ, gid, batches, owner_of_shard_);
           });
         }
       }
     });
-  }
-
-  // Calls fn(batch) on each worker's outbox for part `to`.
-  template <typename Fn>
-  void for_each_outbox(int to, Fn&& fn) {
-    const std::size_t slot = outbox_slot(static_cast<std::size_t>(to));
-    for (Worker& worker : workers_) fn(worker.out[slot]);
-  }
-
-  // Routes a successor that another part expanded (src is its gid there)
-  // to its owner's batch. False if this part does not own its shard.
-  bool route_in(const ConfigT& value, std::int64_t src) {
-    const auto batches = std::span(workers_.front().out);
-    store_.route(value, src, batches, owner_of_shard_);
-    return std::all_of(batches.begin() + num_owners_, batches.end(),
-                       [](const auto& outbox) { return outbox.size() == 0; });
   }
 
   // Phase B. An owner stops once the store passes the cap: the level's
@@ -611,6 +576,7 @@ class LevelExplorer {
             }
             self.edges.back().emplace_back(src, gid);
             if (!fresh) return;
+            add_verdict_slot(gid);
             self.next.push_back(gid);
             if (progress != nullptr) {
               progress->shard_sizes[static_cast<std::size_t>(gid) &
@@ -685,7 +651,14 @@ class LevelExplorer {
   ExploredGraph explored() {
     store_.finalize();
     ExploredGraph graph;
-    graph.verdicts.assign(store_.size(), Verdict::Neutral);
+    graph.verdicts.reserve(store_.size());
+    for (ShardVerdicts& shard : verdicts_) {
+      graph.verdicts.insert(graph.verdicts.end(), shard.slots.begin(),
+                            shard.slots.end());
+      decltype(shard.slots)().swap(shard.slots);
+    }
+    DAWN_CHECK_MSG(graph.verdicts.size() == store_.size(),
+                   "a verdict slot per stored configuration");
     stats_.edges = spool_ ? spool_->num_edges() : 0;
     if constexpr (kCanSpill) {
       if (spool_) {
@@ -696,10 +669,6 @@ class LevelExplorer {
       }
     }
     for (Worker& worker : workers_) {
-      for (const auto& [gid, verdict] : worker.verdicts) {
-        graph.verdicts[static_cast<std::size_t>(store_.dense(gid))] = verdict;
-      }
-      decltype(worker.verdicts)().swap(worker.verdicts);
       for (GidEdges& block : worker.edges) {
         stats_.edges += block.size();
         graph.edges.push_back(std::move(block));
@@ -730,9 +699,14 @@ class LevelExplorer {
   ExploreStats& stats() { return stats_; }
 
  private:
-  // Outbox slots follow the owners, one per other part, in part order.
-  std::size_t outbox_slot(std::size_t to) const {
-    return num_owners_ + to - (to > part_ ? 1 : 0);
+  // Owner-only: the slot of a configuration just interned, at its local id.
+  void add_verdict_slot(std::int64_t gid) {
+    verdicts_[static_cast<std::size_t>(gid) & Store::kShardMask]
+        .slots.push_back(Verdict::Neutral);
+  }
+  Verdict& verdict_slot(std::int64_t gid) {
+    return verdicts_[static_cast<std::size_t>(gid) & Store::kShardMask]
+        .slots[static_cast<std::size_t>(gid >> Store::kShardBits)];
   }
 
   Store& store_;
@@ -742,10 +716,10 @@ class LevelExplorer {
   const obs::Telemetry tel_;
   WorkerPool pool_;
   std::size_t num_workers_;
-  std::size_t part_;
-  std::size_t num_owners_ = 0;
+  std::size_t num_owners_;
   std::array<std::uint32_t, Store::kNumShards> owner_of_shard_{};
   std::vector<Worker> workers_;
+  std::array<ShardVerdicts, Store::kNumShards> verdicts_;
   std::optional<EdgeSpool> spool_;
   std::size_t edge_block_ = kEdgeBlock;
   std::vector<std::int64_t> frontier_;
@@ -777,7 +751,7 @@ ExploreOutcome explore_and_classify_in(Store& store, const ConfigT& initial,
   while (!run.frontier().empty() && end == Run::LevelEnd::Next) {
     obs::SpanScope level_span(tel.spans, obs::Phase::ExploreExpand,
                               run.frontier().size());
-    run.expand([](int) { return true; });
+    run.expand();
     run.intern_routed();
     capped = store.size() > budget.max_configs;
     expired = !capped && run.deadline().expired();

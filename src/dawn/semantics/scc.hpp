@@ -10,9 +10,9 @@
 // One SCC engine: an iterative Tarjan over a flat CSR graph (CsrGraph
 // below), for every graph size and worker count. The explicit engines
 // build the CSR straight from their (src, dst) gid edges by one counting
-// sort (build_csr), whatever holds the edges: the per-worker buffers, the
-// spill-mode edge spool (classify_bottom_sccs_external in
-// tiered_config.hpp) or the edges a distributed coordinator received. The
+// sort (build_csr), whatever holds the edges: the per-worker buffers or
+// the spill-mode edge spool (classify_bottom_sccs_external in
+// tiered_config.hpp). The
 // sequential explorer (sequential_explore.hpp) appends each configuration's
 // successors to a CSR row as it expands it. The vector<vector<int32>>
 // overload below is a thin adapter that copies an adjacency into a CSR; no

@@ -20,8 +20,8 @@ namespace dawn {
 
 // Per-writer append-only edge files: each writer appends whole (src gid,
 // dst gid) blocks with one write (no locks, no buffer of its own), and
-// ScanCursor streams every edge back — twice for build_csr's two
-// counting-sort passes, once for a distributed shard's edge upload.
+// ScanCursor streams every edge back, once for each of build_csr's two
+// counting-sort passes.
 class EdgeSpool {
  public:
   // The explicit engine's edge block in spill mode: 8192 pairs, 128 KiB per

@@ -125,6 +125,8 @@ TEST(Wire, ReaderErrorsAreStickyPerHeaderField) {
   const Case cases[] = {
       {0, 0x00, net::WireError::BadMagic},
       {4, 99, net::WireError::BadVersion},
+      {5, 4, net::WireError::BadAction},
+      {5, 7, net::WireError::BadAction},
       {5, 250, net::WireError::BadAction},
       {6, 250, net::WireError::BadKind},
       {7, 1, net::WireError::BadReserved},
@@ -137,7 +139,8 @@ TEST(Wire, ReaderErrorsAreStickyPerHeaderField) {
     reader.feed(bytes.data(), bytes.size());
     net::Frame f;
     EXPECT_FALSE(reader.next(&f));
-    EXPECT_EQ(reader.error(), c.expect) << "offset " << c.offset;
+    EXPECT_EQ(reader.error(), c.expect)
+        << "offset " << c.offset << " value " << int{c.value};
     // Sticky: feeding a pristine frame afterwards cannot resync.
     const auto good = net::encode_frame(net::Action::Ping,
                                         net::FrameKind::Request, 2, "");
@@ -253,6 +256,13 @@ TEST(Payload, UnknownTopLevelKeyAndBadSpecVersionAreNamedErrors) {
   std::string error;
   EXPECT_FALSE(net::decide_request_from_json(json, &error).has_value());
   EXPECT_EQ(error, "unknown top-level key: surprise");
+
+  // The retired distributed flag is an unknown key like any other.
+  auto dist = net::decide_request_to_json(small_request());
+  dist.set("distributed", obs::JsonValue(true));
+  error.clear();
+  EXPECT_FALSE(net::decide_request_from_json(dist, &error).has_value());
+  EXPECT_EQ(error, "unknown top-level key: distributed");
 
   auto v2 = net::decide_request_to_json(small_request());
   v2.set("spec_version", obs::JsonValue(999));
@@ -457,6 +467,12 @@ TEST(Server, DecideMatchesInProcessDecideBitExactly) {
   dr.budget = req.budget;
   const DecisionReport local = decide(*machine, req.graph, dr);
   EXPECT_TRUE(reply->report == local);
+
+  // The CacheStats reply is written after the Decide's reply was counted.
+  const auto stats = client.cache_stats(&error);
+  ASSERT_TRUE(stats.has_value()) << error;
+  EXPECT_GT(stats->get("bytes_in_client")->as_int(), 0);   // the request
+  EXPECT_GT(stats->get("bytes_out_client")->as_int(), 0);  // its reply
 }
 
 TEST(Server, RepeatedRequestIsServedFromCacheBitIdentically) {
@@ -589,6 +605,16 @@ TEST(Server, MalformedJsonAndSchemaViolationsKeepTheConnectionAlive) {
   EXPECT_EQ(obs::JsonValue::parse(reply.payload)->get("error")->as_string(),
             "bad-spec-version");
 
+  auto dist = net::decide_request_to_json(small_request());
+  dist.set("distributed", obs::JsonValue(true));
+  ASSERT_TRUE(client.call(net::Action::Decide, dist.dump(), &reply, &error))
+      << error;
+  ASSERT_EQ(reply.header.kind, net::FrameKind::Error);
+  const auto body = obs::JsonValue::parse(reply.payload);
+  EXPECT_EQ(body->get("error")->as_string(), "bad-schema");
+  EXPECT_EQ(body->get("detail")->as_string(),
+            "unknown top-level key: distributed");
+
   // Framing-valid garbage never cost us the connection: a Ping still works.
   EXPECT_TRUE(client.ping(&error)) << error;
 }
@@ -601,7 +627,7 @@ TEST(Server, MalformedJsonAndSchemaViolationsKeepTheConnectionAlive) {
 TEST(Server, AbruptDisconnectWithPendingRepliesIsHarmless) {
   LiveServer live;
   std::string error;
-  const int fd = net::connect_address(live.address(), &error);
+  const int fd = net::connect_with_retry(live.address(), {}, &error);
   ASSERT_GE(fd, 0) << error;
 
   std::vector<std::uint8_t> burst;
@@ -636,7 +662,7 @@ TEST(Server, WriteQueueCapDisconnectsNonReadingPipeliner) {
   opts.max_writeq_bytes = 4 * 1024;
   LiveServer live(opts);
   std::string error;
-  const int fd = net::connect_address(live.address(), &error);
+  const int fd = net::connect_with_retry(live.address(), {}, &error);
   ASSERT_GE(fd, 0) << error;
 
   // Never read: replies pile into kernel buffers, then the server-side
@@ -733,6 +759,37 @@ TEST(Client, ConnectRetryExhaustionNamesAttemptsAndAddress) {
   EXPECT_FALSE(client.connect(dead_address, copts, &error));
   EXPECT_NE(error.find("3 attempts"), std::string::npos) << error;
   EXPECT_NE(error.find(dead_address), std::string::npos) << error;
+}
+
+TEST(ServerOptions, StartupValidationNamesTheBadOption) {
+  struct Case {
+    const char* what;
+    net::ServerOptions opts;
+  };
+  std::vector<Case> cases;
+  {
+    net::ServerOptions o;
+    o.max_inflight_per_conn = 0;
+    cases.push_back({"max_inflight_per_conn", o});
+  }
+  {
+    net::ServerOptions o;
+    o.max_payload = net::kHeaderSize - 1;
+    cases.push_back({"max_payload", o});
+  }
+  {
+    net::ServerOptions o;
+    o.max_queue = 0;
+    cases.push_back({"max_queue", o});
+  }
+  for (Case& c : cases) {
+    c.opts.listen = "tcp:127.0.0.1:0";
+    net::Server server(c.opts);
+    std::string error;
+    EXPECT_FALSE(server.start(&error)) << c.what;
+    EXPECT_NE(error.find("server-options:"), std::string::npos) << error;
+    EXPECT_NE(error.find(c.what), std::string::npos) << error;
+  }
 }
 
 TEST(Server, FrameGarbageFuzzContractHolds) {

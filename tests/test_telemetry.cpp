@@ -280,8 +280,7 @@ TEST(SpanLog, PhaseNamesAreUniqueAndNonEmpty) {
   EXPECT_EQ(names.size(), obs::kNumPhases);
   // The exploration phases the engines and docs/OBSERVABILITY.md name.
   for (const char* n : {"explore.expand", "explore.intern", "explore.merge",
-                        "explore.scc", "explore.spill",
-                        "explore.dist.exchange"}) {
+                        "explore.scc", "explore.spill"}) {
     EXPECT_TRUE(names.count(n)) << n;
   }
 }

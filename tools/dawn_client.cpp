@@ -8,14 +8,11 @@
 //       [--graph clique:N|star:N|line:N|cycle:N] [--graph-labels N]
 //       [--method auto|explicit|...] [--max-configs N] [--max-threads N]
 //       [--deadline-ms N] [--symmetry] [--trace] [--repeat N]
-//       [--distributed]
 //   dawn_client [--connect ADDR] garbage
 //
 // Global connection knobs: --connect-timeout-ms N (per-attempt connect
 // timeout) and --retries N (bounded jittered retries after a failed
-// connect). --distributed asks the server to shard the decide across its
-// --peers (docs/DISTRIBUTED.md); the report is bit-identical to a local
-// explicit run.
+// connect).
 //
 // `decide` sends the same seeded MachineSpec + graph-family payload the
 // fuzz artifacts use and prints the reply report as JSON (one line per
@@ -51,7 +48,7 @@ namespace {
                "          [--halt-reject N] [--graph FAMILY:N]\n"
                "          [--graph-labels N] [--method NAME] [--max-configs N]\n"
                "          [--max-threads N] [--deadline-ms N] [--symmetry]\n"
-               "          [--trace] [--repeat N] [--distributed]\n",
+               "          [--trace] [--repeat N]\n",
                argv0, argv0);
   std::exit(2);
 }
@@ -144,8 +141,6 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--retries")) {
       copts.retries = static_cast<int>(
           require_int(argv[0], "--retries", flag_value("--retries"), 0, 1000));
-    } else if (!std::strcmp(argv[i], "--distributed")) {
-      req.distributed = true;
     } else if (!std::strcmp(argv[i], "--class")) {
       cls_name = flag_value("--class");
     } else if (!std::strcmp(argv[i], "--states")) {

@@ -6,19 +6,12 @@
 //         [--read-timeout-ms N] [--idle-timeout-ms N]
 //         [--cache-entries N] [--cache-bytes N] [--trace-dir DIR]
 //         [--spill-dir DIR] [--max-store-bytes N]
-//         [--coordinator] [--peers ADDR,ADDR,...]
-//         [--dist-barrier-timeout-ms N]
 //
 // Accepts framed Decide/Ping/CacheStats/Cancel requests over TCP or a unix
 // socket and answers with serialized DecisionReports, bit-identical to an
 // in-process dawn::decide() under the same (clamped) budget. SIGTERM and
 // SIGINT trigger a graceful drain: stop accepting, answer inflight work,
 // reject new Decides with "draining", flush, exit 0.
-//
-// With --peers, a Decide carrying "distributed": true is sharded across the
-// listed worker dawnds (docs/DISTRIBUTED.md); --coordinator just asserts
-// that intent at startup. Every dawnd is a capable worker — no flag needed
-// on the worker side.
 //
 // Prints one "dawnd listening on <address>" line to stdout once the socket
 // is bound (scripts wait for it), and "dawnd drained" on clean shutdown.
@@ -51,9 +44,7 @@ void on_signal(int) {
       "          [--read-timeout-ms N] [--idle-timeout-ms N]\n"
       "          [--max-writeq-bytes N]\n"
       "          [--cache-entries N] [--cache-bytes N] [--trace-dir DIR]\n"
-      "          [--spill-dir DIR] [--max-store-bytes N]\n"
-      "          [--coordinator] [--peers ADDR,ADDR,...]\n"
-      "          [--dist-barrier-timeout-ms N]\n",
+      "          [--spill-dir DIR] [--max-store-bytes N]\n",
       argv0);
   std::exit(2);
 }
@@ -134,26 +125,6 @@ int main(int argc, char** argv) {
       opts.max_store_bytes_cap = static_cast<std::size_t>(
           require_int(argv[0], "--max-store-bytes",
                       flag_value("--max-store-bytes"), 1024, kMax));
-    } else if (!std::strcmp(argv[i], "--coordinator")) {
-      opts.coordinator = true;
-    } else if (!std::strcmp(argv[i], "--peers")) {
-      // Comma-separated worker addresses; an empty element is a usage error.
-      const std::string list = flag_value("--peers");
-      std::size_t start = 0;
-      while (start <= list.size()) {
-        const std::size_t comma = list.find(',', start);
-        const std::string addr =
-            list.substr(start, comma == std::string::npos ? std::string::npos
-                                                          : comma - start);
-        if (addr.empty()) usage(argv[0], "--peers has an empty address");
-        opts.peers.push_back(addr);
-        if (comma == std::string::npos) break;
-        start = comma + 1;
-      }
-    } else if (!std::strcmp(argv[i], "--dist-barrier-timeout-ms")) {
-      opts.dist_barrier_timeout_ms = static_cast<std::uint64_t>(
-          require_int(argv[0], "--dist-barrier-timeout-ms",
-                      flag_value("--dist-barrier-timeout-ms"), 1, kMax));
     } else {
       usage(argv[0], std::string("unknown option: ") + argv[i]);
     }
