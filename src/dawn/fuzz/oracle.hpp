@@ -15,7 +15,8 @@
 //   sync-replay      decide_synchronous vs the Run engine on the replayed
 //                    synchronous schedule (cycle re-classification)
 //   explore-par      sequential explicit decider vs the sharded parallel
-//                    engine at 1/2/8 threads
+//                    engine at 1/2/8 threads (two classifications: a full
+//                    Tarjan vs the sink closure plus Tarjan on the rest)
 //   canonical-vs-plain  plain parallel engine vs symmetry-reduced +
 //                    bit-packed exploration (identical decisions; the
 //                    quotient never stores more than the full space)

@@ -76,8 +76,6 @@ class Client {
   bool read_frame(Frame* out, bool* closed, std::string* error = nullptr,
                   std::uint64_t timeout_ms = 30'000);
 
-  std::uint64_t last_nonce() const { return nonce_; }
-
  private:
   int fd_ = -1;
   std::uint64_t nonce_ = 0;

@@ -136,9 +136,6 @@ class FrameReader {
   // incomplete payload) — the read-timeout clock runs only in this state.
   bool mid_frame() const { return !buffer_.empty(); }
 
-  std::size_t buffered_bytes() const { return buffer_.size(); }
-  std::size_t max_payload() const { return max_payload_; }
-
  private:
   std::vector<std::uint8_t> buffer_;
   std::size_t consumed_ = 0;  // prefix of buffer_ already handed out

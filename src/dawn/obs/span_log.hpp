@@ -47,9 +47,11 @@ class JsonValue;
 enum class Phase : std::uint8_t {
   DecideTotal,     // one decide() facade call
   ExploreExpand,   // one BFS level of the frontier-parallel exploration
-  ExploreMerge,    // post-exploration buffer merge + dense remap
-  ExploreScc,      // SCC pass: Tarjan + bottom-SCC classification (the
-                   // tiered engine's also reads the edge spool into a CSR)
+  ExploreMerge,    // after the last level: dense remap, verdict bytes and
+                   // the owners' sort of their edges into the reverse CSR
+  ExploreScc,      // bottom-SCC classification: sink closure, then Tarjan
+                   // on the rest (in spill mode the owners' sort of their
+                   // spool files runs here too)
   ExploreSpill,    // tiered store: one level-boundary spill pass
   Canonicalize,    // one symmetry-canonicalised expansion
   TrialsBlock,     // one SoA batched trial block

@@ -187,6 +187,9 @@ void PackedConfigStore::grow(Shard& s) {
 }
 
 void PackedConfigStore::finalize() {
+  DAWN_CHECK_MSG(size() <= static_cast<std::size_t>(
+                               std::numeric_limits<std::int32_t>::max()),
+                 "dense ids are int32");
   std::int32_t offset = 0;
   for (std::size_t sh = 0; sh < kNumShards; ++sh) {
     offsets_[sh] = offset;

@@ -178,7 +178,8 @@ class PackedConfigStore {
 
   std::size_t size() const { return total_.load(std::memory_order_relaxed); }
 
-  // Freezes the dense remap. Call once, after all interning is done.
+  // Freezes the dense remap. Call once, after all interning is done, on at
+  // most INT32_MAX configurations.
   void finalize();
 
   // Dense id in [0, size) for a gid returned by intern(). Valid after

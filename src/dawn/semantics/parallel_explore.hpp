@@ -13,15 +13,25 @@
 //    shard, only reading the store; in phase B each owner interns what was
 //    routed to it, lock-free. No two workers write one cache line at the
 //    same time;
-//  * the edges are merged into one CSR by counting sort, condensed by the
-//    iterative Tarjan in semantics/scc.{hpp,cpp} and classified by the
-//    bottom-SCC rule.
+//  * phase B records each edge at its target's owner as an 8-byte
+//    (target gid, source gid) pair, and phase A marks every configuration
+//    that emits no successor as a sink in its verdict byte. After the last
+//    level each owner counting-sorts its own pairs into its own rows of
+//    one reverse CSR, on the same pool, and a sink closure plus the
+//    iterative Tarjan of semantics/scc.{hpp,cpp}, run only on what the
+//    closure leaves, classify its bottom SCCs.
 //
 // LevelExplorer holds the level loop's steps, and explore_and_classify_in
 // drives them. Spill mode: when the store spills (a PackedConfigStore given
 // a spill dir and a byte budget), the same steps run out of core, with full
-// edge blocks in per-owner EdgeSpool files (semantics/tiered_config.hpp);
-// docs/ENGINE.md "The tiered store" has the rules.
+// edge blocks in per-owner EdgeSpool files (semantics/tiered_config.hpp)
+// that each owner sorts back from; docs/ENGINE.md "The tiered store" has
+// the rules.
+//
+// Ids: edges hold gids in 32 bits, which holds while every shard has at
+// most 2^26 configurations, and the classification numbers configurations
+// by int32 dense ids. A run that outgrows either stops at the level end
+// with UnknownReason::MemoryCap (fits_engine_ids).
 //
 // Determinism contract: the decision, the number of reachable
 // configurations, and the number of bottom SCCs are properties of the
@@ -42,6 +52,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -227,8 +238,12 @@ class ShardedConfigStore {
     return static_cast<std::size_t>(hash_mix(Hash{}(value))) & kShardMask;
   }
 
-  // Freezes the dense remap. Call once, after all interning is done.
+  // Freezes the dense remap. Call once, after all interning is done, on at
+  // most INT32_MAX values.
   void finalize() {
+    DAWN_CHECK_MSG(size() <= static_cast<std::size_t>(
+                                 std::numeric_limits<std::int32_t>::max()),
+                   "dense ids are int32");
     std::int32_t offset = 0;
     for (std::size_t sh = 0; sh < kNumShards; ++sh) {
       offsets_[sh] = offset;
@@ -342,60 +357,27 @@ inline void account_explored(obs::MemoryLedger& ledger,
   ledger.set_max(obs::MemoryAccount::FrontierBytes,
                  frontier_peak * sizeof(std::int64_t));
   ledger.set_max(obs::MemoryAccount::EdgeBytes,
-                 edges * 2 * sizeof(std::int64_t));
+                 edges * sizeof(GidEdges::value_type));
 }
 
-// What the levels of a completed run leave for its classification:
-// verdicts[i] is dense configuration i's verdict, and the edges are the
-// owners' in-memory blocks or, in spill mode, the spool, whose CSR must fit
-// classify_cap bytes.
-struct ExploredGraph {
-  std::vector<Verdict> verdicts;
-  std::vector<GidEdges> edges;
-  const EdgeSpool* spool = nullptr;
-  std::size_t classify_cap = 0;
-};
-
-// The classification after the last level, in memory and in spill mode
-// alike: collect() hands back the explored graph, the merge builds its CSR
-// through build_csr, mapping gids through dense(gid), and the bottom-SCC
-// rule classifies it. nullopt if an in-memory edge endpoint falls outside
-// the dense range.
-template <typename Collect, typename Dense>
-std::optional<ExploreOutcome> classify_explored(Collect&& collect,
-                                                const Dense& dense,
-                                                obs::SpanLog* spans) {
-  ExploredGraph graph;
-  CsrGraph csr;
-  {
-    obs::SpanScope merge_span(spans, obs::Phase::ExploreMerge);
-    graph = collect();
-    merge_span.add_items(graph.verdicts.size());
-    if (graph.spool == nullptr &&
-        !build_csr(graph.verdicts.size(), std::span<GidEdges>(graph.edges),
-                   dense, csr)) {
-      return std::nullopt;
-    }
-  }
-  obs::SpanScope scc_span(spans, obs::Phase::ExploreScc,
-                          graph.verdicts.size());
-  if (graph.spool != nullptr) {
-    return classify_bottom_sccs_external(*graph.spool, graph.verdicts, dense,
-                                         graph.classify_cap);
-  }
-  const BottomClassification cls = classify_bottom_sccs(
-      csr, [&](std::size_t i) { return graph.verdicts[i]; });
-  ExploreOutcome outcome;
-  outcome.decision = cls.decision;
-  outcome.num_configs = graph.verdicts.size();
-  outcome.num_bottom_sccs = cls.num_bottom_sccs;
-  return outcome;
+// Whether a store of `size` configurations, with `occupancies` per shard
+// of 2^shard_bits, fits the engine's ids: every gid (local id, shard) in
+// 32 bits, and every dense id below INT32_MAX, which the classification
+// keeps above every node id.
+inline bool fits_engine_ids(std::size_t size,
+                            std::span<const std::size_t> occupancies,
+                            int shard_bits) {
+  const std::size_t max_occupancy = std::size_t{1} << (32 - shard_bits);
+  return size < static_cast<std::size_t>(
+                    std::numeric_limits<std::int32_t>::max()) &&
+         std::all_of(occupancies.begin(), occupancies.end(),
+                     [&](std::size_t o) { return o <= max_occupancy; });
 }
 
 // One exploration's BFS as the steps of its level loop: seed(), then per
 // level expand() (phase A), intern_routed() (phase B) and end_level(), and
 // after the last level finish_levels() and, for a completed run,
-// explored(). explore_and_classify_in below drives them.
+// classify(). explore_and_classify_in below drives them.
 //
 //  * `store` implements the ShardedConfigStore contract — intern() /
 //    route() / drain() / value() / size() / finalize() / dense() /
@@ -408,7 +390,8 @@ std::optional<ExploreOutcome> classify_explored(Collect&& collect,
 //    copies what it keeps.
 //  * verdict_of(config) returns the configuration's uniform verdict
 //    (Neutral if mixed). Called once per configuration the run expands, by
-//    the worker that expands it, so a completed run has every verdict.
+//    the worker that expands it, so a completed run has every verdict and
+//    knows every sink.
 //
 // The owner map splits the 64 shards into one contiguous range per worker
 // (shard s goes to worker s * min(W, 64) / 64); workers past the 64th own
@@ -429,32 +412,35 @@ class LevelExplorer {
     ConfigT scratch;  // phase A: value()'s decoded configuration
     std::vector<typename Store::Batch> out;  // phase A: one per owner
     std::size_t steals = 0;
-    // Phase B: every edge into an owned shard, in edge_block-pair blocks.
+    // Phase B: every edge into an owned shard, in edge_block-pair blocks;
+    // after the last level the owner sorts them into its CSR rows.
     std::vector<GidEdges> edges = std::vector<GidEdges>(1);
     std::vector<std::int64_t> next;  // phase B: fresh gids
   };
 
-  // One shard's verdicts by local id, one byte per configuration. The
-  // owner appends a slot when it interns a fresh configuration (phase B
-  // and the seed), and the worker that expands the configuration fills it
-  // in phase A, while no array grows. Concatenated in shard order, the
-  // arrays are in dense order. Each on a cache line of its own: owners
+  // One shard's verdict bytes (verdict_byte) by local id, one per
+  // configuration. The owner appends a slot when it interns a fresh
+  // configuration (phase B and the seed), and the worker that expands the
+  // configuration fills it in phase A, while no array grows: its verdict,
+  // and kSinkBit if it emitted no successor. Concatenated in shard order,
+  // the arrays are in dense order. Each on a cache line of its own: owners
   // append to their shards' arrays concurrently in phase B.
   struct alignas(64) ShardVerdicts {
-    std::vector<Verdict> slots;
+    std::vector<std::uint8_t> slots;
   };
 
-  // A worker's edges fill one buffer that grows by doubling up to
-  // kEdgeBlock pairs (2 MiB) and then blocks of kEdgeBlock each, so a large
+  // An owner's edges fill one buffer that grows by doubling up to
+  // kEdgeBlock pairs (1 MiB) and then blocks of kEdgeBlock each, so a large
   // exploration never copies or frees an edge buffer while workers run.
-  // build_csr takes the blocks as they are. In spill mode the one block
-  // holds EdgeSpool::kBlockPairs and goes to the owner's spool file each
-  // time it fills.
+  // The owner sorts the blocks as they are and frees each as it scatters
+  // it. In spill mode the one block holds EdgeSpool::kBlockPairs and goes
+  // to the owner's spool file each time it fills.
   static constexpr std::size_t kEdgeBlock = std::size_t{1} << 17;
 
  public:
-  // How a level ended: go on, or stop because spilling failed or the
-  // resident index alone is over budget (UnknownReason::MemoryCap).
+  // How a level ended: go on, or stop because spilling failed, or the
+  // resident index alone is over budget or the store outgrew the engine's
+  // ids (UnknownReason::MemoryCap).
   enum class LevelEnd { Next, IoFailed, MemoryCap };
 
   LevelExplorer(Store& store, MakeExpander& make_expander,
@@ -497,9 +483,9 @@ class LevelExplorer {
 
   // Interns `initial` as the first level.
   void seed(const ConfigT& initial) {
-    const std::int64_t gid = store_.intern(initial).gid;
-    add_verdict_slot(gid);
-    frontier_.push_back(gid);
+    root_ = store_.intern(initial).gid;
+    add_verdict_slot(root_);
+    frontier_.push_back(root_);
   }
 
   // Phase A. Every worker checks the deadline once per frontier chunk it
@@ -535,10 +521,13 @@ class LevelExplorer {
         for (std::size_t i = begin; i < end; ++i) {
           const std::int64_t gid = frontier_[i];
           const ConfigT& config = store_.value(gid, self.scratch);
-          verdict_slot(gid) = verdict_of_(config);
+          const Verdict verdict = verdict_of_(config);
+          bool sink = true;
           self.expander(config, [&](const ConfigT& succ) {
+            sink = false;
             store_.route(succ, gid, batches, owner_of_shard_);
           });
+          verdict_slot(gid) = verdict_byte(verdict, sink);
         }
       }
     });
@@ -574,7 +563,10 @@ class LevelExplorer {
                 self.edges.emplace_back().reserve(kEdgeBlock);
               }
             }
-            self.edges.back().emplace_back(src, gid);
+            // Narrowed: end_level() stops the run before a gid outgrows
+            // 32 bits.
+            self.edges.back().emplace_back(static_cast<std::uint32_t>(gid),
+                                           static_cast<std::uint32_t>(src));
             if (!fresh) return;
             add_verdict_slot(gid);
             self.next.push_back(gid);
@@ -594,9 +586,10 @@ class LevelExplorer {
     }
   }
 
-  // The level end: the fresh gids become the frontier. In spill mode the
-  // store then spills against the level-end contents, and the run must
-  // give up if the always-resident index alone is over budget.
+  // The level end: the fresh gids become the frontier. The run gives up
+  // if the store outgrew the engine's ids. In spill mode the store then
+  // spills against the level-end contents, and the run must give up if
+  // the always-resident index alone is over budget.
   LevelEnd end_level() {
     // Each fresh gid was interned by exactly one owner, so the
     // concatenation is the next level without duplicates.
@@ -605,6 +598,10 @@ class LevelExplorer {
       frontier_.insert(frontier_.end(), worker.next.begin(),
                        worker.next.end());
       worker.next.clear();
+    }
+    const auto occupancies = store_.shard_occupancies();
+    if (!fits_engine_ids(store_.size(), occupancies, Store::kShardBits)) {
+      return LevelEnd::MemoryCap;
     }
     if constexpr (kCanSpill) {
       if (spool_ && store_.resident_bytes() > store_.max_resident_bytes()) {
@@ -646,41 +643,76 @@ class LevelExplorer {
     return !io_failed_;
   }
 
-  // A completed run's graph: freezes the store's dense ids and hands back
-  // every verdict by dense id, with the edges.
-  ExploredGraph explored() {
-    store_.finalize();
-    ExploredGraph graph;
-    graph.verdicts.reserve(store_.size());
-    for (ShardVerdicts& shard : verdicts_) {
-      graph.verdicts.insert(graph.verdicts.end(), shard.slots.begin(),
-                            shard.slots.end());
-      decltype(shard.slots)().swap(shard.slots);
+  // A completed run's classification (docs/ENGINE.md "After the last
+  // level"). Inside explore.merge it freezes the store's dense ids, in
+  // which each owner's shards are one contiguous range, and concatenates
+  // the verdict bytes; in memory each owner then sorts its own blocks into
+  // its rows of the reverse CSR on the pool. Inside explore.scc
+  // classify_bottom_sccs_reverse classifies it. In spill mode each owner
+  // sorts its spool file instead, within classify_bottom_sccs_external.
+  ExploreOutcome classify(obs::SpanLog* spans) {
+    const auto dense = [this](std::int64_t gid) { return store_.dense(gid); };
+    std::vector<std::uint8_t> verdicts;
+    std::vector<std::size_t> bounds(num_owners_ + 1);
+    CsrGraph reverse;
+    {
+      obs::SpanScope merge_span(spans, obs::Phase::ExploreMerge);
+      store_.finalize();
+      verdicts.reserve(store_.size());
+      for (ShardVerdicts& shard : verdicts_) {
+        verdicts.insert(verdicts.end(), shard.slots.begin(),
+                        shard.slots.end());
+        decltype(shard.slots)().swap(shard.slots);
+      }
+      DAWN_CHECK_MSG(verdicts.size() == store_.size(),
+                     "a verdict slot per stored configuration");
+      merge_span.add_items(verdicts.size());
+      // An owner's range starts at its first shard's local id 0.
+      for (std::size_t sh = Store::kNumShards; sh-- > 0;) {
+        bounds[owner_of_shard_[sh]] = static_cast<std::size_t>(
+            dense(static_cast<std::int64_t>(sh)));
+      }
+      bounds[num_owners_] = verdicts.size();
+      stats_.configs = store_.size();
+      stats_.shard_peak = store_.shard_peak();
+      stats_.store_bytes = store_.bytes();
+      const auto occupancies = store_.shard_occupancies();
+      stats_.shard_chi2 =
+          shard_chi_square(occupancies.data(), occupancies.size());
+      stats_.edges = num_edges();
+      if (!spool_) {
+        const bool built = build_reverse_csr(
+            pool_, std::span<const std::size_t>(bounds),
+            [this](std::size_t k, bool last, const auto& fn) {
+              for (GidEdges& block : workers_[k].edges) {
+                for (const auto& [dst, src] : block) fn(dst, src);
+                if (last) GidEdges().swap(block);
+              }
+              return true;
+            },
+            dense, reverse);
+        DAWN_CHECK_MSG(built, "edge endpoint outside the finalized store");
+      }
     }
-    DAWN_CHECK_MSG(graph.verdicts.size() == store_.size(),
-                   "a verdict slot per stored configuration");
-    stats_.edges = spool_ ? spool_->num_edges() : 0;
+    obs::SpanScope scc_span(spans, obs::Phase::ExploreScc, verdicts.size());
+    const auto root = static_cast<std::size_t>(dense(root_));
     if constexpr (kCanSpill) {
       if (spool_) {
-        graph.spool = &*spool_;
         // A formula over the budget, so MemoryCap here is deterministic.
-        graph.classify_cap =
+        const std::size_t classify_cap =
             std::max<std::size_t>(store_.max_resident_bytes() * 8, 64u << 20);
+        return classify_bottom_sccs_external(
+            pool_, *spool_, std::span<const std::size_t>(bounds), verdicts,
+            dense, root, classify_cap);
       }
     }
-    for (Worker& worker : workers_) {
-      for (GidEdges& block : worker.edges) {
-        stats_.edges += block.size();
-        graph.edges.push_back(std::move(block));
-      }
-    }
-    stats_.configs = store_.size();
-    stats_.shard_peak = store_.shard_peak();
-    stats_.store_bytes = store_.bytes();
-    const auto occupancies = store_.shard_occupancies();
-    stats_.shard_chi2 =
-        shard_chi_square(occupancies.data(), occupancies.size());
-    return graph;
+    const BottomClassification cls =
+        classify_bottom_sccs_reverse(reverse, verdicts, root);
+    ExploreOutcome outcome;
+    outcome.decision = cls.decision;
+    outcome.num_configs = verdicts.size();
+    outcome.num_bottom_sccs = cls.num_bottom_sccs;
+    return outcome;
   }
 
   // Edges recorded so far, in memory and spooled.
@@ -702,9 +734,9 @@ class LevelExplorer {
   // Owner-only: the slot of a configuration just interned, at its local id.
   void add_verdict_slot(std::int64_t gid) {
     verdicts_[static_cast<std::size_t>(gid) & Store::kShardMask]
-        .slots.push_back(Verdict::Neutral);
+        .slots.push_back(verdict_byte(Verdict::Neutral, false));
   }
-  Verdict& verdict_slot(std::int64_t gid) {
+  std::uint8_t& verdict_slot(std::int64_t gid) {
     return verdicts_[static_cast<std::size_t>(gid) & Store::kShardMask]
         .slots[static_cast<std::size_t>(gid >> Store::kShardBits)];
   }
@@ -723,6 +755,7 @@ class LevelExplorer {
   std::optional<EdgeSpool> spool_;
   std::size_t edge_block_ = kEdgeBlock;
   std::vector<std::int64_t> frontier_;
+  std::int64_t root_ = 0;  // the initial configuration's gid
   bool io_failed_ = false;
   ExploreStats stats_;
 };
@@ -762,25 +795,20 @@ ExploreOutcome explore_and_classify_in(Store& store, const ConfigT& initial,
                          end == Run::LevelEnd::Next;
   ExploreStats& stats = run.stats();
 
-  std::optional<ExploreOutcome> outcome;
+  ExploreOutcome outcome;
   if (!completed) {
-    outcome.emplace();
-    outcome->reason = capped    ? UnknownReason::ConfigCap
-                      : expired ? UnknownReason::Deadline
-                                : UnknownReason::MemoryCap;
+    outcome.reason = capped    ? UnknownReason::ConfigCap
+                     : expired ? UnknownReason::Deadline
+                               : UnknownReason::MemoryCap;
     // Clamp so capped outcomes are thread-count-independent: how far past
     // the cap the workers got is scheduling noise. MemoryCap aborts happen
     // at level boundaries, where store.size() is already invariant.
-    outcome->num_configs =
+    outcome.num_configs =
         capped ? budget.max_configs : std::min(store.size(), budget.max_configs);
-    stats.configs = outcome->num_configs;
+    stats.configs = outcome.num_configs;
     stats.store_bytes = store.bytes();
   } else {
-    outcome = classify_explored(
-        [&run] { return run.explored(); },
-        [&store](std::int64_t gid) { return store.dense(gid); }, tel.spans);
-    DAWN_CHECK_MSG(outcome.has_value(),
-                   "edge endpoint outside the finalized store");
+    outcome = run.classify(tel.spans);
   }
 
   // Memory ledger — completed runs only: capped/deadline runs stop at a
@@ -813,7 +841,7 @@ ExploreOutcome explore_and_classify_in(Store& store, const ConfigT& initial,
   obs::gauge_max(obs::Gauge::ExploreFrontierPeak, stats.frontier_peak);
   obs::gauge_max(obs::Gauge::ExploreThreads,
                  static_cast<std::uint64_t>(stats.threads));
-  return *outcome;
+  return outcome;
 }
 
 }  // namespace dawn

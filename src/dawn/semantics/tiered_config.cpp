@@ -12,9 +12,9 @@
 
 namespace dawn {
 
-// append_block writes a block's pairs as they lie in memory, and the scan
-// reads them back as interleaved src, dst words.
-static_assert(sizeof(GidEdges::value_type) == 2 * sizeof(std::int64_t) &&
+// append_block writes a block's pairs as they lie in memory, and scan()
+// reads them back into pairs.
+static_assert(sizeof(GidEdges::value_type) == 2 * sizeof(std::uint32_t) &&
               std::is_standard_layout_v<GidEdges::value_type>);
 
 EdgeSpool::EdgeSpool(const std::string& dir, int num_writers) {
@@ -51,12 +51,12 @@ std::string EdgeSpool::error() const {
 void EdgeSpool::append_block(int writer, const GidEdges& block) {
   Writer& w = writers_[static_cast<std::size_t>(writer)];
   if (w.write_errno != 0 || block.empty()) return;
-  const std::size_t bytes = block.size() * sizeof(GidEdges::value_type);
-  if (!write_all(w.fd, block.data(), bytes, w.file_bytes)) {
+  if (!write_all(w.fd, block.data(),
+                 block.size() * sizeof(GidEdges::value_type),
+                 w.edges * sizeof(GidEdges::value_type))) {
     w.write_errno = errno != 0 ? errno : EIO;
     return;
   }
-  w.file_bytes += bytes;
   w.edges += block.size();
 }
 
@@ -66,32 +66,25 @@ std::uint64_t EdgeSpool::num_edges() const {
   return total;
 }
 
-bool EdgeSpool::ScanCursor::next(std::int64_t* src, std::int64_t* dst) {
-  if (failed_) return false;
-  while (buf_pos_ >= buf_.size()) {
-    if (file_ >= spool_->writers_.size()) return false;
-    const Writer& w = spool_->writers_[file_];
-    const std::uint64_t left = w.file_bytes - file_pos_;
-    if (left == 0) {
-      ++file_;
-      file_pos_ = 0;
-      continue;
-    }
-    // Whole number of pairs per read: 64 KiB or the file tail.
-    const std::size_t to_read = static_cast<std::size_t>(
-        std::min<std::uint64_t>(left, std::uint64_t{64} << 10));
-    DAWN_CHECK(to_read % (2 * sizeof(std::int64_t)) == 0);
-    buf_.resize(to_read / sizeof(std::int64_t));
-    if (!read_all(w.fd, buf_.data(), to_read, file_pos_)) {
-      failed_ = true;
+bool EdgeSpool::scan(
+    int writer,
+    const std::function<void(std::span<const GidEdges::value_type>)>& chunk)
+    const {
+  const Writer& w = writers_[static_cast<std::size_t>(writer)];
+  // Whole pairs per read: 64 KiB or the file tail.
+  constexpr std::size_t kChunkPairs = (std::size_t{64} << 10) /
+                                      sizeof(GidEdges::value_type);
+  GidEdges buf(static_cast<std::size_t>(
+      std::min<std::uint64_t>(w.edges, kChunkPairs)));
+  for (std::uint64_t at = 0; at < w.edges; at += buf.size()) {
+    const auto pairs = static_cast<std::size_t>(
+        std::min<std::uint64_t>(w.edges - at, buf.size()));
+    if (!read_all(w.fd, buf.data(), pairs * sizeof(GidEdges::value_type),
+                  at * sizeof(GidEdges::value_type))) {
       return false;
     }
-    file_pos_ += to_read;
-    buf_pos_ = 0;
+    chunk(std::span(buf.data(), pairs));
   }
-  *src = buf_[buf_pos_];
-  *dst = buf_[buf_pos_ + 1];
-  buf_pos_ += 2;
   return true;
 }
 

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -57,6 +58,47 @@ std::shared_ptr<Machine> buggy_flooding() {
   return std::make_shared<FunctionMachine>(spec);
 }
 
+// Every node flips at every step, so the configuration graph is one SCC
+// with no sink: the engine's classifier settles it by one backward search
+// from the initial configuration.
+std::shared_ptr<Machine> toggle() {
+  FunctionMachine::Spec spec;
+  spec.beta = 1;
+  spec.num_labels = 2;
+  spec.num_states = 2;
+  spec.init = [](Label l) { return static_cast<State>(l); };
+  spec.step = [](State s, const Neighbourhood&) {
+    return static_cast<State>(1 - s);
+  };
+  spec.verdict = [](State s) {
+    return s == 1 ? Verdict::Accept : Verdict::Reject;
+  };
+  return std::make_shared<FunctionMachine>(spec);
+}
+
+// A race with two kinds of end: a label-1 node (state 2) that steps before
+// any neighbour has seen it stops in state 3; one that steps after a
+// label-0 neighbour moved to state 1 blinks between states 4 and 5 forever.
+// So some bottom SCCs are sinks and others are not, and the engine's
+// classifier runs Tarjan after its sink closure.
+std::shared_ptr<Machine> race_to_blink() {
+  FunctionMachine::Spec spec;
+  spec.beta = 1;
+  spec.num_labels = 2;
+  spec.num_states = 6;
+  spec.init = [](Label l) { return static_cast<State>(l == 1 ? 2 : 0); };
+  spec.step = [](State s, const Neighbourhood& n) {
+    if (s == 0 && n.count(2) > 0) return State{1};
+    if (s == 2) return static_cast<State>(n.count(1) > 0 ? 4 : 3);
+    if (s == 4 || s == 5) return static_cast<State>(9 - s);
+    return s;
+  };
+  spec.verdict = [](State s) {
+    return s >= 4 ? Verdict::Reject : Verdict::Accept;
+  };
+  return std::make_shared<FunctionMachine>(spec);
+}
+
 std::vector<std::pair<std::string, std::shared_ptr<Machine>>> machines() {
   return {
       {"exists", make_exists_label(1, 2)},
@@ -65,6 +107,8 @@ std::vector<std::pair<std::string, std::shared_ptr<Machine>>> machines() {
       {"mod-daf", make_mod_population_daf(2, 0, 0, 2)},
       {"cutoff1", make_cutoff1_automaton(pred_exists(1, 2))},
       {"buggy-flood", buggy_flooding()},
+      {"toggle", toggle()},
+      {"race-to-blink", race_to_blink()},
   };
 }
 
@@ -105,6 +149,24 @@ TEST(ParallelExplicit, BuggyProtocolIsInconsistentInBothEngines) {
   EXPECT_EQ(seq.decision, Decision::Inconsistent);
   EXPECT_EQ(par.decision, Decision::Inconsistent);
   EXPECT_EQ(par.num_configs, seq.num_configs);
+}
+
+// Edges hold gids in 32 bits, which holds while each of the 64 shards has
+// at most 2^26 configurations, and dense ids stay below INT32_MAX. The
+// engine checks both at every level end and stops with MemoryCap past
+// either; no test can explore 2^26 configurations, so the limits are
+// checked here.
+TEST(ParallelExplicit, EngineIdsFitThirtyTwoBits) {
+  constexpr std::size_t kLocal = std::size_t{1} << 26;
+  std::vector<std::size_t> occupancies(64, 0);
+  occupancies[5] = kLocal;
+  EXPECT_TRUE(fits_engine_ids(kLocal, occupancies, 6));
+  occupancies[5] = kLocal + 1;
+  EXPECT_FALSE(fits_engine_ids(kLocal + 1, occupancies, 6));
+  std::fill(occupancies.begin(), occupancies.end(), kLocal / 2);
+  const std::size_t int32_max = std::numeric_limits<std::int32_t>::max();
+  EXPECT_TRUE(fits_engine_ids(int32_max - 1, occupancies, 6));
+  EXPECT_FALSE(fits_engine_ids(int32_max, occupancies, 6));
 }
 
 TEST(ParallelExplicit, CapMatchesSequentialPredicate) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <random>
@@ -16,6 +17,7 @@
 #include "dawn/semantics/simulate.hpp"
 #include "dawn/semantics/star_counted.hpp"
 #include "dawn/semantics/sync_run.hpp"
+#include "dawn/semantics/trials.hpp"
 
 namespace dawn {
 namespace {
@@ -279,48 +281,185 @@ BottomClassification oracle_classification(
   return out;
 }
 
-// The edges split round-robin over three "worker" buffers in gid space
-// (gid = 2 * node + 1), the shape the explicit engines hand to build_csr.
-CsrGraph csr_from_gid_buffers(int n, const EdgeList& edges) {
-  std::vector<GidEdges> buffers(3);
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    buffers[i % 3].emplace_back(2 * std::int64_t{edges[i].first} + 1,
-                                2 * std::int64_t{edges[i].second} + 1);
-  }
+// The forward CSR of an edge list, rows in edge-list order.
+CsrGraph forward_csr(int n, const EdgeList& edges) {
   CsrGraph g;
-  EXPECT_TRUE(build_csr(static_cast<std::size_t>(n),
-                        std::span<GidEdges>(buffers),
-                        [](std::int64_t gid) { return gid >> 1; }, g));
-  for (const GidEdges& buf : buffers) EXPECT_EQ(buf.capacity(), 0u);
+  g.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (const auto& [u, v] : edges) ++g.offsets[static_cast<std::size_t>(u) + 1];
+  for (int v = 0; v < n; ++v) g.offsets[v + 1] += g.offsets[v];
+  std::vector<std::uint32_t> cursor(g.offsets.begin(), g.offsets.end() - 1);
+  g.targets.resize(edges.size());
+  for (const auto& [u, v] : edges) g.targets[cursor[u]++] = v;
   return g;
 }
 
-TEST(Scc, BuildCsrKeepsBufferOrderWithinANode) {
-  const EdgeList edges = {{2, 0}, {0, 1}, {2, 2}, {0, 1}, {2, 1}, {1, 0}};
-  const CsrGraph g = csr_from_gid_buffers(4, edges);
-  // Buffers hold edges {0,3}, {1,4}, {2,5}; each node's targets follow
-  // buffer order, then position within the buffer.
-  EXPECT_EQ(g.offsets, (std::vector<std::uint32_t>{0, 2, 3, 6, 6}));
-  EXPECT_EQ(g.targets, (std::vector<std::int32_t>{1, 1, 0, 0, 1, 2}));
-  EXPECT_EQ(g.num_nodes(), 4u);
+// The reverse CSR as the explicit engine builds it. Node v has gid
+// 2 * v + 1; the nodes split into pool.num_workers() contiguous owner
+// ranges at random cuts, and each owner records the edges into its range,
+// in edge-list order, as (target gid, source gid) blocks of 1-3 pairs.
+CsrGraph reverse_csr_by_owners(WorkerPool& pool, int n, const EdgeList& edges,
+                               std::mt19937_64& rng) {
+  const auto owners = static_cast<std::size_t>(pool.num_workers());
+  std::vector<std::size_t> bounds{0};
+  for (std::size_t k = 1; k < owners; ++k) {
+    bounds.push_back(static_cast<std::size_t>(rng() % (n + 1)));
+  }
+  std::sort(bounds.begin(), bounds.end());
+  bounds.push_back(static_cast<std::size_t>(n));
+  const auto owner_of = [&](int v) {
+    return static_cast<std::size_t>(
+        std::upper_bound(bounds.begin(), bounds.end(),
+                         static_cast<std::size_t>(v)) -
+        bounds.begin() - 1);
+  };
+  std::vector<std::vector<GidEdges>> blocks(owners);
+  for (const auto& [u, v] : edges) {
+    auto& mine = blocks[owner_of(v)];
+    if (mine.empty() || mine.back().size() > rng() % 3) mine.emplace_back();
+    mine.back().emplace_back(2 * v + 1, 2 * u + 1);
+  }
+  CsrGraph g;
+  EXPECT_TRUE(build_reverse_csr(
+      pool, std::span<const std::size_t>(bounds),
+      [&](std::size_t k, bool last, const auto& fn) {
+        for (GidEdges& block : blocks[k]) {
+          for (const auto& [dst, src] : block) fn(dst, src);
+          if (last) GidEdges().swap(block);
+        }
+        return true;
+      },
+      [](std::int64_t gid) { return static_cast<std::int32_t>(gid >> 1); },
+      g));
+  for (const auto& mine : blocks) {
+    for (const GidEdges& block : mine) EXPECT_EQ(block.capacity(), 0u);
+  }
+  return g;
+}
 
-  std::vector<GidEdges> bad(1);
-  bad[0].emplace_back(0, 4);  // node 4 of 4
+// The reverse of forward_csr's graph, predecessors in edge-list order.
+CsrGraph transpose(int n, const EdgeList& edges) {
+  EdgeList reversed;
+  for (const auto& [u, v] : edges) reversed.emplace_back(v, u);
+  return forward_csr(n, reversed);
+}
+
+TEST(Scc, BuildCsrKeepsBufferOrderWithinANode) {
+  // Two owners: nodes [0, 2) and [2, 4). Each node's predecessors follow
+  // the order its owner recorded them in.
+  const EdgeList edges = {{2, 0}, {0, 1}, {2, 2}, {0, 1}, {2, 1}, {1, 0}};
+  WorkerPool pool(2);
+  std::vector<GidEdges> blocks = {{{0, 2}, {1, 0}, {1, 0}, {1, 2}, {0, 1}},
+                                  {{2, 2}}};
+  const auto source = [&](std::size_t k, bool, const auto& fn) {
+    for (const auto& [dst, src] : blocks[k]) fn(dst, src);
+    return true;
+  };
+  const auto identity = [](std::int64_t gid) {
+    return static_cast<std::int32_t>(gid);
+  };
+  const std::vector<std::size_t> owner_bounds = {0, 2, 4};
+  const auto bounds = std::span<const std::size_t>(owner_bounds);
+  CsrGraph g;
+  ASSERT_TRUE(build_reverse_csr(pool, bounds, source, identity, g));
+  EXPECT_EQ(g.offsets, (std::vector<std::uint32_t>{0, 2, 5, 6, 6}));
+  EXPECT_EQ(g.targets, (std::vector<std::int32_t>{2, 1, 0, 0, 2, 2}));
+  EXPECT_EQ(g.num_nodes(), 4u);
+  EXPECT_EQ(g.targets, transpose(4, edges).targets);
+
+  // A target outside its owner's range, a source outside [0, n), and a
+  // failed read each fail the build.
   CsrGraph out;
-  EXPECT_FALSE(build_csr(4, std::span<GidEdges>(bad),
-                         [](std::int64_t gid) { return gid; }, out));
-  bad[0] = {{-1, 0}};
-  EXPECT_FALSE(build_csr(4, std::span<GidEdges>(bad),
-                         [](std::int64_t gid) { return gid; }, out));
+  blocks = {{{0, 2}, {1, 0}, {1, 0}, {1, 2}, {2, 1}}, {{2, 2}}};
+  EXPECT_FALSE(build_reverse_csr(pool, bounds, source, identity, out));
+  blocks = {{{0, 2}, {1, 0}, {1, 0}, {1, 2}, {0, 4}}, {{2, 2}}};
+  EXPECT_FALSE(build_reverse_csr(pool, bounds, source, identity, out));
+  blocks = {{{0, 2}, {1, 0}, {1, 0}, {1, 2}, {0, 1}}, {{2, 2}}};
+  EXPECT_FALSE(build_reverse_csr(
+      pool, bounds,
+      [&](std::size_t k, bool last, const auto& fn) {
+        return source(k, last, fn) && k == 0;
+      },
+      identity, out));
+}
+
+// Rooted inputs for the engine's classifier, whose precondition is that
+// node 0 reaches every node. Shape 0 adds an edge 0 -> v for each v that
+// node 0 does not reach; shape 1 then gives every sink a self-loop, so no
+// sink is left; shape 2 adds the cycle 0 -> 1 -> ... -> n-1 -> 0, so the
+// graph is one SCC. Shape 3 ignores `g`: a transient root and a few
+// transient nodes lead into 2-4 disjoint cycles of 2-6 nodes with chords,
+// and nothing else — no sink and several non-singleton bottom SCCs.
+RandomDigraph rooted_digraph(const RandomDigraph& g, int shape,
+                             std::mt19937_64& rng) {
+  RandomDigraph r = g;
+  if (shape == 3) {
+    r = {};
+    const int cycles = 2 + static_cast<int>(rng() % 3);
+    const int transient = 1 + static_cast<int>(rng() % 4);
+    r.n = transient;
+    std::vector<int> starts;
+    for (int c = 0; c < cycles; ++c) {
+      const int len = 2 + static_cast<int>(rng() % 5);
+      starts.push_back(r.n);
+      for (int i = 0; i < len; ++i) {
+        r.edges.emplace_back(r.n + i, r.n + (i + 1) % len);
+        if (rng() % 3 == 0) {
+          r.edges.emplace_back(r.n + i, r.n + static_cast<int>(rng() % len));
+        }
+      }
+      r.n += len;
+    }
+    for (int t = 0; t < transient; ++t) {
+      if (t + 1 < transient) r.edges.emplace_back(t, t + 1);
+      if (rng() % 2 == 0 && t > 0) r.edges.emplace_back(t, 0);
+    }
+    for (int c = 0; c < cycles; ++c) {
+      r.edges.emplace_back(static_cast<int>(rng() % transient), starts[c]);
+    }
+    for (int v = 0; v < r.n; ++v) {
+      r.verdicts.push_back(static_cast<Verdict>(rng() % 3 == 0 ? 1 : 0));
+    }
+    return r;
+  }
+  if (r.n == 0) return r;
+  if (shape == 2) {
+    for (int v = 0; v < r.n; ++v) r.edges.emplace_back(v, (v + 1) % r.n);
+    return r;
+  }
+  const Oracle o = brute_force(r.n, r.edges);
+  for (int v = 1; v < r.n; ++v) {
+    if (!o.reach[0][v]) r.edges.emplace_back(0, v);
+  }
+  if (shape == 1) {
+    std::vector<char> has_succ(static_cast<std::size_t>(r.n), 0);
+    for (const auto& [u, v] : r.edges) has_succ[u] = 1;
+    for (int v = 0; v < r.n; ++v) {
+      if (!has_succ[v]) r.edges.emplace_back(v, v);
+    }
+  }
+  return r;
 }
 
 TEST(Scc, MatchesBruteForceOracleOnRandomDigraphs) {
   std::mt19937_64 rng(20240613);
+  std::mt19937_64 shape_rng(7);  // rooted shapes and owner cuts
   std::size_t nontrivial = 0;
-  for (int trial = 0; trial < 300; ++trial) {
-    const RandomDigraph rg = random_digraph(rng);
+  // The engine's classifier and owner sort, at 1, 2, 3 and 5 owners.
+  std::vector<std::unique_ptr<WorkerPool>> pools;
+  for (const int owners : {1, 2, 3, 5}) {
+    pools.push_back(std::make_unique<WorkerPool>(owners));
+  }
+  std::size_t sink_closures = 0, one_scc = 0, self_loops = 0,
+              transient_multi_bottom = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const RandomDigraph random = random_digraph(rng);
+    // Trials past 300 are rooted only. Shapes and cuts draw from their own
+    // generator, so the first 300 graphs are the same draws as ever.
+    const bool rooted_only = trial >= 300;
+    const RandomDigraph rg =
+        rooted_only ? rooted_digraph(random, trial % 4, shape_rng) : random;
     const Oracle o = brute_force(rg.n, rg.edges);
-    const CsrGraph g = csr_from_gid_buffers(rg.n, rg.edges);
+    const CsrGraph g = forward_csr(rg.n, rg.edges);
     const SccInfo info = compute_sccs(g);
     ASSERT_EQ(info.component.size(), static_cast<std::size_t>(rg.n));
     std::size_t oracle_count = 0;
@@ -363,8 +502,66 @@ TEST(Scc, MatchesBruteForceOracleOnRandomDigraphs) {
     EXPECT_EQ(via_adj.decision, cls.decision) << "trial " << trial;
     EXPECT_EQ(via_adj.num_bottom_sccs, cls.num_bottom_sccs)
         << "trial " << trial;
+
+    // The engine's classifier needs a root that reaches every node: give
+    // each of the first 300 graphs one of the rooted shapes.
+    const RandomDigraph rooted =
+        rooted_only ? rg : rooted_digraph(rg, trial % 4, shape_rng);
+    if (rooted.n == 0) continue;
+    const Oracle ro = rooted_only ? o : brute_force(rooted.n, rooted.edges);
+    const BottomClassification rooted_expected =
+        oracle_classification(ro, rooted.verdicts);
+    std::vector<char> has_succ(static_cast<std::size_t>(rooted.n), 0);
+    bool self_loop = false;
+    for (const auto& [u, v] : rooted.edges) {
+      has_succ[u] = 1;
+      self_loop = self_loop || u == v;
+    }
+    std::vector<std::uint8_t> bytes;
+    std::size_t sinks = 0;
+    for (int v = 0; v < rooted.n; ++v) {
+      bytes.push_back(verdict_byte(rooted.verdicts[v], !has_succ[v]));
+      sinks += has_succ[v] ? 0 : 1;
+    }
+    std::size_t sccs = 0, multi_node_bottoms = 0;
+    for (int r = 0; r < rooted.n; ++r) {
+      if (!ro.representative(r)) continue;
+      ++sccs;
+      if (!ro.bottom(r)) continue;
+      for (int v = r + 1; v < rooted.n; ++v) {
+        if (ro.same_scc(r, v)) {
+          ++multi_node_bottoms;
+          break;
+        }
+      }
+    }
+    sink_closures += sinks > 0 && sinks < static_cast<std::size_t>(rooted.n);
+    one_scc += rooted.n > 1 && sccs == 1;
+    self_loops += self_loop;
+    transient_multi_bottom +=
+        sinks == 0 && !ro.bottom(0) && multi_node_bottoms >= 2;
+    const CsrGraph expected_reverse = transpose(rooted.n, rooted.edges);
+    for (const auto& pool : pools) {
+      const CsrGraph reverse =
+          reverse_csr_by_owners(*pool, rooted.n, rooted.edges, shape_rng);
+      ASSERT_EQ(reverse.offsets, expected_reverse.offsets)
+          << "trial " << trial << " owners " << pool->num_workers();
+      ASSERT_EQ(reverse.targets, expected_reverse.targets)
+          << "trial " << trial << " owners " << pool->num_workers();
+      const BottomClassification closure =
+          classify_bottom_sccs_reverse(reverse, bytes, 0);
+      EXPECT_EQ(closure.decision, rooted_expected.decision)
+          << "trial " << trial << " owners " << pool->num_workers();
+      EXPECT_EQ(closure.num_bottom_sccs, rooted_expected.num_bottom_sccs)
+          << "trial " << trial << " owners " << pool->num_workers();
+    }
   }
   EXPECT_GT(nontrivial, 100u);  // the generator mixes cycles and DAG parts
+  // The rooted inputs reach every step of the closure classifier.
+  EXPECT_GT(sink_closures, 50u);
+  EXPECT_GT(one_scc, 50u);
+  EXPECT_GT(self_loops, 50u);
+  EXPECT_GT(transient_multi_bottom, 50u);
 }
 
 TEST(Scc, EmptyGraphHasNoBottomSccs) {
@@ -375,6 +572,10 @@ TEST(Scc, EmptyGraphHasNoBottomSccs) {
         classify_bottom_sccs(g, [](std::size_t) { return Verdict::Accept; });
     EXPECT_EQ(cls.num_bottom_sccs, 0u);
     EXPECT_EQ(cls.decision, Decision::Reject);
+    const BottomClassification closure =
+        classify_bottom_sccs_reverse(g, {}, 0);
+    EXPECT_EQ(closure.num_bottom_sccs, 0u);
+    EXPECT_EQ(closure.decision, Decision::Reject);
   }
 }
 
@@ -414,6 +615,31 @@ TEST(Scc, MillionNodePathAndCycleDoNotOverflowTheStack) {
       });
   EXPECT_EQ(cc.decision, Decision::Inconsistent);
   EXPECT_EQ(cc.num_bottom_sccs, 1u);
+
+  // The closure classifier on the reverses: the path's last node is a sink
+  // every node reaches (step 2); the cycle is one SCC (step 3); with a
+  // self-loop in place of the sink, Tarjan runs on a million-node path
+  // (step 4).
+  EdgeList path_edges, cycle_edges, loop_edges;
+  for (std::int32_t v = 0; v + 1 < n; ++v) path_edges.emplace_back(v, v + 1);
+  cycle_edges = loop_edges = path_edges;
+  cycle_edges.emplace_back(n - 1, 0);
+  loop_edges.emplace_back(n - 1, n - 1);
+  std::vector<std::uint8_t> bytes(n, verdict_byte(Verdict::Accept, false));
+  bytes[n - 1] = verdict_byte(Verdict::Reject, true);
+  const BottomClassification pr =
+      classify_bottom_sccs_reverse(transpose(n, path_edges), bytes, 0);
+  EXPECT_EQ(pr.decision, Decision::Reject);
+  EXPECT_EQ(pr.num_bottom_sccs, 1u);
+  bytes[n - 1] = verdict_byte(Verdict::Reject, false);
+  const BottomClassification cr =
+      classify_bottom_sccs_reverse(transpose(n, cycle_edges), bytes, 0);
+  EXPECT_EQ(cr.decision, Decision::Inconsistent);
+  EXPECT_EQ(cr.num_bottom_sccs, 1u);
+  const BottomClassification lr =
+      classify_bottom_sccs_reverse(transpose(n, loop_edges), bytes, 0);
+  EXPECT_EQ(lr.decision, Decision::Reject);
+  EXPECT_EQ(lr.num_bottom_sccs, 1u);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "dawn/semantics/parallel_explore.hpp"
 #include "dawn/semantics/scc.hpp"
 #include "dawn/semantics/tiered_config.hpp"
+#include "dawn/semantics/trials.hpp"
 #include "dawn/util/rng.hpp"
 
 namespace dawn {
@@ -148,11 +150,11 @@ TEST(TieredStore, UnusableSpillDirReportsNotOk) {
 TEST(EdgeSpool, PerWriterAppendsScanBackInFileOrder) {
   EdgeSpool spool(".", 3);
   ASSERT_TRUE(spool.ok()) << spool.error();
-  // Writer-major expected order: the scan concatenates the writer files.
-  std::vector<std::pair<std::int64_t, std::int64_t>> expected;
-  for (int w = 0; w < 3; ++w) {
-    for (int i = 0; i < 10'000; ++i) {  // more than one engine block
-      expected.emplace_back(w * 1'000'000 + i, i);
+  EXPECT_EQ(spool.num_writers(), 3);
+  std::vector<GidEdges> expected(3);
+  for (std::uint32_t w = 0; w < 3; ++w) {
+    for (std::uint32_t i = 0; i < 10'000; ++i) {  // more than one engine block
+      expected[w].emplace_back(w * 1'000'000 + i, i);
     }
   }
   // Each writer's edges in blocks of at most kBlockPairs, the writers'
@@ -160,29 +162,35 @@ TEST(EdgeSpool, PerWriterAppendsScanBackInFileOrder) {
   for (std::size_t at = 0; at < 10'000; at += EdgeSpool::kBlockPairs) {
     const std::size_t len = std::min(EdgeSpool::kBlockPairs, 10'000 - at);
     for (std::size_t w = 0; w < 3; ++w) {
-      const auto* first = expected.data() + w * 10'000 + at;
+      const auto* first = expected[w].data() + at;
       spool.append_block(static_cast<int>(w), GidEdges(first, first + len));
     }
   }
   ASSERT_TRUE(spool.ok()) << spool.error();
-  EXPECT_EQ(spool.num_edges(), expected.size());
-  EXPECT_EQ(spool.bytes(), expected.size() * 16);
+  EXPECT_EQ(spool.num_edges(), 30'000u);
+  EXPECT_EQ(spool.bytes(), 30'000u * 8);
 
-  EdgeSpool::ScanCursor cursor(spool);
-  std::vector<std::pair<std::int64_t, std::int64_t>> scanned;
-  std::int64_t s = 0, d = 0;
-  while (cursor.next(&s, &d)) scanned.emplace_back(s, d);
-  EXPECT_FALSE(cursor.failed());
-  EXPECT_EQ(scanned, expected);
+  // Each writer's scan gives back its own pairs, in append order.
+  for (int w = 0; w < 3; ++w) {
+    GidEdges scanned;
+    EXPECT_TRUE(spool.scan(w, [&](std::span<const GidEdges::value_type> c) {
+      scanned.insert(scanned.end(), c.begin(), c.end());
+    }));
+    EXPECT_EQ(scanned, expected[static_cast<std::size_t>(w)]);
+  }
 }
 
 using Adjacency = std::vector<std::vector<std::int32_t>>;
 
-// Writes `adj` through a 3-writer EdgeSpool under scattered gids and
-// classifies the spool; dense() maps each gid back to its node.
+// Writes `adj` through a 3-writer EdgeSpool under scattered gids, as the
+// engine does: the nodes split into three dense ranges at random cuts, and
+// writer k holds the (target gid, source gid) pairs into range k. Then
+// classifies the spool on a 3-worker pool, with node 0 as the root;
+// dense() maps each gid back to its node.
 ExploreOutcome classify_spooled(const Adjacency& adj,
                                 const std::vector<Verdict>& verdicts,
                                 std::size_t classify_cap, Rng& rng) {
+  const auto n = static_cast<std::int64_t>(adj.size());
   std::vector<std::int64_t> gid(adj.size());
   std::map<std::int64_t, std::int32_t> node_of;
   for (std::size_t v = 0; v < adj.size(); ++v) {
@@ -190,26 +198,40 @@ ExploreOutcome classify_spooled(const Adjacency& adj,
              static_cast<std::int64_t>(rng.uniform(0, 63));
     node_of[gid[v]] = static_cast<std::int32_t>(v);
   }
+  std::vector<std::size_t> bounds = {
+      0, static_cast<std::size_t>(rng.uniform(0, n)),
+      static_cast<std::size_t>(rng.uniform(0, n)), adj.size()};
+  std::sort(bounds.begin(), bounds.end());
   EdgeSpool spool(".", 3);
   EXPECT_TRUE(spool.ok()) << spool.error();
   std::vector<GidEdges> blocks(3);
+  std::vector<std::uint8_t> bytes;
   for (std::size_t u = 0; u < adj.size(); ++u) {
+    bytes.push_back(verdict_byte(verdicts[u], adj[u].empty()));
     for (const std::int32_t v : adj[u]) {
-      blocks[static_cast<std::size_t>(rng.uniform(0, 2))].emplace_back(
-          gid[u], gid[static_cast<std::size_t>(v)]);
+      const auto owner = static_cast<std::size_t>(
+          std::upper_bound(bounds.begin(), bounds.end(),
+                           static_cast<std::size_t>(v)) -
+          bounds.begin() - 1);
+      blocks[owner].emplace_back(
+          static_cast<std::uint32_t>(gid[static_cast<std::size_t>(v)]),
+          static_cast<std::uint32_t>(gid[u]));
     }
   }
   for (std::size_t w = 0; w < blocks.size(); ++w) {
     spool.append_block(static_cast<int>(w), blocks[w]);
   }
   EXPECT_TRUE(spool.ok()) << spool.error();
+  WorkerPool pool(3);
   return classify_bottom_sccs_external(
-      spool, verdicts, [&](std::int64_t g) { return node_of.at(g); },
-      classify_cap);
+      pool, spool, std::span<const std::size_t>(bounds), bytes,
+      [&](std::int64_t g) { return node_of.at(g); }, 0, classify_cap);
 }
 
 // A sparse random digraph on n nodes (several sinks, so several bottom
-// SCCs), plus a 2-cycle, self-loops and duplicate edges.
+// SCCs), plus a 2-cycle, self-loops and duplicate edges, and an edge from
+// node 0 to every node it would not reach otherwise: the engine's
+// classifier needs a root that reaches every node.
 Adjacency random_digraph(std::size_t n, Rng& rng) {
   Adjacency adj(n);
   if (n == 0) return adj;
@@ -231,6 +253,20 @@ Adjacency random_digraph(std::size_t n, Rng& rng) {
   for (int k = 0; k < 3; ++k) {
     const std::int32_t v = node();
     edge(v, v);
+  }
+  std::vector<char> reached(n, 0);
+  std::vector<std::int32_t> queue = {0};
+  reached[0] = 1;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    for (const std::int32_t v : adj[static_cast<std::size_t>(queue[head])]) {
+      if (reached[static_cast<std::size_t>(v)] == 0) {
+        reached[static_cast<std::size_t>(v)] = 1;
+        queue.push_back(v);
+      }
+    }
+  }
+  for (std::size_t v = 1; v < n; ++v) {
+    if (reached[v] == 0) edge(0, static_cast<std::int32_t>(v));
   }
   return adj;
 }
@@ -305,57 +341,96 @@ ExploreBudget spill_budget(std::size_t configs, int threads) {
   return budget;
 }
 
+// A flood whose flooded nodes blink between states 1 and 2 forever: the
+// initial configuration is transient, no configuration is a sink, and the
+// bottom SCC is every fully flooded configuration.
+std::shared_ptr<Machine> blinking_flood_machine() {
+  FunctionMachine::Spec spec;
+  spec.beta = 1;
+  spec.num_labels = 2;
+  spec.num_states = 3;
+  spec.init = [](Label l) { return static_cast<State>(l == 1 ? 1 : 0); };
+  spec.step = [](State s, const Neighbourhood& n) {
+    if (s == 0) {
+      return static_cast<State>(n.count(1) + n.count(2) > 0 ? 1 : 0);
+    }
+    return static_cast<State>(3 - s);
+  };
+  spec.verdict = [](State s) {
+    return s == 0 ? Verdict::Reject : Verdict::Accept;
+  };
+  return std::make_shared<FunctionMachine>(spec);
+}
+
 TEST(TieredEngine, MatchesInMemoryAndIsThreadCountInvariant) {
-  const auto machine = flood_machine();
-  const Graph g = seeded_cycle(48);  // ~1.1k configs
+  // The engine's classifier settles the flood by its sink closure, the
+  // toggle's one SCC by a backward search from the initial configuration,
+  // and the blinking flood by Tarjan after that search.
+  struct Case {
+    const char* name;
+    std::shared_ptr<Machine> machine;
+    Graph graph;
+    Decision decision;
+  };
+  const std::vector<Case> cases = {
+      {"flood", flood_machine(), seeded_cycle(48),  // ~1.1k configs
+       Decision::Accept},
+      {"toggle", toggle_machine(), seeded_cycle(11), Decision::Inconsistent},
+      {"blinking-flood", blinking_flood_machine(), seeded_cycle(9),
+       Decision::Accept},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Machine& machine = *c.machine;
+    const Graph& g = c.graph;
+    ExploreBudget mem_budget;
+    mem_budget.max_configs = 1'000'000;
+    const ExplicitResult mem =
+        decide_pseudo_stochastic_parallel(machine, g, mem_budget);
+    ASSERT_EQ(mem.decision, c.decision);
+    EXPECT_FALSE(mem.tiered_store);
 
-  ExploreBudget mem_budget;
-  mem_budget.max_configs = 1'000'000;
-  const ExplicitResult mem =
-      decide_pseudo_stochastic_parallel(*machine, g, mem_budget);
-  ASSERT_EQ(mem.decision, Decision::Accept);
-  EXPECT_FALSE(mem.tiered_store);
+    ExploreStats first_stats;
+    std::optional<DecisionReport> first_report;
+    // 3 and 5 owners split the 64 shards unevenly.
+    for (const int threads : {1, 2, 3, 5, 8}) {
+      SCOPED_TRACE(testing::Message() << threads << " workers");
+      const ExploreBudget budget = spill_budget(mem.num_configs, threads);
+      ExploreStats stats;
+      const ExplicitResult tiered =
+          decide_pseudo_stochastic_parallel(machine, g, budget, &stats);
+      ASSERT_TRUE(tiered.tiered_store);
+      EXPECT_TRUE(tiered.packed_store);
+      EXPECT_EQ(tiered.decision, mem.decision);
+      EXPECT_EQ(tiered.reason, mem.reason);
+      EXPECT_EQ(tiered.num_configs, mem.num_configs);
+      EXPECT_EQ(tiered.num_bottom_sccs, mem.num_bottom_sccs);
+      EXPECT_GT(stats.spill_events, 0u);
+      EXPECT_GT(stats.spill_arena_bytes, 0u);
+      EXPECT_GT(stats.spill_edge_bytes, 0u);
 
-  ExploreStats first_stats;
-  std::optional<DecisionReport> first_report;
-  // 3 and 5 owners split the 64 shards unevenly.
-  for (const int threads : {1, 2, 3, 5, 8}) {
-    SCOPED_TRACE(testing::Message() << threads << " workers");
-    const ExploreBudget budget = spill_budget(mem.num_configs, threads);
-    ExploreStats stats;
-    const ExplicitResult tiered =
-        decide_pseudo_stochastic_parallel(*machine, g, budget, &stats);
-    ASSERT_TRUE(tiered.tiered_store);
-    EXPECT_TRUE(tiered.packed_store);
-    EXPECT_EQ(tiered.decision, mem.decision);
-    EXPECT_EQ(tiered.reason, mem.reason);
-    EXPECT_EQ(tiered.num_configs, mem.num_configs);
-    EXPECT_EQ(tiered.num_bottom_sccs, mem.num_bottom_sccs);
-    EXPECT_GT(stats.spill_events, 0u);
-    EXPECT_GT(stats.spill_arena_bytes, 0u);
-    EXPECT_GT(stats.spill_edge_bytes, 0u);
-
-    // The whole report, ledger included, through the facade.
-    DecisionRequest req;
-    req.method = DecideMethod::Explicit;
-    req.budget = budget;
-    const DecisionReport report = decide(*machine, g, req);
-    EXPECT_EQ(report.decision, mem.decision);
+      // The whole report, ledger included, through the facade.
+      DecisionRequest req;
+      req.method = DecideMethod::Explicit;
+      req.budget = budget;
+      const DecisionReport report = decide(machine, g, req);
+      EXPECT_EQ(report.decision, mem.decision);
 #ifndef DAWN_OBS_DISABLED  // -DDAWN_OBS=OFF compiles the ledger out
-    EXPECT_GT(report.memory.get(obs::MemoryAccount::SpillEdgeBytes), 0u);
+      EXPECT_GT(report.memory.get(obs::MemoryAccount::SpillEdgeBytes), 0u);
 #endif
-    if (!first_report) {
-      first_stats = stats;
-      first_report = report;
-    } else {
-      // Spill accounting is part of the determinism contract.
-      EXPECT_EQ(stats.spill_events, first_stats.spill_events);
-      EXPECT_EQ(stats.spill_arena_bytes, first_stats.spill_arena_bytes);
-      EXPECT_EQ(stats.spill_edge_bytes, first_stats.spill_edge_bytes);
-      EXPECT_EQ(stats.resident_bytes, first_stats.resident_bytes);
-      EXPECT_EQ(stats.configs, first_stats.configs);
-      EXPECT_EQ(stats.levels, first_stats.levels);
-      EXPECT_TRUE(report == *first_report);
+      if (!first_report) {
+        first_stats = stats;
+        first_report = report;
+      } else {
+        // Spill accounting is part of the determinism contract.
+        EXPECT_EQ(stats.spill_events, first_stats.spill_events);
+        EXPECT_EQ(stats.spill_arena_bytes, first_stats.spill_arena_bytes);
+        EXPECT_EQ(stats.spill_edge_bytes, first_stats.spill_edge_bytes);
+        EXPECT_EQ(stats.resident_bytes, first_stats.resident_bytes);
+        EXPECT_EQ(stats.configs, first_stats.configs);
+        EXPECT_EQ(stats.levels, first_stats.levels);
+        EXPECT_TRUE(report == *first_report);
+      }
     }
   }
 }
