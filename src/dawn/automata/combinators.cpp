@@ -62,7 +62,10 @@ std::string TaggedMachine::state_name(State state) const {
   auto [inner, tag] = unpack(state);
   std::string tag_str =
       spec_.tag_name ? spec_.tag_name(tag) : std::to_string(tag);
-  return "(" + spec_.inner->state_name(inner) + ", " + tag_str + ")";
+  std::string name = "(";
+  name.append(spec_.inner->state_name(inner)).append(", ").append(tag_str);
+  name += ')';
+  return name;
 }
 
 RememberLastMachine::RememberLastMachine(std::shared_ptr<const Machine> inner)
@@ -101,8 +104,12 @@ State RememberLastMachine::committed(State state) const {
 
 std::string RememberLastMachine::state_name(State state) const {
   auto [cur, last] = states_.value(state);
-  return "[" + inner_->state_name(cur) + " / last " +
-         inner_->state_name(last) + "]";
+  std::string name = "[";
+  name.append(inner_->state_name(cur))
+      .append(" / last ")
+      .append(inner_->state_name(last));
+  name += ']';
+  return name;
 }
 
 State RememberLastMachine::current_of(State state) const {

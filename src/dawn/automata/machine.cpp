@@ -5,7 +5,9 @@
 namespace dawn {
 
 std::string Machine::state_name(State state) const {
-  return "q" + std::to_string(state);
+  std::string name = "q";
+  name.append(std::to_string(state));
+  return name;
 }
 
 FunctionMachine::FunctionMachine(Spec spec) : spec_(std::move(spec)) {

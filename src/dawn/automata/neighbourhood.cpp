@@ -74,6 +74,31 @@ Neighbourhood Neighbourhood::from_counts(
   return n;
 }
 
+void Neighbourhood::from_sorted_counts_into(
+    std::span<const std::pair<State, std::int64_t>> counts, int beta,
+    Neighbourhood& out, State self) {
+  DAWN_CHECK(beta >= 1);
+  out.beta_ = beta;
+  auto& entries = out.entries_;
+  entries.clear();
+  bool self_seen = self == -1;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    auto [q, c] = counts[i];
+    DAWN_CHECK_MSG(i == 0 || counts[i - 1].first < q,
+                   "counts not sorted by strictly increasing state");
+    if (q == self) {
+      DAWN_CHECK_MSG(c >= 1, "no agent in the observer's state");
+      self_seen = true;
+      --c;
+    }
+    if (c > 0) {
+      entries.emplace_back(
+          q, static_cast<int>(std::min<std::int64_t>(c, beta)));
+    }
+  }
+  DAWN_CHECK_MSG(self_seen, "no agent in the observer's state");
+}
+
 int Neighbourhood::count(State q) const {
   auto it = std::lower_bound(
       entries_.begin(), entries_.end(), q,

@@ -16,6 +16,7 @@
 // heap allocations once its scratch has warmed up to the maximum degree.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
@@ -41,9 +42,19 @@ class Neighbourhood {
                       NodeId v, int beta, Neighbourhood& out);
 
   // Builds a neighbourhood directly from (state, count) pairs (counts are
-  // capped at beta). Used by the counted-configuration semantics and tests.
+  // capped at beta). The pairs may come in any order.
   static Neighbourhood from_counts(
       std::span<const std::pair<State, int>> counts, int beta);
+
+  // Allocation-free builder from (state, count) pairs sorted by strictly
+  // increasing state, such as a counted configuration: rebuilds `out` in
+  // place, reusing its entry storage like of_into. Counts are capped at
+  // beta and zero counts dropped. `self`, unless -1, names the listed state
+  // of the observing agent, which does not see itself: one agent in that
+  // state is left out (the stepping agent of a counted clique).
+  static void from_sorted_counts_into(
+      std::span<const std::pair<State, std::int64_t>> counts, int beta,
+      Neighbourhood& out, State self = -1);
 
   // Capped count of neighbours in state q.
   int count(State q) const;

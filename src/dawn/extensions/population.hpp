@@ -39,7 +39,10 @@ struct GraphPopulationProtocol {
   std::function<std::string(State)> name;  // optional
 
   std::string state_name(State s) const {
-    return name ? name(s) : ("p" + std::to_string(s));
+    if (name) return name(s);
+    std::string fallback = "p";
+    fallback.append(std::to_string(s));
+    return fallback;
   }
 };
 

@@ -57,7 +57,10 @@ struct StrongBroadcastProtocol {
   std::function<std::string(State)> name;  // optional
 
   std::string state_name(State s) const {
-    return name ? name(s) : ("s" + std::to_string(s));
+    if (name) return name(s);
+    std::string fallback = "s";
+    fallback.append(std::to_string(s));
+    return fallback;
   }
 };
 

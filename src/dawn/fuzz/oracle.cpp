@@ -286,7 +286,7 @@ std::optional<std::string> check_tiered_vs_inmemory(const FuzzCase& c) {
   }
   ExploreBudget tiered_budget = sequential_budget();
   tiered_budget.max_threads = 2;
-  tiered_budget.max_store_bytes = 5120 + 18 * mem.num_configs;
+  tiered_budget.max_store_bytes = 4096 + 16 * mem.num_configs;
   tiered_budget.spill_dir = "/tmp";
   const ExplicitResult tiered =
       decide_pseudo_stochastic_parallel(*machine, c.graph, tiered_budget);

@@ -7,19 +7,6 @@
 namespace dawn::net {
 namespace {
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xff));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xff));
-  out.push_back(static_cast<std::uint8_t>((v >> 16) & 0xff));
-  out.push_back(static_cast<std::uint8_t>((v >> 24) & 0xff));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-  }
-}
-
 std::uint32_t get_u32(const std::uint8_t* p) {
   return static_cast<std::uint32_t>(p[0]) |
          (static_cast<std::uint32_t>(p[1]) << 8) |
@@ -83,16 +70,23 @@ const char* name(WireError e) {
 std::vector<std::uint8_t> encode_frame(Action action, FrameKind kind,
                                        std::uint64_t nonce,
                                        std::string_view payload) {
-  std::vector<std::uint8_t> out;
-  out.reserve(kHeaderSize + payload.size());
-  out.insert(out.end(), kMagic.begin(), kMagic.end());
-  out.push_back(kWireVersion);
-  out.push_back(static_cast<std::uint8_t>(action));
-  out.push_back(static_cast<std::uint8_t>(kind));
-  out.push_back(0);  // reserved
-  put_u64(out, nonce);
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
+  // Sized once and filled in place: the header's fields, then the payload.
+  std::vector<std::uint8_t> out(kHeaderSize + payload.size());
+  std::uint8_t* p = out.data();
+  std::memcpy(p, kMagic.data(), kMagic.size());
+  p += kMagic.size();
+  *p++ = kWireVersion;
+  *p++ = static_cast<std::uint8_t>(action);
+  *p++ = static_cast<std::uint8_t>(kind);
+  *p++ = 0;  // reserved
+  for (int i = 0; i < 8; ++i) {
+    *p++ = static_cast<std::uint8_t>((nonce >> (8 * i)) & 0xff);
+  }
+  const auto size = static_cast<std::uint32_t>(payload.size());
+  for (int i = 0; i < 4; ++i) {
+    *p++ = static_cast<std::uint8_t>((size >> (8 * i)) & 0xff);
+  }
+  if (!payload.empty()) std::memcpy(p, payload.data(), payload.size());
   return out;
 }
 

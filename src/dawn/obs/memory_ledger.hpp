@@ -18,10 +18,11 @@
 // noise — and account_interner_bytes (semantics/decide.cpp) leaves the
 // interner account empty on every budget-exhausted report for the same
 // reason. Compiled machines number their states in thread-timing order,
-// which moves configurations between store shards, so the vector store
-// charges per entry, not per-shard capacity. Values are estimates (container layouts are
-// implementation-defined) but are measured the same way everywhere, so
-// ratios across stores and PRs are meaningful.
+// which moves configurations between store shards, so both stores charge
+// per entry (the packed store's slot index as a function of its total
+// count), not per-shard capacity. Values are estimates (container layouts
+// are implementation-defined) but are measured the same way everywhere,
+// so ratios across stores and PRs are meaningful.
 #pragma once
 
 #include <array>
@@ -33,8 +34,10 @@ class JsonValue;
 
 enum class MemoryAccount : std::uint8_t {
   VectorStoreBytes,  // ShardedConfigStore occupancy, per entry: node, value,
-                     // one bucket pointer, one key pointer
-  PackedStoreBytes,  // PackedConfigStore arenas + hashes + index slots
+                     // one bucket pointer, one key pointer; no decide
+                     // fills it (the repository benchmark's replay does)
+  PackedStoreBytes,  // PackedStore arenas + end offsets + hashes + a
+                     // per-entry index charge; every exploring decide
   InternerBytes,     // lazily-interned machine states, all compiled layers;
                      // cumulative per machine instance
   FrontierBytes,     // peak BFS frontier: 8 B (one gid) per entry

@@ -49,7 +49,7 @@ namespace dawn::obs {
 // loads/stores are relaxed: a heartbeat is a statistical snapshot, not a
 // synchronisation point.
 struct ExploreProgress {
-  // Matches the stores' shard count (ShardedConfigStore::kNumShards).
+  // Matches the stores' shard count (PackedStore::kNumShards).
   static constexpr std::size_t kNumShards = 64;
 
   std::atomic<std::uint64_t> configs{0};

@@ -55,7 +55,12 @@ class ProductMachine : public Machine {
 
   std::string state_name(State state) const override {
     const auto [l, r] = states_.value(state);
-    return "<" + left_->state_name(l) + " x " + right_->state_name(r) + ">";
+    std::string name = "<";
+    name.append(left_->state_name(l))
+        .append(" x ")
+        .append(right_->state_name(r));
+    name += '>';
+    return name;
   }
 
   bool parallel_step_safe() const override {

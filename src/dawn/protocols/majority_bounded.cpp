@@ -40,7 +40,10 @@ std::string CancelEncoding::name(State s) const {
   if (s == reject_id()) return "REJ";
   const int x = x_of(s);
   const char* role_names[] = {"", ",L", ",Ldbl", ",Lrej"};
-  return "(" + std::to_string(x) + role_names[role_of(s)] + ")";
+  std::string name = "(";
+  name.append(std::to_string(x)).append(role_names[role_of(s)]);
+  name += ')';
+  return name;
 }
 
 namespace {

@@ -38,7 +38,9 @@ GraphPopulationProtocol make_mod_population_protocol(int m, int r,
     return s % m == r ? Verdict::Accept : Verdict::Reject;
   };
   p.name = [m](State s) {
-    return (s < m ? "L" : "f") + std::to_string(s % m);
+    std::string name = s < m ? "L" : "f";
+    name.append(std::to_string(s % m));
+    return name;
   };
   return p;
 }

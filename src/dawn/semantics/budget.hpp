@@ -43,21 +43,23 @@ struct ExploreBudget {
   // automorphisms; the decision is unchanged, but configs/SCC counts shrink
   // by up to the group order.
   //
-  // Packing needs no flag: the parallel explicit engine stores
-  // configurations bit-packed (ceil(log2|Q|) bits per node) whenever the
-  // machine advertises Machine::num_states(), and uses the vector store
-  // otherwise (docs/DECIDERS.md "Exploration accelerators").
+  // Packing needs no flag: every exploring decide stores configurations
+  // packed — ceil(log2|Q|) bits per node when the machine advertises
+  // Machine::num_states(), 31 bits otherwise, and one word per (state,
+  // count) pair on the counted backends (docs/DECIDERS.md "Exploration
+  // accelerators").
   bool use_symmetry = false;
 
   // Out-of-core exploration (docs/ENGINE.md "The tiered store"). When both
   // max_store_bytes > 0 and spill_dir is set, the parallel explicit engine
-  // runs its one level loop in spill mode: packed config words spill to an
-  // unlinked file under spill_dir whenever the resident footprint exceeds
-  // max_store_bytes at a level boundary, and edges go to disk in 128 KiB
-  // blocks instead of RAM. The budget is enforced per level (resident
-  // bytes may overshoot within one BFS level); if the always-resident hash
-  // index alone exceeds it, or the classification CSR exceeds
-  // max(8 x max_store_bytes, 64 MiB), the run aborts with
+  // (table and compiled machines alike; the counted backends stay in
+  // memory) runs its one level loop in spill mode: packed config words
+  // spill to an unlinked file under spill_dir whenever the resident
+  // footprint exceeds max_store_bytes at a level boundary, and edges go to
+  // disk in 128 KiB blocks instead of RAM. The budget is enforced per
+  // level (resident bytes may overshoot within one BFS level); if the
+  // always-resident hash index alone exceeds it, or the classification CSR
+  // exceeds max(8 x max_store_bytes, 64 MiB), the run aborts with
   // UnknownReason::MemoryCap — deterministically, because level-end store
   // contents are thread-count-invariant. 0 / empty = never spill.
   std::size_t max_store_bytes = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "dawn/semantics/packed_config.hpp"
 #include "dawn/semantics/parallel_explore.hpp"
 #include "dawn/semantics/sequential_explore.hpp"
 #include "dawn/util/check.hpp"
@@ -10,15 +11,17 @@ namespace dawn {
 namespace {
 
 // The successor function of both explorers (one per worker in the parallel
-// engine).
+// engine): one successor per populated state whose agent's step is not
+// silent, written into the expander's own scratch.
 struct CountedExpander {
   const Machine& machine;
+  Neighbourhood nb = {};
+  CountedConfig next = {};
+
   template <typename Emit>
   void operator()(const CountedConfig& current, Emit&& emit) {
-    for (auto [q, n] : current) {
-      const CountedConfig next = counted_successor(machine, current, q);
-      if (next == current) continue;  // silent
-      emit(next);
+    for (const auto& [q, n] : current) {
+      if (counted_successor_into(machine, current, q, nb, next)) emit(next);
     }
   }
 };
@@ -61,32 +64,41 @@ CountedConfig initial_counted_config(const Machine& machine,
   return c;
 }
 
+void move_agent_into(const CountedConfig& c, State from, State to,
+                     CountedConfig& out) {
+  out.clear();
+  bool to_placed = false;
+  for (auto [s, n] : c) {
+    if (!to_placed && to < s) {
+      out.emplace_back(to, 1);
+      to_placed = true;
+    }
+    if (s == from) --n;
+    if (s == to) {
+      ++n;
+      to_placed = true;
+    }
+    if (n > 0) out.emplace_back(s, n);
+  }
+  if (!to_placed) out.emplace_back(to, 1);
+}
+
+bool counted_successor_into(const Machine& machine,
+                            const CountedConfig& config, State q,
+                            Neighbourhood& nb, CountedConfig& out) {
+  // Neighbourhood of the stepping agent: everyone else in the clique.
+  Neighbourhood::from_sorted_counts_into(config, machine.beta(), nb, q);
+  const State next = machine.step(q, nb);
+  if (next == q) return false;
+  move_agent_into(config, q, next, out);
+  return true;
+}
+
 CountedConfig counted_successor(const Machine& machine,
                                 const CountedConfig& config, State q) {
-  // Neighbourhood of the stepping agent: everyone else in the clique.
-  std::vector<std::pair<State, int>> counts;
-  counts.reserve(config.size());
-  bool found = false;
-  for (auto [s, n] : config) {
-    std::int64_t c = n;
-    if (s == q) {
-      DAWN_CHECK(n >= 1);
-      c -= 1;  // the agent does not see itself
-      found = true;
-    }
-    if (c > 0) {
-      counts.emplace_back(
-          s, static_cast<int>(std::min<std::int64_t>(c, machine.beta())));
-    }
-  }
-  DAWN_CHECK_MSG(found, "no agent in the given state");
-  const auto nb = Neighbourhood::from_counts(counts, machine.beta());
-  const State next = machine.step(q, nb);
-  CountedConfig out = config;
-  if (next != q) {
-    add_count(out, q, -1);
-    add_count(out, next, +1);
-  }
+  Neighbourhood nb;
+  CountedConfig out;
+  if (!counted_successor_into(machine, config, q, nb, out)) out = config;
   return out;
 }
 
@@ -104,7 +116,7 @@ ExploreOutcome decide_clique_pseudo_stochastic_parallel(
     ExploreStats* stats) {
   ExploreBudget clamped = budget;
   clamped.max_threads = explore_threads(machine, budget);
-  ShardedConfigStore<CountedConfig, CountedConfigHash> store;
+  PackedCountedStore store(CountedCodec{});
   return explore_and_classify_in(
       store, initial_counted_config(machine, L),
       [&](int) { return CountedExpander{machine}; },

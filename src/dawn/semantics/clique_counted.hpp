@@ -47,8 +47,22 @@ void add_count(CountedConfig& c, State q, std::int64_t delta);
 CountedConfig initial_counted_config(const Machine& machine,
                                      const LabelCount& L);
 
+// Writes into `out`, reusing its storage, the configuration `c` with one
+// agent moved from state `from` (listed in `c`) to state `to` != `from`.
+void move_agent_into(const CountedConfig& c, State from, State to,
+                     CountedConfig& out);
+
 // One exclusive step: an agent in state `q` (count must be >= 1) evaluates δ
-// against the remaining agents. Returns the successor counted configuration.
+// against the remaining agents, with `nb` as scratch. If its state changes,
+// writes the successor into `out` and returns true; a silent step returns
+// false and leaves `out` as it was. Neither allocates once their storage
+// has grown to the configuration's size.
+bool counted_successor_into(const Machine& machine,
+                            const CountedConfig& config, State q,
+                            Neighbourhood& nb, CountedConfig& out);
+
+// counted_successor_into as a value: the successor counted configuration,
+// or a copy of `config` when the step is silent.
 CountedConfig counted_successor(const Machine& machine,
                                 const CountedConfig& config, State q);
 

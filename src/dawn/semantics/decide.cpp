@@ -153,6 +153,7 @@ DecisionReport decide(const Machine& machine, const Graph& g,
       const ExploreOutcome r =
           decide_clique_pseudo_stochastic_parallel(machine, L, request.budget);
       fill(report, r);
+      report.packed_store = true;
       if (request.cross_check &&
           !agrees(r, decide_clique_pseudo_stochastic(machine, L,
                                                      request.budget))) {
@@ -172,6 +173,7 @@ DecisionReport decide(const Machine& machine, const Graph& g,
       const ExploreOutcome r = decide_star_pseudo_stochastic_parallel(
           machine, g.label(hub), leaves, request.budget);
       fill(report, r);
+      report.packed_store = true;
       if (request.cross_check &&
           !agrees(r, decide_star_pseudo_stochastic(machine, g.label(hub),
                                                    leaves, request.budget))) {

@@ -176,12 +176,12 @@ struct DecisionReport {
   bool budget_exhausted = false;
   // False for the statistical simulate backend.
   bool exact = true;
-  // Explicit backend only: whether the engine explored the quotient by the
-  // graph's automorphism group (budget.use_symmetry and a nontrivial group
-  // was found — configs_explored / num_bottom_sccs then count orbits) and
-  // whether the bit-packed configuration store was used (exactly when the
-  // machine advertises num_states(); lazily-interning compiled machines use
-  // the vector store).
+  // Whether the explicit engine explored the quotient by the graph's
+  // automorphism group (budget.use_symmetry and a nontrivial group was
+  // found — configs_explored / num_bottom_sccs then count orbits), and
+  // whether the exploration engine interned into the packed store: true
+  // for every Explicit, CountedClique and CountedStar decide, false for
+  // the backends that do not run the engine.
   bool symmetry_reduced = false;
   bool packed_store = false;
   // Peak bytes per memory account (config store, frontier, edge buffers,

@@ -2,7 +2,7 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <optional>
+#include <limits>
 #include <vector>
 
 #include "dawn/automata/config.hpp"
@@ -74,47 +74,34 @@ ExplicitResult decide_pseudo_stochastic_parallel(const Machine& machine,
     if (grp->trivial()) grp = nullptr;
   }
 
-  // The store follows the machine: any machine that advertises |Q| packs
-  // (PackedCodec needs the bound up front); lazily-interning ones, the
-  // paper's compiled constructions among them, use the vector store. The
-  // packed store spills, and the engine runs out of core, only when the
-  // budget names both a byte cap and a spill directory.
-  const std::optional<int> nstates = machine.num_states();
-  const bool packed = nstates.has_value();
-
-  const auto explore = [&](auto& store) {
-    return with_explicit_expander(
-        machine, g, grp,
-        [&](const Config& initial, auto& make_expander, auto& verdict_of) {
-          return explore_and_classify_in(store, initial, make_expander,
-                                         verdict_of, clamped, stats);
-        });
-  };
-
-  ExploreOutcome out;
-  bool tiered_ran = false;
-  if (packed) {
-    PackedConfigStore store(PackedCodec(*nstates, g.n()), budget.spill_dir,
-                            budget.max_store_bytes);
-    if (!store.ok()) {
-      // An unusable spill dir degrades to the in-memory engine rather than
-      // failing the decision; the report's tiered_store flag stays false so
-      // callers can tell.
-      std::fprintf(stderr,
-                   "dawn: tiered store unavailable (%s); in-memory fallback\n",
-                   store.error().c_str());
-    }
-    tiered_ran = store.spills();
-    out = explore(store);
-  } else {
-    ShardedConfigStore<Config, VectorHash<State>> store;
-    out = explore(store);
+  // One store for every machine: one that advertises |Q| packs at
+  // ceil(log2 |Q|) bits per node, and a lazily-interning one (the paper's
+  // compiled constructions) at 31 bits, the width of any State. The store
+  // spills, and the engine runs out of core, only when the budget names
+  // both a byte cap and a spill directory.
+  const int num_states =
+      machine.num_states().value_or(std::numeric_limits<State>::max());
+  PackedConfigStore store(PackedCodec(num_states, g.n()), budget.spill_dir,
+                          budget.max_store_bytes);
+  if (!store.ok()) {
+    // An unusable spill dir degrades to the in-memory engine rather than
+    // failing the decision; the report's tiered_store flag stays false so
+    // callers can tell.
+    std::fprintf(stderr,
+                 "dawn: tiered store unavailable (%s); in-memory fallback\n",
+                 store.error().c_str());
   }
+  const ExploreOutcome out = with_explicit_expander(
+      machine, g, grp,
+      [&](const Config& initial, auto& make_expander, auto& verdict_of) {
+        return explore_and_classify_in(store, initial, make_expander,
+                                       verdict_of, clamped, stats);
+      });
 
   ExplicitResult result = explicit_result(out);
   result.symmetry_reduced = grp != nullptr;
-  result.packed_store = packed;
-  result.tiered_store = tiered_ran;
+  result.packed_store = true;
+  result.tiered_store = store.spills();
   return result;
 }
 

@@ -37,8 +37,8 @@ struct ExplicitResult {
   std::size_t num_bottom_sccs = 0;
   // Whether the parallel engine interned canonical orbit representatives
   // (budget.use_symmetry and the graph had a nontrivial automorphism group)
-  // and whether the bit-packed store was used (exactly when the machine
-  // advertises num_states()). When symmetry_reduced is set,
+  // and whether the bit-packed store was used (always, for the parallel
+  // engine). When symmetry_reduced is set,
   // num_configs / num_bottom_sccs count orbits, not raw configurations —
   // the decision is unchanged (docs/SYMMETRY.md). Always false for the
   // sequential decider.
@@ -66,9 +66,9 @@ struct SymmetryGroup;
 // parallel_step_safe() are clamped to one worker.
 //
 // The engine interns into the bit-packed store (semantics/packed_config.hpp)
-// whenever the machine advertises num_states(), and into the vector store
-// otherwise; the packed store in spill mode takes it out of core (see
-// ExploreBudget::max_store_bytes). budget.use_symmetry opts into
+// at ceil(log2 |Q|) bits per node when the machine advertises num_states(),
+// and at 31 bits otherwise; the packed store in spill mode takes it out of
+// core (see ExploreBudget::max_store_bytes). budget.use_symmetry opts into
 // orbit-canonical interning (semantics/symmetry.hpp). With symmetry on, the
 // engine quotients the configuration graph: the decision still matches the
 // sequential reference, but num_configs / num_bottom_sccs count orbits.

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <utility>
 
 #include "dawn/util/check.hpp"
 #include "dawn/util/spill_file.hpp"
@@ -81,75 +82,134 @@ std::uint64_t PackedCodec::hash_words(const std::uint64_t* w, std::size_t n) {
   return static_cast<std::uint64_t>(seed);
 }
 
-PackedConfigStore::PackedConfigStore(const PackedCodec& codec,
-                                     const std::string& spill_dir,
-                                     std::size_t max_resident_bytes)
+namespace {
+
+// One (state, count) pair as a word: the state in the high half, so word
+// order is state order.
+std::uint64_t pair_word(State q, std::int64_t n) {
+  DAWN_CHECK_MSG(q >= 0, "counted codec needs non-negative states");
+  DAWN_CHECK_MSG(n >= 1 && n <= CountedCodec::kMaxCount,
+                 "count outside the counted codec's [1, 2^32 - 1]");
+  return static_cast<std::uint64_t>(q) << 32 | static_cast<std::uint64_t>(n);
+}
+
+std::pair<State, std::int64_t> word_pair(std::uint64_t w) {
+  return {static_cast<State>(w >> 32),
+          static_cast<std::int64_t>(w & 0xffff'ffffu)};
+}
+
+}  // namespace
+
+void CountedCodec::encode(const CountedConfig& c, std::uint64_t* out) {
+  for (const auto& [q, n] : c) *out++ = pair_word(q, n);
+}
+
+void CountedCodec::decode(const std::uint64_t* in, std::size_t n,
+                          CountedConfig& out) {
+  out.resize(n);
+  for (std::size_t i = 0; i < n; ++i) out[i] = word_pair(in[i]);
+}
+
+void StarCodec::encode(const StarConfig& c, std::uint64_t* out) {
+  DAWN_CHECK_MSG(c.centre >= 0, "star codec needs non-negative states");
+  out[0] = static_cast<std::uint64_t>(c.centre);
+  CountedCodec::encode(c.leaves, out + 1);
+}
+
+void StarCodec::decode(const std::uint64_t* in, std::size_t n,
+                       StarConfig& out) {
+  DAWN_CHECK(n >= 1);
+  out.centre = static_cast<State>(in[0]);
+  CountedCodec::decode(in + 1, n - 1, out.leaves);
+}
+
+template <typename Codec>
+PackedStore<Codec>::PackedStore(const Codec& codec,
+                                const std::string& spill_dir,
+                                std::size_t max_resident_bytes)
     : codec_(codec) {
   if (spill_dir.empty() || max_resident_bytes == 0) return;
+  DAWN_CHECK_MSG(Codec::kFixedWidth, "only a fixed-width store can spill");
   fd_ = open_unlinked(spill_dir, "arena", &error_);
   if (fd_ >= 0) max_resident_bytes_ = max_resident_bytes;
 }
 
-PackedConfigStore::~PackedConfigStore() {
+template <typename Codec>
+PackedStore<Codec>::~PackedStore() {
   if (base_ != nullptr) {
     ::munmap(const_cast<std::uint64_t*>(base_), mapped_bytes_);
   }
   if (fd_ >= 0) ::close(fd_);
 }
 
-void PackedConfigStore::fail(const char* what) {
+template <typename Codec>
+void PackedStore<Codec>::fail(const char* what) {
   if (error_.empty()) error_ = std::string(what) + ": " + std::strerror(errno);
 }
 
 namespace {
 
+struct Packed {
+  const std::uint64_t* words;
+  std::size_t n;
+  std::uint64_t hash;
+};
+
 // Packs `value` into the calling thread's scratch (grown once, then reused
 // without allocating) and returns the words with their hash.
-std::pair<const std::uint64_t*, std::uint64_t> pack_hashed(
-    const PackedCodec& codec, const Config& value) {
+template <typename Codec>
+Packed pack_hashed(const Codec& codec, const typename Codec::Value& value) {
   static thread_local std::vector<std::uint64_t> scratch;
-  scratch.resize(codec.words());
+  if constexpr (Codec::kFixedWidth) {
+    scratch.resize(codec.words());
+  } else {
+    scratch.resize(Codec::words(value));
+  }
   codec.encode(value, scratch.data());
-  return {scratch.data(),
+  return {scratch.data(), scratch.size(),
           PackedCodec::hash_words(scratch.data(), scratch.size())};
 }
 
 // Splitmix finalizer before extracting shard bits, so low-entropy hash
 // regions cannot concentrate shards (same scheme as ShardedConfigStore).
-std::size_t shard_index(std::uint64_t h) {
-  return static_cast<std::size_t>(hash_mix(h)) & PackedConfigStore::kShardMask;
+std::size_t shard_index(std::uint64_t h, std::size_t mask) {
+  return static_cast<std::size_t>(hash_mix(h)) & mask;
 }
 
 }  // namespace
 
-PackedConfigStore::InternResult PackedConfigStore::intern(const Config& value) {
-  const auto [words, h] = pack_hashed(codec_, value);
-  std::lock_guard<std::mutex> lock(shards_[shard_index(h)].mu);
-  const InternResult r = find_or_insert(h, words);
+template <typename Codec>
+typename PackedStore<Codec>::InternResult PackedStore<Codec>::intern(
+    const Value& value) {
+  const Packed p = pack_hashed(codec_, value);
+  std::lock_guard<std::mutex> lock(shards_[shard_index(p.hash, kShardMask)].mu);
+  const InternResult r = find_or_insert(p.hash, p.words, p.n);
   if (r.fresh) total_.fetch_add(1, std::memory_order_relaxed);
   return r;
 }
 
-void PackedConfigStore::route(
-    const Config& value, std::int64_t src, std::span<Batch> batches,
+template <typename Codec>
+void PackedStore<Codec>::route(
+    const Value& value, std::int64_t src, std::span<Batch> batches,
     std::span<const std::uint32_t, kNumShards> owner_of_shard) const {
-  const auto [words, h] = pack_hashed(codec_, value);
-  Batch& batch = batches[owner_of_shard[shard_index(h)]];
+  const Packed p = pack_hashed(codec_, value);
+  Batch& batch = batches[owner_of_shard[shard_index(p.hash, kShardMask)]];
   ++batch.count;
   std::vector<std::uint64_t>& items = batch.items;
   const std::size_t at = items.size();
-  items.resize(at + kRoutedHeader + codec_.words());
+  items.resize(at + kRoutedHeader + p.n);
   items[at] = static_cast<std::uint64_t>(src);
-  items[at + 1] = h;
-  std::copy(words, words + codec_.words(), items.begin() + at + kRoutedHeader);
+  items[at + 1] = p.hash;
+  if constexpr (!Codec::kFixedWidth) items[at + 2] = p.n;
+  std::copy(p.words, p.words + p.n, items.begin() + at + kRoutedHeader);
 }
 
-PackedConfigStore::InternResult PackedConfigStore::find_or_insert(
-    std::uint64_t h, const std::uint64_t* words) {
+template <typename Codec>
+typename PackedStore<Codec>::InternResult PackedStore<Codec>::find_or_insert(
+    std::uint64_t h, const std::uint64_t* words, std::size_t n) {
   const std::uint64_t mixed = hash_mix(h);
   const std::size_t shard_idx = static_cast<std::size_t>(mixed) & kShardMask;
   Shard& s = shards_[shard_idx];
-  const std::size_t w = codec_.words();
   // A small first table: in spill mode the index is the whole resident
   // baseline, and it must fit tight byte budgets.
   if (s.slots.empty()) s.slots.assign(16, -1);
@@ -159,13 +219,24 @@ PackedConfigStore::InternResult PackedConfigStore::find_or_insert(
     const std::int32_t local = s.slots[pos];
     if (local < 0) break;  // empty slot: `words` is fresh, insert here
     const auto lu = static_cast<std::size_t>(local);
-    if (s.hashes[lu] == h && std::equal(words, words + w, words_of(s, lu))) {
-      return {pack(local, shard_idx), false};
+    if (s.hashes[lu] == h) {
+      bool same_length = true;
+      if constexpr (!Codec::kFixedWidth) {
+        same_length = s.ends[lu] - (lu == 0 ? 0 : s.ends[lu - 1]) == n;
+      }
+      if (same_length && std::equal(words, words + n, words_of(s, lu))) {
+        return {pack(local, shard_idx), false};
+      }
     }
     pos = (pos + 1) & slot_mask;
   }
   const auto local = static_cast<std::int32_t>(s.count);
-  s.arena.insert(s.arena.end(), words, words + w);
+  s.arena.insert(s.arena.end(), words, words + n);
+  if constexpr (!Codec::kFixedWidth) {
+    DAWN_CHECK_MSG(s.arena.size() <= std::numeric_limits<std::uint32_t>::max(),
+                   "a shard arena holds at most 2^32 - 1 words");
+    s.ends.push_back(static_cast<std::uint32_t>(s.arena.size()));
+  }
   s.hashes.push_back(h);
   s.slots[pos] = local;
   ++s.count;
@@ -174,7 +245,8 @@ PackedConfigStore::InternResult PackedConfigStore::find_or_insert(
   return {pack(local, shard_idx), true};
 }
 
-void PackedConfigStore::grow(Shard& s) {
+template <typename Codec>
+void PackedStore<Codec>::grow(Shard& s) {
   std::vector<std::int32_t> slots(s.slots.size() * 2, -1);
   const std::size_t mask = slots.size() - 1;
   for (std::size_t l = 0; l < s.count; ++l) {
@@ -186,7 +258,8 @@ void PackedConfigStore::grow(Shard& s) {
   s.slots.swap(slots);
 }
 
-void PackedConfigStore::finalize() {
+template <typename Codec>
+void PackedStore<Codec>::finalize() {
   DAWN_CHECK_MSG(size() <= static_cast<std::size_t>(
                                std::numeric_limits<std::int32_t>::max()),
                  "dense ids are int32");
@@ -199,24 +272,30 @@ void PackedConfigStore::finalize() {
   }
 }
 
-std::size_t PackedConfigStore::bytes() const {
-  std::size_t total = 0;
-  for (const Shard& s : shards_) {
-    // Every local id below hot_first was spilled exactly once.
-    total += (s.arena.size() + s.hot_first * codec_.words()) *
-             sizeof(std::uint64_t);
-    total += s.extents.size() * sizeof(Extent);
-    total += s.hashes.size() * sizeof(std::uint64_t);
-    total += s.slots.size() * sizeof(std::int32_t);
+template <typename Codec>
+std::size_t PackedStore<Codec>::bytes() const {
+  const std::size_t entries = size();
+  std::size_t total = entries * sizeof(std::uint64_t) + index_bytes(entries) +
+                      spill_events_ * kNumShards * sizeof(Extent);
+  if constexpr (Codec::kFixedWidth) {
+    // Every entry's words, resident or spilled.
+    total += entries * fixed_words() * sizeof(std::uint64_t);
+  } else {
+    for (const Shard& s : shards_) {
+      total += s.arena.size() * sizeof(std::uint64_t) +
+               s.ends.size() * sizeof(std::uint32_t);
+    }
   }
   return total;
 }
 
-std::size_t PackedConfigStore::resident_bytes() const {
+template <typename Codec>
+std::size_t PackedStore<Codec>::resident_bytes() const {
   return bytes() - spilled_bytes();
 }
 
-const std::uint64_t* PackedConfigStore::spilled_words_of(
+template <typename Codec>
+const std::uint64_t* PackedStore<Codec>::spilled_words_of(
     const Shard& s, std::size_t local) const {
   // The last extent starting at or below `local`.
   auto it = std::upper_bound(
@@ -224,10 +303,11 @@ const std::uint64_t* PackedConfigStore::spilled_words_of(
       [](std::size_t l, const Extent& e) { return l < e.first_local; });
   DAWN_CHECK(it != s.extents.begin());
   --it;
-  return base_ + it->word_off + (local - it->first_local) * codec_.words();
+  return base_ + it->word_off + (local - it->first_local) * fixed_words();
 }
 
-bool PackedConfigStore::spill_to_budget() {
+template <typename Codec>
+bool PackedStore<Codec>::spill_to_budget() {
   if (!spills()) return true;
   if (!ok()) return false;
   if (resident_bytes() <= max_resident_bytes_) return true;
@@ -263,12 +343,23 @@ bool PackedConfigStore::spill_to_budget() {
   return true;
 }
 
-const Config& PackedConfigStore::value(std::int64_t gid, Config& out) const {
+template <typename Codec>
+const typename PackedStore<Codec>::Value& PackedStore<Codec>::value(
+    std::int64_t gid, Value& out) const {
   const Shard& s = shards_[static_cast<std::size_t>(gid) & kShardMask];
   const auto local = static_cast<std::size_t>(gid >> kShardBits);
   DAWN_CHECK(local < s.count);
-  codec_.decode(words_of(s, local), out);
+  if constexpr (Codec::kFixedWidth) {
+    codec_.decode(words_of(s, local), out);
+  } else {
+    const std::size_t begin = local == 0 ? 0 : s.ends[local - 1];
+    Codec::decode(s.arena.data() + begin, s.ends[local] - begin, out);
+  }
   return out;
 }
+
+template class PackedStore<PackedCodec>;
+template class PackedStore<CountedCodec>;
+template class PackedStore<StarCodec>;
 
 }  // namespace dawn

@@ -1,39 +1,49 @@
-// Bit-packed configurations and the packed sharded config store.
+// Bit-packed configurations and the packed sharded config store: the one
+// store every exploring decide interns into.
 //
 // The explicit-state engines intern millions of configurations; storing each
-// as a std::vector<int32_t> costs 4 bytes per node plus a heap allocation
-// and a full element-wise rehash per intern. A machine with |Q| states only
-// needs ceil(log2 |Q|) bits per node, so a configuration packs into
-// ceil(n * bits / 64) machine words:
+// as a std::vector costs a heap allocation, a hash node and a full
+// element-wise rehash per intern. Packed, a configuration is a short run of
+// machine words:
 //
-//   * PackedCodec — the stateless encode/decode between Config and a word
-//     span (fields may straddle word boundaries; |Q| = 1 packs to zero
-//     words, every configuration being equal);
-//   * PackedConfigStore — the packed counterpart of ShardedConfigStore
-//     (parallel_explore.hpp): 64 shards, each an open-addressed index over
-//     a contiguous word arena, so interning a configuration appends words
-//     to the shard arena instead of allocating a per-config node. Hashing
-//     and equality are word-wise. Configurations come in through the
-//     locked intern() or, in the explicit engine, through route() and an
-//     owner's lock-free drain().
+//   * PackedCodec — explicit configurations at a fixed width: a machine
+//     with |Q| states needs ceil(log2 |Q|) bits per node, so a configuration
+//     of n nodes packs into ceil(n * bits / 64) words (fields may straddle
+//     word boundaries; |Q| = 1 packs to zero words, every configuration
+//     being equal). A machine that advertises no |Q| (the paper's
+//     lazily-interning compiled constructions) packs at 31 bits, the width
+//     of any State.
+//   * CountedCodec and StarCodec — counted configurations at a variable
+//     width, one word per sorted (state, count) pair with the state in the
+//     high half, so word order is state order; a star leads with a word for
+//     its centre. This is the paper's remark behind Lemma 5.1 (quoted in
+//     clique_counted.hpp): a counted configuration fits in logarithmic
+//     space.
+//   * PackedStore<Codec> — 64 shards, each an open-addressed index over a
+//     contiguous word arena, so interning a configuration appends words to
+//     the shard arena instead of allocating a per-config node. Hashing and
+//     equality are word-wise. A variable-width shard also keeps each
+//     entry's end offset. Configurations come in through the locked
+//     intern() or, in the explicit engine, through route() and an owner's
+//     lock-free drain(). PackedConfigStore, PackedCountedStore and
+//     PackedStarStore name its three instances.
 //
-// The store requires the machine's state space bound up front
-// (Machine::num_states()). The explicit engine uses it for every machine
-// that advertises one; lazily-interning compiled stacks advertise none and
-// explore on the vector store. docs/ENGINE.md covers the memory accounting;
-// the byte-level occupancy of either store is surfaced through
-// ExploreStats::store_bytes and the explore.store_bytes gauge.
+// docs/ENGINE.md "Configuration memory" covers the memory accounting; the
+// byte-level occupancy is surfaced through ExploreStats::store_bytes and
+// the explore.store_bytes gauge. Every charge in bytes() is per entry or
+// per spill event, never per shard: a compiled machine numbers its states
+// in thread-timing order, which moves configurations between shards.
 //
-// Spill mode (out-of-core exploration, docs/ENGINE.md "The tiered store").
-// Constructed with both a spill dir and a resident byte budget, the store
-// splits every shard arena into spilled words and a hot in-memory tail.
-// The index (one 8-byte hash plus amortised ~6 bytes of probe slots per
-// configuration) always stays resident: interning probes it every time.
-// At a BFS level boundary spill_to_budget() appends every hot arena to one
-// unlinked file under the spill dir and maps the file read-only; probes
-// and value() read spilled words through the mapping, so dedup is exact
-// across tiers. The in-memory mode is the same store with nothing spilled,
-// and the explicit engine runs both modes through one level loop.
+// Spill mode (out-of-core exploration, docs/ENGINE.md "The tiered store"),
+// fixed-width codecs only. Constructed with both a spill dir and a resident
+// byte budget, the store splits every shard arena into spilled words and a
+// hot in-memory tail. The index (one 8-byte hash plus the slot table per
+// configuration) always stays resident: interning probes it every time. At
+// a BFS level boundary spill_to_budget() appends every hot arena to one
+// unlinked file under the spill dir and maps the file read-only; probes and
+// value() read spilled words through the mapping, so dedup is exact across
+// tiers. The in-memory mode is the same store with nothing spilled, and the
+// explicit engine runs both modes through one level loop.
 //
 // Concurrency contract:
 //  * intern() is thread-safe (per-shard locks);
@@ -61,6 +71,8 @@
 
 #include "dawn/automata/config.hpp"
 #include "dawn/obs/memory_ledger.hpp"
+#include "dawn/semantics/clique_counted.hpp"
+#include "dawn/semantics/star_counted.hpp"
 #include "dawn/util/hash.hpp"
 
 namespace dawn {
@@ -69,8 +81,12 @@ namespace dawn {
 // num_states = 1 needs 0 bits (the only state is implicit).
 int packed_bits_for(int num_states);
 
+// Explicit configurations of a fixed node count, at a fixed width.
 class PackedCodec {
  public:
+  using Value = Config;
+  static constexpr bool kFixedWidth = true;
+
   PackedCodec() = default;
   // num_states >= 1; num_nodes >= 0. States outside [0, num_states) are a
   // contract violation (checked on encode).
@@ -87,9 +103,10 @@ class PackedCodec {
   // `out` is resized to nodes().
   void decode(const std::uint64_t* in, Config& out) const;
 
-  // Word-wise hash, consistent for equal encodings (and only those — the
-  // encoding is injective on valid configs, so this is a sound stand-in for
-  // hashing the vector form).
+  // Word-wise hash, consistent for equal encodings (and only those — every
+  // codec here is injective on valid values, so this is a sound stand-in
+  // for hashing the unpacked form). The store hashes every codec's words
+  // with it; the length is part of the hash.
   static std::uint64_t hash_words(const std::uint64_t* w, std::size_t n);
 
  private:
@@ -99,14 +116,46 @@ class PackedCodec {
   std::size_t words_ = 0;
 };
 
-// Packed drop-in for ShardedConfigStore<Config, VectorHash<State>>: same
-// shard/gid/dense and route/drain contract (parallel_explore.hpp documents
-// it), but values
-// live packed in per-shard word arenas — one amortised vector append per
-// fresh configuration, no per-config heap node. Optionally spills its
-// arenas to disk (see "Spill mode" above).
-class PackedConfigStore {
+// Counted configurations (clique_counted.hpp): one word per (state, count)
+// pair, the state in the high 32 bits and the count in the low 32. States
+// must be non-negative and counts in [1, kMaxCount] (checked on encode).
+class CountedCodec {
  public:
+  using Value = CountedConfig;
+  static constexpr bool kFixedWidth = false;
+  static constexpr std::int64_t kMaxCount =
+      std::numeric_limits<std::uint32_t>::max();
+
+  static std::size_t words(const CountedConfig& c) { return c.size(); }
+  // `out` must hold words(c) entries.
+  static void encode(const CountedConfig& c, std::uint64_t* out);
+  // Decodes `n` words; `out` keeps its storage.
+  static void decode(const std::uint64_t* in, std::size_t n,
+                     CountedConfig& out);
+};
+
+// Counted stars (star_counted.hpp): the centre's state as a leading word,
+// then the leaves as CountedCodec words.
+class StarCodec {
+ public:
+  using Value = StarConfig;
+  static constexpr bool kFixedWidth = false;
+
+  static std::size_t words(const StarConfig& c) { return 1 + c.leaves.size(); }
+  static void encode(const StarConfig& c, std::uint64_t* out);
+  static void decode(const std::uint64_t* in, std::size_t n, StarConfig& out);
+};
+
+// The packed store over one codec: the shard/gid/dense and route/drain
+// contract of ShardedConfigStore (parallel_explore.hpp), but values live
+// packed in per-shard word arenas — one amortised vector append per fresh
+// configuration, no per-config heap node. A fixed-width store may spill
+// its arenas to disk (see "Spill mode" above).
+template <typename Codec>
+class PackedStore {
+ public:
+  using Value = typename Codec::Value;
+
   static constexpr int kShardBits = 6;
   static constexpr std::size_t kNumShards = std::size_t{1} << kShardBits;
   static constexpr std::size_t kShardMask = kNumShards - 1;
@@ -124,25 +173,24 @@ class PackedConfigStore {
   // the constructor then opens (and immediately unlinks) the spill file.
   // If that fails, ok() is false, error() says why, and the store stays
   // in memory (spills() is false); callers fall back to the in-memory
-  // engine.
-  explicit PackedConfigStore(const PackedCodec& codec,
-                             const std::string& spill_dir = {},
-                             std::size_t max_resident_bytes = 0);
-  ~PackedConfigStore();
+  // engine. A variable-width codec cannot spill (checked).
+  explicit PackedStore(const Codec& codec, const std::string& spill_dir = {},
+                       std::size_t max_resident_bytes = 0);
+  ~PackedStore();
 
-  PackedConfigStore(const PackedConfigStore&) = delete;
-  PackedConfigStore& operator=(const PackedConfigStore&) = delete;
+  PackedStore(const PackedStore&) = delete;
+  PackedStore& operator=(const PackedStore&) = delete;
 
   bool spills() const { return fd_ >= 0; }
   bool ok() const { return error_.empty(); }
   const std::string& error() const { return error_; }
 
-  InternResult intern(const Config& value);
+  InternResult intern(const Value& value);
 
   // Routed configurations bound for one owner: per item, the source gid,
-  // the word hash and the packed words (kRoutedHeader + the codec's
-  // words() words). One cache line each: a worker grows its batches on
-  // every successor.
+  // the word hash, for a variable-width codec the word count, and the
+  // packed words. One cache line each: a worker grows its batches on every
+  // successor.
   struct alignas(64) Batch {
     std::vector<std::uint64_t> items;
     std::size_t count = 0;  // routed configurations in `items`
@@ -152,11 +200,11 @@ class PackedConfigStore {
       count = 0;
     }
   };
-  static constexpr std::size_t kRoutedHeader = 2;
+  static constexpr std::size_t kRoutedHeader = Codec::kFixedWidth ? 2 : 3;
 
-  // Encodes and hashes `value` once and appends (src, hash, words) to
+  // Encodes and hashes `value` once and appends the item to
   // batches[owner_of_shard[shard]]. Reads no shard.
-  void route(const Config& value, std::int64_t src, std::span<Batch> batches,
+  void route(const Value& value, std::int64_t src, std::span<Batch> batches,
              std::span<const std::uint32_t, kNumShards> owner_of_shard) const;
 
   // Interns every item of `batch`, in order, calling fn(src, gid, fresh)
@@ -165,13 +213,17 @@ class PackedConfigStore {
   // Owner-only and lock-free — see the concurrency contract above.
   template <typename Fn>
   void drain(const Batch& batch, Fn&& fn) {
-    const std::size_t stride = kRoutedHeader + codec_.words();
     std::size_t inserted = 0;
-    for (std::size_t i = 0; i < batch.items.size(); i += stride) {
-      const std::uint64_t* item = batch.items.data() + i;
-      const InternResult r = find_or_insert(item[1], item + kRoutedHeader);
+    const std::uint64_t* item = batch.items.data();
+    const std::uint64_t* const end = item + batch.items.size();
+    while (item != end) {
+      const std::uint64_t* const words = item + kRoutedHeader;
+      std::size_t n = fixed_words();
+      if constexpr (!Codec::kFixedWidth) n = static_cast<std::size_t>(item[2]);
+      const InternResult r = find_or_insert(item[1], words, n);
       inserted += r.fresh ? 1 : 0;
       fn(static_cast<std::int64_t>(item[0]), r.gid, r.fresh);
+      item = words + n;
     }
     total_.fetch_add(inserted, std::memory_order_relaxed);
   }
@@ -201,10 +253,21 @@ class PackedConfigStore {
     return out;
   }
 
-  // Byte-level occupancy: arena words (resident and spilled) + per-entry
-  // hash + index slots (+ the spill extent directory). Single-threaded
+  // Byte-level occupancy, every charge per entry or per spill event: arena
+  // words (resident and spilled), a variable-width entry's 4-byte end
+  // offset, its 8-byte hash, index_bytes(size()) for the slot tables, and
+  // one extent directory entry per shard and spill event. Single-threaded
   // accounting — call after exploration, not during.
   std::size_t bytes() const;
+
+  // The slot tables' charge for `entries` configurations: the smallest
+  // table that holds them below the 0.7 load bound, ceil(10 * entries / 7)
+  // 4-byte slots. A lower bound on what the shards' power-of-two tables
+  // hold, and a function of the count alone, so it does not follow how
+  // the entries spread over shards.
+  static std::size_t index_bytes(std::size_t entries) {
+    return (entries * 10 + 6) / 7 * sizeof(std::int32_t);
+  }
 
   // In-memory footprint: bytes() minus the spilled arena words.
   std::size_t resident_bytes() const;
@@ -230,7 +293,7 @@ class PackedConfigStore {
   // Decodes the stored configuration for a gid into `out` and returns it.
   // Lock-free: no thread may change the gid's shard meanwhile (see the
   // concurrency contract above).
-  const Config& value(std::int64_t gid, Config& out) const;
+  const Value& value(std::int64_t gid, Value& out) const;
 
  private:
   // A run of consecutive local ids whose words live in the spill file.
@@ -240,7 +303,8 @@ class PackedConfigStore {
   };
 
   // The fields a probe reads come first, so it touches the shard's first
-  // two cache lines; `extents` is read only for spilled words.
+  // two cache lines; `extents` is read only for spilled words, and `ends`
+  // only by a variable-width probe whose hash matched.
   struct alignas(64) Shard {
     std::mutex mu;
     std::vector<std::int32_t> slots;    // open addressing; -1 = empty
@@ -249,6 +313,7 @@ class PackedConfigStore {
     std::size_t count = 0;
     std::uint32_t hot_first = 0;        // first local id still in `arena`
     std::vector<Extent> extents;        // spilled runs, ascending first_local
+    std::vector<std::uint32_t> ends;    // variable width: end word per id
   };
 
   static std::int64_t pack(std::int32_t local, std::size_t shard) {
@@ -258,16 +323,30 @@ class PackedConfigStore {
 
   static void grow(Shard& s);
 
-  // The probe-and-insert step of intern() and drain(): finds `words` (of
-  // word hash h) in its shard or appends it there. The caller holds the
-  // shard's lock or owns the shard; it also counts a fresh insert into
-  // total_.
-  InternResult find_or_insert(std::uint64_t h, const std::uint64_t* words);
+  // The probe-and-insert step of intern() and drain(): finds the `n` words
+  // (of word hash h) in their shard or appends them there. The caller
+  // holds the shard's lock or owns the shard; it also counts a fresh
+  // insert into total_.
+  InternResult find_or_insert(std::uint64_t h, const std::uint64_t* words,
+                              std::size_t n);
 
-  // The packed words of `local`. No other thread may change `s` meanwhile.
+  // Words per configuration of a fixed-width codec; 0 for the others.
+  std::size_t fixed_words() const {
+    if constexpr (Codec::kFixedWidth) {
+      return codec_.words();
+    } else {
+      return 0;
+    }
+  }
+
+  // The first packed word of `local`. No other thread may change `s`
+  // meanwhile.
   const std::uint64_t* words_of(const Shard& s, std::size_t local) const {
+    if constexpr (!Codec::kFixedWidth) {
+      return s.arena.data() + (local == 0 ? 0 : s.ends[local - 1]);
+    }
     if (local >= s.hot_first) {
-      return s.arena.data() + (local - s.hot_first) * codec_.words();
+      return s.arena.data() + (local - s.hot_first) * fixed_words();
     }
     return spilled_words_of(s, local);
   }
@@ -276,7 +355,7 @@ class PackedConfigStore {
 
   void fail(const char* what);
 
-  PackedCodec codec_;
+  Codec codec_;
   std::array<Shard, kNumShards> shards_;
   std::array<std::int32_t, kNumShards> offsets_{};
   std::atomic<std::size_t> total_{0};
@@ -290,5 +369,13 @@ class PackedConfigStore {
   std::size_t spill_events_ = 0;
   std::string error_;
 };
+
+extern template class PackedStore<PackedCodec>;
+extern template class PackedStore<CountedCodec>;
+extern template class PackedStore<StarCodec>;
+
+using PackedConfigStore = PackedStore<PackedCodec>;
+using PackedCountedStore = PackedStore<CountedCodec>;
+using PackedStarStore = PackedStore<StarCodec>;
 
 }  // namespace dawn

@@ -4,9 +4,12 @@
 // (explicit configurations, counted clique / star configurations). It runs
 // a level-synchronous BFS over the configuration graph:
 //
-//  * configurations are interned into a hash-sharded store (64 shards);
-//    each worker of a persistent WorkerPool (semantics/trials.hpp) owns a
-//    contiguous shard range, and only the owner writes a shard;
+//  * configurations are interned into a hash-sharded store (64 shards):
+//    every decide uses the packed store (semantics/packed_config.hpp), at
+//    a fixed width for explicit configurations and a variable width for
+//    counted ones. Each worker of a persistent WorkerPool
+//    (semantics/trials.hpp) owns a contiguous shard range, and only the
+//    owner writes a shard;
 //  * a BFS level is a vector of gids and runs in two barrier-separated
 //    phases: in phase A workers claim frontier chunks through an atomic
 //    cursor, expand them and route every successor to the owner of its
@@ -123,12 +126,18 @@ inline double shard_chi_square(const std::size_t* occupancies,
   return chi2;
 }
 
-// Striped concurrent interner: values are spread over 2^kShardBits
-// independently locked shards by (high) hash bits, so concurrent interning
-// mostly touches distinct locks. A value's *global* id packs (local id,
-// shard): gids are stable while exploring but not dense; after exploration
-// finalize() freezes per-shard prefix offsets and dense() maps gids onto
-// [0, size) for the SCC pass.
+// Striped concurrent interner over node-based maps, one value per heap
+// node: the vector store. No decide uses it any more — every exploring
+// decide interns into the packed store (packed_config.hpp), which keeps
+// this contract — but the repository benchmark's replay, bench_symmetry's
+// unpacked baseline row and test_packed_config's engine differential
+// still do, so it stays until the next benchmark change.
+//
+// Values are spread over 2^kShardBits independently locked shards by
+// (high) hash bits, so concurrent interning mostly touches distinct locks.
+// A value's *global* id packs (local id, shard): gids are stable while
+// exploring but not dense; after exploration finalize() freezes per-shard
+// prefix offsets and dense() maps gids onto [0, size) for the SCC pass.
 //
 // Two ways in. intern() locks the value's shard and may be called from any
 // thread. route() + drain() are the owner-partitioned path of
@@ -381,13 +390,14 @@ inline bool fits_engine_ids(std::size_t size,
 //
 //  * `store` implements the ShardedConfigStore contract — intern() /
 //    route() / drain() / value() / size() / finalize() / dense() /
-//    shard_peak() / bytes(). The packed store (semantics/packed_config.hpp)
-//    is the other implementation, and the only one that can spill.
+//    shard_peak() / bytes(). Decides pass a PackedStore
+//    (semantics/packed_config.hpp), the only store that can spill.
 //  * make_expander(worker) must return a per-worker expander; calling
 //    expander(config, emit) invokes emit(succ) once per successor of
 //    `config` (duplicates allowed; silent self-steps must be skipped). The
-//    emitted reference may point at worker-local scratch — the engine
-//    copies what it keeps.
+//    emitted reference may point at worker-local scratch — the store
+//    encodes what it keeps — so an expander that writes each successor
+//    into its own scratch allocates nothing once that scratch has grown.
 //  * verdict_of(config) returns the configuration's uniform verdict
 //    (Neutral if mixed). Called once per configuration the run expands, by
 //    the worker that expands it, so a completed run has every verdict and

@@ -40,7 +40,10 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
+#include <new>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -50,13 +53,36 @@
 
 namespace dawn {
 
+// An allocator whose value-less construct() default-initialises, so
+// resize() leaves trivial elements unwritten: build_reverse_csr's owners
+// overwrite every target, and their scatter is the first touch.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
 // Compressed sparse rows: node v's successors are
 // targets[offsets[v] .. offsets[v + 1]). Offsets are 32-bit; the builders
 // check that the edge count fits. A reverse CSR holds the transposed
 // graph: its rows list predecessors.
 struct CsrGraph {
   std::vector<std::uint32_t> offsets;  // num_nodes() + 1 entries, or none
-  std::vector<std::int32_t> targets;
+  std::vector<std::int32_t, DefaultInitAllocator<std::int32_t>> targets;
 
   std::size_t num_nodes() const {
     return offsets.empty() ? 0 : offsets.size() - 1;
@@ -133,6 +159,7 @@ bool build_reverse_csr(Pool& pool, std::span<const std::size_t> bounds,
   DAWN_CHECK_MSG(
       first_edge[owners] <= std::numeric_limits<std::uint32_t>::max(),
       "CSR offsets are 32-bit");
+  // Default-initialised: the scatter below writes every entry.
   out.targets.resize(first_edge[owners]);
   on_owners([&](std::size_t k, std::size_t begin, std::size_t end) {
     auto next = static_cast<std::uint32_t>(first_edge[k]);

@@ -1,9 +1,9 @@
 #include "dawn/semantics/star_counted.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "dawn/semantics/clique_counted.hpp"
+#include "dawn/semantics/packed_config.hpp"
 #include "dawn/semantics/parallel_explore.hpp"
 #include "dawn/semantics/sequential_explore.hpp"
 #include "dawn/util/check.hpp"
@@ -13,28 +13,35 @@
 namespace dawn {
 namespace {
 
-Neighbourhood centre_view(const Machine& machine, const StarConfig& c) {
-  std::vector<std::pair<State, int>> counts;
-  counts.reserve(c.leaves.size());
-  for (auto [q, n] : c.leaves) {
-    counts.emplace_back(
-        q, static_cast<int>(std::min<std::int64_t>(n, machine.beta())));
-  }
-  return Neighbourhood::from_counts(counts, machine.beta());
-}
-
-Neighbourhood leaf_view(const Machine& machine, const StarConfig& c) {
-  const std::pair<State, int> counts[] = {{c.centre, 1}};
-  return Neighbourhood::from_counts(counts, machine.beta());
-}
-
 // The successor function of both explorers (one per worker in the parallel
-// engine).
+// engine) and of the stable-verdict search: the centre's step, then one
+// leaf step per populated leaf state, silent steps skipped, each written
+// into the expander's own scratch. The successors are distinct: a centre
+// step keeps the leaves, and leaf steps from distinct states leave
+// distinct leaf counts.
 struct StarExpander {
   const Machine& machine;
+  Neighbourhood nb = {};
+  StarConfig next = {};
+
   template <typename Emit>
   void operator()(const StarConfig& current, Emit&& emit) {
-    for (const StarConfig& next : star_successors(machine, current)) {
+    // The centre sees every leaf.
+    Neighbourhood::from_sorted_counts_into(current.leaves, machine.beta(), nb);
+    const State centre = machine.step(current.centre, nb);
+    if (centre != current.centre) {
+      next.centre = centre;
+      next.leaves = current.leaves;
+      emit(next);
+    }
+    // A leaf sees only the centre.
+    const std::pair<State, std::int64_t> hub[] = {{current.centre, 1}};
+    Neighbourhood::from_sorted_counts_into(hub, machine.beta(), nb);
+    next.centre = current.centre;
+    for (const auto& [p, n] : current.leaves) {
+      const State s = machine.step(p, nb);
+      if (s == p) continue;
+      move_agent_into(current.leaves, p, s, next.leaves);
       emit(next);
     }
   }
@@ -46,14 +53,15 @@ bool explore(const Machine& machine, const StarConfig& start,
   // BFS; returns false if the budget is exhausted. `visit` may return false
   // to abort early (used by the stable-rejection test).
   Interner<StarConfig, StarConfigHash> configs;
+  StarExpander expand{machine};
   configs.id(start);
   for (std::size_t head = 0; head < configs.size(); ++head) {
     if (configs.size() > max_configs) return false;
-    const StarConfig current = configs.value(static_cast<std::int32_t>(head));
+    // Interned values never move, so `current` outlives the inserts below.
+    const StarConfig& current =
+        configs.value(static_cast<std::int32_t>(head));
     if (!visit(current)) return true;
-    for (const StarConfig& next : star_successors(machine, current)) {
-      configs.id(next);
-    }
+    expand(current, [&](const StarConfig& next) { configs.id(next); });
   }
   return true;
 }
@@ -81,25 +89,8 @@ StarConfig initial_star_config(const Machine& machine, Label centre,
 std::vector<StarConfig> star_successors(const Machine& machine,
                                         const StarConfig& config) {
   std::vector<StarConfig> out;
-  // Centre step.
-  {
-    const State next = machine.step(config.centre, centre_view(machine, config));
-    if (next != config.centre) {
-      StarConfig c = config;
-      c.centre = next;
-      out.push_back(std::move(c));
-    }
-  }
-  // One leaf step per populated leaf state.
-  const Neighbourhood view = leaf_view(machine, config);
-  for (auto [p, n] : config.leaves) {
-    const State next = machine.step(p, view);
-    if (next == p) continue;
-    StarConfig c = config;
-    add_count(c.leaves, p, -1);
-    add_count(c.leaves, next, +1);
-    out.push_back(std::move(c));
-  }
+  StarExpander{machine}(config,
+                        [&](const StarConfig& next) { out.push_back(next); });
   return out;
 }
 
@@ -125,7 +116,7 @@ ExploreOutcome decide_star_pseudo_stochastic_parallel(
     const ExploreBudget& budget, ExploreStats* stats) {
   ExploreBudget clamped = budget;
   clamped.max_threads = explore_threads(machine, budget);
-  ShardedConfigStore<StarConfig, StarConfigHash> store;
+  PackedStarStore store(StarCodec{});
   return explore_and_classify_in(
       store, initial_star_config(machine, centre, leaves),
       [&](int) { return StarExpander{machine}; },

@@ -29,6 +29,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <type_traits>
 #include <vector>
 
 #include "dawn/obs/metrics.hpp"  // header-only use: obs::count / gauge_max
@@ -43,9 +44,11 @@ class Interner {
   Interner() { publish(std::make_unique<Table>(kInitialSlots)); }
 
   ~Interner() {
-    const std::size_t n = size_.load(std::memory_order_relaxed);
-    for (std::size_t i = 0; i < n; ++i) {
-      std::destroy_at(&at(static_cast<std::uint32_t>(i)));
+    if constexpr (!std::is_trivially_destructible_v<T>) {
+      const std::size_t n = size_.load(std::memory_order_relaxed);
+      for (std::size_t i = 0; i < n; ++i) {
+        std::destroy_at(&at(static_cast<std::uint32_t>(i)));
+      }
     }
     for (int k = 0; k < kSegments; ++k) {
       if (T* seg = segments_[k].load(std::memory_order_relaxed)) {

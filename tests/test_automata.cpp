@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "dawn/automata/combinators.hpp"
 #include "dawn/automata/memoized.hpp"
@@ -54,6 +58,29 @@ TEST(Neighbourhood, FromCountsAndQueries) {
   EXPECT_TRUE(n.any([](State s) { return s == 3; }));
   EXPECT_FALSE(n.any([](State s) { return s == 4; }));
   EXPECT_EQ(n.sum([](State) { return true; }), 3);
+}
+
+TEST(Neighbourhood, SortedCountsBuilderMatchesFromCounts) {
+  // Rebuilt in place from sorted (state, count) pairs, with and without an
+  // observer among them, it equals from_counts on the same counts.
+  const std::pair<State, std::int64_t> counts[] = {{0, 1}, {2, 4}, {5, 2}};
+  Neighbourhood nb = Neighbourhood::from_counts(
+      std::vector<std::pair<State, int>>{{8, 1}, {9, 1}}, 1);
+  Neighbourhood::from_sorted_counts_into(counts, 3, nb);
+  const std::pair<State, int> all[] = {{0, 1}, {2, 4}, {5, 2}};
+  EXPECT_EQ(nb, Neighbourhood::from_counts(all, 3));
+  Neighbourhood::from_sorted_counts_into(counts, 3, nb, 0);
+  const std::pair<State, int> without_0[] = {{2, 4}, {5, 2}};
+  EXPECT_EQ(nb, Neighbourhood::from_counts(without_0, 3));
+  Neighbourhood::from_sorted_counts_into(counts, 3, nb, 5);
+  const std::pair<State, int> one_5_left[] = {{0, 1}, {2, 4}, {5, 1}};
+  EXPECT_EQ(nb, Neighbourhood::from_counts(one_5_left, 3));
+  // The observer must be among the counted agents, and states must rise.
+  EXPECT_THROW(Neighbourhood::from_sorted_counts_into(counts, 3, nb, 1),
+               std::logic_error);
+  const std::pair<State, std::int64_t> unsorted[] = {{2, 1}, {1, 1}};
+  EXPECT_THROW(Neighbourhood::from_sorted_counts_into(unsorted, 3, nb),
+               std::logic_error);
 }
 
 TEST(Neighbourhood, NonCountingSeesOnlyPresence) {

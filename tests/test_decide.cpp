@@ -8,6 +8,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -267,6 +268,10 @@ TEST(Decide, CompiledReportsAreBitIdenticalAcrossThreadCounts) {
       {"mod-pp/star6",
        [] { return make_mod_population_daf(3, 1, 0, 2); },
        make_star(0, {1, 0, 1, 1, 1})},
+      {"majority-pp/star9", [] { return make_majority_daf(0, 1, 2); },
+       make_star(1, {0, 1, 0, 0, 1, 1, 0, 1})},
+      {"threshold:1:2/star7", [] { return make_threshold_daf(2, 1, 2); },
+       make_star(0, {0, 1, 0, 0, 1, 0})},
       {"threshold:1:2/cycle7", [] { return make_threshold_daf(2, 1, 2); },
        make_cycle({0, 1, 0, 0, 1, 0, 0})},
       {"majority:2/cycle5",
@@ -300,6 +305,44 @@ TEST(Decide, CompiledReportsAreBitIdenticalAcrossThreadCounts) {
             << many.memory.to_json().dump() << " vs "
             << one.memory.to_json().dump();
       }
+    }
+  }
+
+  // A compiled machine in spill mode: the packed store spills its 31-bit
+  // words at level ends, and the report must match the in-memory decide
+  // and be bit-identical, spill accounts included, at every worker count.
+  // The budget holds the index (about 14 bytes a configuration) but not
+  // the words (32 bytes for 7 nodes).
+  const auto spill_build = [] { return make_threshold_daf(2, 1, 2); };
+  const Graph spill_graph = make_cycle({0, 1, 0, 0, 1, 0, 0});
+  DecisionRequest req;
+  req.method = DecideMethod::Explicit;
+  req.budget = {.max_configs = 2'000'000, .max_threads = 1, .deadline_ms = 0};
+  const DecisionReport in_memory = decide(*spill_build(), spill_graph, req);
+  ASSERT_NE(in_memory.decision, Decision::Unknown);
+  req.budget.max_store_bytes = 4096 + 16 * in_memory.configs_explored;
+  req.budget.spill_dir = ".";
+  std::optional<DecisionReport> first;
+  for (int threads : {1, 2, 3, 5, 8}) {
+    SCOPED_TRACE(testing::Message() << "spill mode, " << threads << " workers");
+    req.budget.max_threads = threads;
+    ExploreStats stats;
+    const ExplicitResult spilled = decide_pseudo_stochastic_parallel(
+        *spill_build(), spill_graph, req.budget, &stats);
+    ASSERT_TRUE(spilled.tiered_store);
+    EXPECT_GT(stats.spill_events, 0u);
+    EXPECT_EQ(spilled.decision, in_memory.decision);
+    EXPECT_EQ(spilled.num_configs, in_memory.configs_explored);
+    EXPECT_EQ(spilled.num_bottom_sccs, in_memory.num_bottom_sccs);
+    const DecisionReport report = decide(*spill_build(), spill_graph, req);
+    EXPECT_EQ(report.decision, in_memory.decision);
+    EXPECT_EQ(report.configs_explored, in_memory.configs_explored);
+    EXPECT_EQ(report.num_bottom_sccs, in_memory.num_bottom_sccs);
+    if (!first) {
+      first = report;
+    } else {
+      EXPECT_TRUE(report == *first) << report.memory.to_json().dump()
+                                    << " vs " << first->memory.to_json().dump();
     }
   }
 }

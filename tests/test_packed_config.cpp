@@ -1,15 +1,20 @@
-// The bit-packed configuration codec and store (semantics/packed_config):
+// The bit-packed configuration codecs and store (semantics/packed_config):
 // round-trips across state-space sizes including 1-bit and word-straddling
-// layouts, hash/equality consistency against the vector store, byte-level
-// occupancy, shard balance under the mixed shard selector, and the
-// owner-partitioned route()/drain() path against the locked intern().
+// layouts, the counted and star codecs' word properties, hash/equality
+// consistency against the vector store, byte-level occupancy and its
+// per-entry charge, shard balance under the mixed shard selector, and the
+// owner-partitioned route()/drain() path against the locked intern() at
+// fixed and variable width.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <set>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "dawn/automata/config.hpp"
@@ -118,6 +123,108 @@ TEST(PackedCodec, HashConsistentWithEquality) {
                 PackedCodec::hash_words(b.data(), b.size()));
     } else {
       EXPECT_NE(a, b);  // the encoding is injective on valid configs
+    }
+  }
+}
+
+// A counted configuration of 1 to max_pairs sorted (state, count) pairs,
+// with states in [0, max_state] and counts in [1, max_count].
+CountedConfig random_counted(Rng& rng, State max_state, std::int64_t max_count,
+                             std::int64_t max_pairs) {
+  std::set<State> states;
+  const std::int64_t pairs = rng.uniform(1, max_pairs);
+  while (static_cast<std::int64_t>(states.size()) < pairs) {
+    states.insert(static_cast<State>(rng.uniform(0, max_state)));
+  }
+  CountedConfig c;
+  for (const State q : states) c.emplace_back(q, rng.uniform(1, max_count));
+  return c;
+}
+
+// Seeded draws for the codec properties: a small pool, so equal pairs are
+// common, with single-pair entries, the largest encodable state below
+// INT32_MAX, and counts at the codec's limit mixed in.
+std::vector<CountedConfig> counted_pool(Rng& rng) {
+  constexpr State kTop = std::numeric_limits<State>::max() - 1;
+  std::vector<CountedConfig> pool;
+  for (int i = 0; i < 60; ++i) {
+    const bool wide = i % 3 == 0;
+    CountedConfig c = random_counted(rng, wide ? kTop : 6,
+                                     wide ? CountedCodec::kMaxCount : 4,
+                                     i % 5 == 0 ? 1 : 5);
+    pool.push_back(std::move(c));
+  }
+  pool.push_back({{kTop, CountedCodec::kMaxCount}});
+  pool.push_back({{0, 1}});
+  pool.push_back({{0, CountedCodec::kMaxCount}, {kTop, 1}});
+  return pool;
+}
+
+TEST(CountedCodec, RoundTripsAndWordsEqualIffConfigsEqual) {
+  Rng rng(31);
+  const std::vector<CountedConfig> pool = counted_pool(rng);
+  std::vector<std::uint64_t> a;
+  std::vector<std::uint64_t> b;
+  CountedConfig back = {{5, 5}, {6, 6}, {7, 7}};  // decode overwrites it
+  for (const CountedConfig& ca : pool) {
+    a.resize(CountedCodec::words(ca));
+    CountedCodec::encode(ca, a.data());
+    ASSERT_EQ(a.size(), ca.size());
+    CountedCodec::decode(a.data(), a.size(), back);
+    ASSERT_EQ(back, ca);
+    // Word order is state order.
+    EXPECT_TRUE(std::is_sorted(a.begin(), a.end()));
+    for (const CountedConfig& cb : pool) {
+      b.resize(CountedCodec::words(cb));
+      CountedCodec::encode(cb, b.data());
+      EXPECT_EQ(a == b, ca == cb);
+      if (ca == cb) {
+        EXPECT_EQ(PackedCodec::hash_words(a.data(), a.size()),
+                  PackedCodec::hash_words(b.data(), b.size()));
+      }
+    }
+  }
+}
+
+TEST(CountedCodec, RejectsWhatItCannotEncode) {
+  std::uint64_t w[2];
+  const CountedConfig over = {{1, CountedCodec::kMaxCount + 1}};
+  const CountedConfig zero = {{1, 0}};
+  const CountedConfig negative = {{-1, 1}};
+  EXPECT_THROW(CountedCodec::encode(over, w), std::logic_error);
+  EXPECT_THROW(CountedCodec::encode(zero, w), std::logic_error);
+  EXPECT_THROW(CountedCodec::encode(negative, w), std::logic_error);
+  // Only a fixed-width store can spill.
+  EXPECT_THROW(PackedCountedStore(CountedCodec{}, ".", 1024),
+               std::logic_error);
+}
+
+TEST(StarCodec, RoundTripsAndWordsEqualIffConfigsEqual) {
+  Rng rng(32);
+  constexpr State kTop = std::numeric_limits<State>::max() - 1;
+  std::vector<StarConfig> pool;
+  for (const CountedConfig& leaves : counted_pool(rng)) {
+    const State centre = static_cast<State>(rng.uniform(0, 2));
+    pool.push_back({centre, leaves});
+    pool.push_back({kTop, leaves});
+  }
+  std::vector<std::uint64_t> a;
+  std::vector<std::uint64_t> b;
+  StarConfig back;
+  for (const StarConfig& ca : pool) {
+    a.resize(StarCodec::words(ca));
+    StarCodec::encode(ca, a.data());
+    ASSERT_EQ(a.size(), ca.leaves.size() + 1);
+    StarCodec::decode(a.data(), a.size(), back);
+    ASSERT_TRUE(back == ca);
+    for (const StarConfig& cb : pool) {
+      b.resize(StarCodec::words(cb));
+      StarCodec::encode(cb, b.data());
+      EXPECT_EQ(a == b, ca == cb);
+      if (ca == cb) {
+        EXPECT_EQ(PackedCodec::hash_words(a.data(), a.size()),
+                  PackedCodec::hash_words(b.data(), b.size()));
+      }
     }
   }
 }
@@ -330,6 +437,56 @@ TEST(VectorStore, RouteAndDrainInternExactlyLikeIntern) {
   ShardedConfigStore<CountedConfig, CountedConfigHash> interned;
   expect_route_drain_matches_intern(routed, interned, stream);
   EXPECT_GT(routed.size(), 1'000u);
+}
+
+TEST(PackedStore, CountedRouteAndDrainInternExactlyLikeIntern) {
+  // Variable-width entries: every routed item carries its word count, and
+  // the shard finds each entry through its end offset.
+  Rng rng(19);
+  const std::vector<CountedConfig> pool = counted_pool(rng);
+  std::vector<CountedConfig> stream;
+  std::vector<StarConfig> stars;
+  for (int i = 0; i < 6'000; ++i) {
+    const auto pick = static_cast<std::size_t>(
+        rng.uniform(0, static_cast<std::int64_t>(pool.size()) - 1));
+    stream.push_back(pool[pick]);
+    stars.push_back({static_cast<State>(rng.uniform(0, 1)), pool[pick]});
+  }
+  PackedCountedStore routed(CountedCodec{});
+  PackedCountedStore interned(CountedCodec{});
+  expect_route_drain_matches_intern(routed, interned, stream);
+  EXPECT_EQ(routed.size(),
+            std::set<CountedConfig>(stream.begin(), stream.end()).size());
+  PackedStarStore routed_stars(StarCodec{});
+  PackedStarStore interned_stars(StarCodec{});
+  expect_route_drain_matches_intern(routed_stars, interned_stars, stars);
+  std::set<std::pair<State, CountedConfig>> distinct_stars;
+  for (const StarConfig& c : stars) distinct_stars.emplace(c.centre, c.leaves);
+  EXPECT_EQ(routed_stars.size(), distinct_stars.size());
+}
+
+TEST(PackedStore, BytesChargeEveryEntryAndNoShard) {
+  // The charge is a function of the entries alone: the same values give
+  // the same bytes() whichever shards they land in. Renaming every state
+  // (as a compiled machine's thread-timed ids do) moves entries between
+  // shards but keeps each one's words and count.
+  Rng rng(20);
+  PackedCountedStore a(CountedCodec{});
+  PackedCountedStore b(CountedCodec{});
+  std::size_t words = 0;
+  for (int i = 0; i < 3'000; ++i) {
+    CountedConfig c = random_counted(rng, 1'000, 50, 4);
+    if (a.intern(c).fresh) words += c.size();
+    for (auto& [q, n] : c) q += 7'919;  // the same order, other shards
+    b.intern(c);
+  }
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_NE(a.shard_occupancies(), b.shard_occupancies());
+  EXPECT_EQ(a.bytes(), b.bytes());
+  EXPECT_EQ(a.bytes(), words * 8 + a.size() * (8 + 4) +
+                           PackedCountedStore::index_bytes(a.size()));
+  EXPECT_EQ(PackedCountedStore::index_bytes(7), 40u);
+  EXPECT_EQ(PackedCountedStore::index_bytes(8), 48u);
 }
 
 // Two states that flip whenever an opposite neighbour is present: the

@@ -5,6 +5,7 @@
 #include <memory>
 #include <random>
 #include <set>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -110,6 +111,43 @@ TEST(CliqueCounted, SuccessorRemovesSelfFromView) {
   // The lit agent sees only the dark one: stays lit.
   const CountedConfig same = counted_successor(*m, c, 1);
   EXPECT_EQ(same, c);
+}
+
+TEST(CliqueCounted, SuccessorIntoMatchesTheValueForm) {
+  // The allocation-free form reuses its scratch across configurations and
+  // states, reports silent steps instead of copying, and writes the same
+  // successor as counted_successor.
+  const auto m = make_exists_label(1, 2);
+  Neighbourhood nb;
+  CountedConfig out = {{9, 9}, {10, 10}, {11, 11}};
+  for (const CountedConfig& c :
+       {CountedConfig{{0, 1}, {1, 1}}, CountedConfig{{0, 3}},
+        CountedConfig{{0, 2}, {1, 5}}, CountedConfig{{1, 4}}}) {
+    for (const auto& [q, n] : c) {
+      const CountedConfig want = counted_successor(*m, c, q);
+      if (counted_successor_into(*m, c, q, nb, out)) {
+        EXPECT_EQ(out, want);
+        EXPECT_NE(out, c);
+      } else {
+        EXPECT_EQ(want, c);
+      }
+    }
+  }
+  EXPECT_THROW(counted_successor(*m, CountedConfig{{0, 2}}, 1),
+               std::logic_error);
+}
+
+TEST(CliqueCounted, MoveAgentKeepsPairsSorted) {
+  const CountedConfig c = {{1, 1}, {3, 2}, {5, 1}};
+  CountedConfig out;
+  move_agent_into(c, 1, 0, out);
+  EXPECT_EQ(out, (CountedConfig{{0, 1}, {3, 2}, {5, 1}}));
+  move_agent_into(c, 3, 5, out);
+  EXPECT_EQ(out, (CountedConfig{{1, 1}, {3, 1}, {5, 2}}));
+  move_agent_into(c, 5, 4, out);
+  EXPECT_EQ(out, (CountedConfig{{1, 1}, {3, 2}, {4, 1}}));
+  move_agent_into(c, 3, 9, out);
+  EXPECT_EQ(out, (CountedConfig{{1, 1}, {3, 1}, {5, 1}, {9, 1}}));
 }
 
 TEST(StarCounted, MatchesExplicitOnStars) {
@@ -362,7 +400,7 @@ TEST(Scc, BuildCsrKeepsBufferOrderWithinANode) {
   CsrGraph g;
   ASSERT_TRUE(build_reverse_csr(pool, bounds, source, identity, g));
   EXPECT_EQ(g.offsets, (std::vector<std::uint32_t>{0, 2, 5, 6, 6}));
-  EXPECT_EQ(g.targets, (std::vector<std::int32_t>{2, 1, 0, 0, 2, 2}));
+  EXPECT_EQ(g.targets, (decltype(g.targets){2, 1, 0, 0, 2, 2}));
   EXPECT_EQ(g.num_nodes(), 4u);
   EXPECT_EQ(g.targets, transpose(4, edges).targets);
 

@@ -238,12 +238,10 @@ TEST(SymmetryReduce, DecisionMatchesUnreducedEverywhere) {
       EXPECT_EQ(reduced.decision, plain.decision) << mname << "/" << gname;
       EXPECT_LE(reduced.num_configs, plain.num_configs)
           << mname << "/" << gname;
-      // Packing engages exactly when the machine advertises its state count
-      // (lazily-interning machines use the vector store), reduced or not.
-      EXPECT_EQ(reduced.packed_store, m->num_states().has_value())
-          << mname << "/" << gname;
-      EXPECT_EQ(plain.packed_store, m->num_states().has_value())
-          << mname << "/" << gname;
+      // Every machine explores on the packed store, lazily-interning ones
+      // at 31 bits per node, reduced or not.
+      EXPECT_TRUE(reduced.packed_store) << mname << "/" << gname;
+      EXPECT_TRUE(plain.packed_store) << mname << "/" << gname;
       if (!reduced.symmetry_reduced) {
         EXPECT_EQ(reduced.num_configs, plain.num_configs)
             << mname << "/" << gname;
@@ -322,12 +320,12 @@ TEST(SymmetryReduce, FacadeReportsFlagsAndSurvivesCrossCheck) {
   const DecisionReport r = decide(*m, g, req);
   EXPECT_NE(r.unknown_reason, UnknownReason::CrossCheck);
   EXPECT_TRUE(r.symmetry_reduced);
-  EXPECT_EQ(r.packed_store, m->num_states().has_value());
+  EXPECT_TRUE(r.packed_store);
   DecisionRequest plain_req = req;
   plain_req.budget.use_symmetry = false;
   const DecisionReport plain = decide(*m, g, plain_req);
   EXPECT_FALSE(plain.symmetry_reduced);
-  EXPECT_EQ(plain.packed_store, m->num_states().has_value());
+  EXPECT_TRUE(plain.packed_store);
   EXPECT_EQ(r.decision, plain.decision);
 }
 

@@ -610,10 +610,12 @@ TEST(MemoryLedger, SetMaxMergeAndJsonOmitZeros) {
 }
 
 TEST(MemoryLedger, ExplicitDecideFillsThreadCountInvariantAccounts) {
-  // An enumerable machine explores on the packed store; a compiled one
-  // advertises no num_states() and explores on the vector store. Each
-  // decide builds a fresh machine: a reused compiled machine's interner is
-  // already warm.
+  // Both machines explore on the packed store: an enumerable one at
+  // ceil(log2 |Q|) bits per node, a compiled one, which advertises no
+  // num_states(), at 31. A compiled machine's state ids, and so its
+  // configurations' shards, follow thread timing, and the store's charge
+  // must not. Each decide builds a fresh machine: a reused compiled
+  // machine's interner is already warm.
   const auto reports = [](const auto& build, const Graph& g) {
     std::vector<DecisionReport> out;
     for (const int threads : {1, 8}) {
@@ -638,11 +640,11 @@ TEST(MemoryLedger, ExplicitDecideFillsThreadCountInvariantAccounts) {
   const auto compiled = reports([] { return make_majority_daf(0, 1, 2); },
                                 make_cycle({0, 1, 1, 0, 1}));
   ASSERT_NE(compiled[0].decision, Decision::Unknown);
-  EXPECT_FALSE(compiled[0].packed_store);
-  EXPECT_GT(compiled[0].memory.get(obs::MemoryAccount::VectorStoreBytes), 0u);
+  EXPECT_TRUE(compiled[0].packed_store);
+  EXPECT_GT(compiled[0].memory.get(obs::MemoryAccount::PackedStoreBytes), 0u);
   EXPECT_GT(compiled[0].memory.get(obs::MemoryAccount::FrontierBytes), 0u);
   EXPECT_GT(compiled[0].memory.get(obs::MemoryAccount::EdgeBytes), 0u);
-  EXPECT_EQ(compiled[0].memory.get(obs::MemoryAccount::PackedStoreBytes), 0u);
+  EXPECT_EQ(compiled[0].memory.get(obs::MemoryAccount::VectorStoreBytes), 0u);
   EXPECT_TRUE(compiled[0].memory == compiled[1].memory);
 }
 
@@ -671,7 +673,9 @@ TEST(MemoryLedger, CountedCliqueDecideFillsTheStoreAccount) {
   const DecisionReport r = decide(*m, g, req);
   ASSERT_NE(r.decision, Decision::Unknown);
   ASSERT_EQ(r.method, DecideMethod::CountedClique);
-  EXPECT_GT(r.memory.get(obs::MemoryAccount::VectorStoreBytes), 0u);
+  EXPECT_TRUE(r.packed_store);
+  EXPECT_GT(r.memory.get(obs::MemoryAccount::PackedStoreBytes), 0u);
+  EXPECT_EQ(r.memory.get(obs::MemoryAccount::VectorStoreBytes), 0u);
 }
 
 TEST(MemoryLedger, CappedRunsLeaveStoreAccountsEmpty) {

@@ -331,12 +331,14 @@ TEST(ExternalClassify, CapBelowTheCsrGivesMemoryCap) {
 // A spill-forcing budget for a space of `configs` configurations,
 // calibrated like the fuzz oracle: the packed words overflow it (so
 // spilling happens) but the always-resident index fits (so the run
-// completes instead of MemoryCap-ing).
+// completes instead of MemoryCap-ing). The index is charged at about
+// 13.7 bytes a configuration (an 8-byte hash and 10/7 four-byte slots),
+// a packed word at 8, and the extent directory at 1 KiB a spill.
 ExploreBudget spill_budget(std::size_t configs, int threads) {
   ExploreBudget budget;
   budget.max_configs = 1'000'000;
   budget.max_threads = threads;
-  budget.max_store_bytes = 5120 + 18 * configs;
+  budget.max_store_bytes = 4096 + 16 * configs;
   budget.spill_dir = ".";
   return budget;
 }
