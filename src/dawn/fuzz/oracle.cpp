@@ -221,12 +221,11 @@ std::optional<std::string> check_explore_par(const FuzzCase& c) {
 
 // -------------------------------------------------------------------------
 // canonical-vs-plain: the plain parallel explicit engine vs the same engine
-// with symmetry reduction enabled; both sides run on the packed store, which
-// fuzz machines always engage. The reduced run explores a
-// quotient, so counts are only ordered (orbits <= configurations) but the
-// decision must be identical; both runs use the same budget, and a capped
-// side makes the case incomparable (the quotient can finish where the plain
-// space caps out).
+// with symmetry reduction enabled, both on the packed store. The reduced
+// run explores a quotient, so counts are only ordered (orbits <=
+// configurations) but the decision must be identical; both runs use the
+// same budget, and a capped side makes the case incomparable (the quotient
+// can finish where the plain space caps out).
 
 std::optional<std::string> check_canonical_vs_plain(const FuzzCase& c) {
   const auto machine = build_machine(c.machine);
@@ -237,10 +236,6 @@ std::optional<std::string> check_canonical_vs_plain(const FuzzCase& c) {
   reduced_budget.use_symmetry = true;
   const ExplicitResult reduced =
       decide_pseudo_stochastic_parallel(*machine, c.graph, reduced_budget);
-  if (!plain.packed_store || !reduced.packed_store) {
-    return std::string("fuzz machines advertise num_states(); the packed "
-                       "store should always engage");
-  }
   if (plain.decision == Decision::Unknown ||
       reduced.decision == Decision::Unknown) {
     return std::nullopt;  // one side capped: not comparable

@@ -61,7 +61,11 @@ struct ExploreBudget {
   // always-resident hash index alone exceeds it, or the classification CSR
   // exceeds max(8 x max_store_bytes, 64 MiB), the run aborts with
   // UnknownReason::MemoryCap — deterministically, because level-end store
-  // contents are thread-count-invariant. 0 / empty = never spill.
+  // contents are thread-count-invariant. The index's slot tables are
+  // charged at their lower bound, PackedStore::index_bytes(size), a
+  // function of the configuration count alone; the shards' power-of-two
+  // tables can hold up to index_bytes(size) + 4 KiB more, so resident
+  // memory can exceed the budget by that much. 0 / empty = never spill.
   std::size_t max_store_bytes = 0;
   std::string spill_dir = {};
 

@@ -60,7 +60,9 @@ void PackedCodec::encode(const Config& c, std::uint64_t* out) const {
   if (shift > 0) *out = acc;
 }
 
-void PackedCodec::decode(const std::uint64_t* in, Config& out) const {
+void PackedCodec::decode(const std::uint64_t* in, std::size_t n,
+                         Config& out) const {
+  DAWN_CHECK(n == words_);
   out.assign(static_cast<std::size_t>(nodes_), 0);
   if (bits_ == 0) return;
   const auto bits = static_cast<std::size_t>(bits_);
@@ -129,7 +131,6 @@ PackedStore<Codec>::PackedStore(const Codec& codec,
                                 std::size_t max_resident_bytes)
     : codec_(codec) {
   if (spill_dir.empty() || max_resident_bytes == 0) return;
-  DAWN_CHECK_MSG(Codec::kFixedWidth, "only a fixed-width store can spill");
   fd_ = open_unlinked(spill_dir, "arena", &error_);
   if (fd_ >= 0) max_resident_bytes_ = max_resident_bytes;
 }
@@ -160,11 +161,7 @@ struct Packed {
 template <typename Codec>
 Packed pack_hashed(const Codec& codec, const typename Codec::Value& value) {
   static thread_local std::vector<std::uint64_t> scratch;
-  if constexpr (Codec::kFixedWidth) {
-    scratch.resize(codec.words());
-  } else {
-    scratch.resize(Codec::words(value));
-  }
+  scratch.resize(codec.words(value));
   codec.encode(value, scratch.data());
   return {scratch.data(), scratch.size(),
           PackedCodec::hash_words(scratch.data(), scratch.size())};
@@ -220,11 +217,8 @@ typename PackedStore<Codec>::InternResult PackedStore<Codec>::find_or_insert(
     if (local < 0) break;  // empty slot: `words` is fresh, insert here
     const auto lu = static_cast<std::size_t>(local);
     if (s.hashes[lu] == h) {
-      bool same_length = true;
-      if constexpr (!Codec::kFixedWidth) {
-        same_length = s.ends[lu] - (lu == 0 ? 0 : s.ends[lu - 1]) == n;
-      }
-      if (same_length && std::equal(words, words + n, words_of(s, lu))) {
+      const Span at = stream_span(s, lu);
+      if (at.n == n && std::equal(words, words + n, words_at(s, lu, at))) {
         return {pack(local, shard_idx), false};
       }
     }
@@ -233,9 +227,10 @@ typename PackedStore<Codec>::InternResult PackedStore<Codec>::find_or_insert(
   const auto local = static_cast<std::int32_t>(s.count);
   s.arena.insert(s.arena.end(), words, words + n);
   if constexpr (!Codec::kFixedWidth) {
-    DAWN_CHECK_MSG(s.arena.size() <= std::numeric_limits<std::uint32_t>::max(),
-                   "a shard arena holds at most 2^32 - 1 words");
-    s.ends.push_back(static_cast<std::uint32_t>(s.arena.size()));
+    const std::size_t end = s.hot_word + s.arena.size();
+    DAWN_CHECK_MSG(end <= std::numeric_limits<std::uint32_t>::max(),
+                   "a variable-width shard holds at most 2^32 - 1 words");
+    s.ends.push_back(static_cast<std::uint32_t>(end));
   }
   s.hashes.push_back(h);
   s.slots[pos] = local;
@@ -274,19 +269,17 @@ void PackedStore<Codec>::finalize() {
 
 template <typename Codec>
 std::size_t PackedStore<Codec>::bytes() const {
-  const std::size_t entries = size();
-  std::size_t total = entries * sizeof(std::uint64_t) + index_bytes(entries) +
-                      spill_events_ * kNumShards * sizeof(Extent);
-  if constexpr (Codec::kFixedWidth) {
-    // Every entry's words, resident or spilled.
-    total += entries * fixed_words() * sizeof(std::uint64_t);
-  } else {
-    for (const Shard& s : shards_) {
-      total += s.arena.size() * sizeof(std::uint64_t) +
-               s.ends.size() * sizeof(std::uint32_t);
-    }
+  // Every entry's words, resident or spilled, and its end offset if any.
+  std::size_t words = file_words_;
+  std::size_t ends = 0;
+  for (const Shard& s : shards_) {
+    words += s.arena.size();
+    ends += s.ends.size();
   }
-  return total;
+  const std::size_t entries = size();
+  return words * sizeof(std::uint64_t) + ends * sizeof(std::uint32_t) +
+         entries * sizeof(std::uint64_t) + index_bytes(entries) +
+         spill_events_ * kNumShards * sizeof(Extent);
 }
 
 template <typename Codec>
@@ -295,15 +288,16 @@ std::size_t PackedStore<Codec>::resident_bytes() const {
 }
 
 template <typename Codec>
-const std::uint64_t* PackedStore<Codec>::spilled_words_of(
-    const Shard& s, std::size_t local) const {
+const std::uint64_t* PackedStore<Codec>::spilled_words_at(
+    const Shard& s, std::size_t local, Span at) const {
   // The last extent starting at or below `local`.
   auto it = std::upper_bound(
       s.extents.begin(), s.extents.end(), local,
       [](std::size_t l, const Extent& e) { return l < e.first_local; });
   DAWN_CHECK(it != s.extents.begin());
   --it;
-  return base_ + it->word_off + (local - it->first_local) * fixed_words();
+  return base_ + it->word_off +
+         (at.begin - stream_span(s, it->first_local).begin);
 }
 
 template <typename Codec>
@@ -322,6 +316,7 @@ bool PackedStore<Codec>::spill_to_budget() {
     s.extents.push_back({file_words_, s.hot_first});
     file_words_ += s.arena.size();
     s.hot_first = static_cast<std::uint32_t>(s.count);
+    s.hot_word += s.arena.size();
     std::vector<std::uint64_t>().swap(s.arena);
   }
   if (file_words_ != words_before) {
@@ -349,12 +344,8 @@ const typename PackedStore<Codec>::Value& PackedStore<Codec>::value(
   const Shard& s = shards_[static_cast<std::size_t>(gid) & kShardMask];
   const auto local = static_cast<std::size_t>(gid >> kShardBits);
   DAWN_CHECK(local < s.count);
-  if constexpr (Codec::kFixedWidth) {
-    codec_.decode(words_of(s, local), out);
-  } else {
-    const std::size_t begin = local == 0 ? 0 : s.ends[local - 1];
-    Codec::decode(s.arena.data() + begin, s.ends[local] - begin, out);
-  }
+  const Span at = stream_span(s, local);
+  codec_.decode(words_at(s, local, at), at.n, out);
   return out;
 }
 

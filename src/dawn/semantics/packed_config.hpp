@@ -22,11 +22,17 @@
 //   * PackedStore<Codec> — 64 shards, each an open-addressed index over a
 //     contiguous word arena, so interning a configuration appends words to
 //     the shard arena instead of allocating a per-config node. Hashing and
-//     equality are word-wise. A variable-width shard also keeps each
-//     entry's end offset. Configurations come in through the locked
-//     intern() or, in the explicit engine, through route() and an owner's
-//     lock-free drain(). PackedConfigStore, PackedCountedStore and
-//     PackedStarStore name its three instances.
+//     equality are word-wise. A shard's entries form one word stream; a
+//     fixed-width codec (Codec::kFixedWidth) finds entry l at l times its
+//     width, a variable-width one through a 4-byte end offset per entry
+//     that also rides along in each routed item. The width is a compile-
+//     time property because the offsets are not free: on explicit stores
+//     they cost 4 B per configuration and, with the routed length, 10%
+//     more peak RSS on the table-machine benchmark (4-vCPU AVX2 host).
+//     Configurations come in through the locked intern() or, in the
+//     explicit engine, through route() and an owner's lock-free drain().
+//     PackedConfigStore, PackedCountedStore and PackedStarStore name its
+//     three instances.
 //
 // docs/ENGINE.md "Configuration memory" covers the memory accounting; the
 // byte-level occupancy is surfaced through ExploreStats::store_bytes and
@@ -34,16 +40,17 @@
 // per spill event, never per shard: a compiled machine numbers its states
 // in thread-timing order, which moves configurations between shards.
 //
-// Spill mode (out-of-core exploration, docs/ENGINE.md "The tiered store"),
-// fixed-width codecs only. Constructed with both a spill dir and a resident
-// byte budget, the store splits every shard arena into spilled words and a
-// hot in-memory tail. The index (one 8-byte hash plus the slot table per
-// configuration) always stays resident: interning probes it every time. At
-// a BFS level boundary spill_to_budget() appends every hot arena to one
-// unlinked file under the spill dir and maps the file read-only; probes and
-// value() read spilled words through the mapping, so dedup is exact across
-// tiers. The in-memory mode is the same store with nothing spilled, and the
-// explicit engine runs both modes through one level loop.
+// Spill mode (out-of-core exploration, docs/ENGINE.md "The tiered store").
+// Constructed with both a spill dir and a resident byte budget, the store
+// splits every shard arena into spilled words and a hot in-memory tail.
+// The index (per configuration an 8-byte hash, a variable-width entry's end
+// offset, and the slot table) always stays resident: interning probes it
+// every time. At a BFS level boundary spill_to_budget() appends every hot
+// arena to one unlinked file under the spill dir and maps the file
+// read-only; probes and value() read spilled words through the mapping, so
+// dedup is exact across tiers. The in-memory mode is the same store with
+// nothing spilled, and the explicit engine runs both modes through one
+// level loop.
 //
 // Concurrency contract:
 //  * intern() is thread-safe (per-shard locks);
@@ -82,6 +89,9 @@ namespace dawn {
 int packed_bits_for(int num_states);
 
 // Explicit configurations of a fixed node count, at a fixed width.
+//
+// Every codec has the same interface: Value, kFixedWidth, words(value),
+// encode(value, out) and decode(in, n, out).
 class PackedCodec {
  public:
   using Value = Config;
@@ -96,12 +106,13 @@ class PackedCodec {
   int nodes() const { return nodes_; }
   // Words per packed configuration; 0 when bits() == 0.
   std::size_t words() const { return words_; }
+  std::size_t words(const Config&) const { return words_; }
   int num_states() const { return num_states_; }
 
   // `out` must hold words() entries; fully overwritten.
   void encode(const Config& c, std::uint64_t* out) const;
-  // `out` is resized to nodes().
-  void decode(const std::uint64_t* in, Config& out) const;
+  // Decodes `n` == words() words; `out` is resized to nodes().
+  void decode(const std::uint64_t* in, std::size_t n, Config& out) const;
 
   // Word-wise hash, consistent for equal encodings (and only those — every
   // codec here is injective on valid values, so this is a sound stand-in
@@ -149,8 +160,8 @@ class StarCodec {
 // The packed store over one codec: the shard/gid/dense and route/drain
 // contract of ShardedConfigStore (parallel_explore.hpp), but values live
 // packed in per-shard word arenas — one amortised vector append per fresh
-// configuration, no per-config heap node. A fixed-width store may spill
-// its arenas to disk (see "Spill mode" above).
+// configuration, no per-config heap node. Any store may spill its arenas
+// to disk (see "Spill mode" above).
 template <typename Codec>
 class PackedStore {
  public:
@@ -173,7 +184,7 @@ class PackedStore {
   // the constructor then opens (and immediately unlinks) the spill file.
   // If that fails, ok() is false, error() says why, and the store stays
   // in memory (spills() is false); callers fall back to the in-memory
-  // engine. A variable-width codec cannot spill (checked).
+  // engine.
   explicit PackedStore(const Codec& codec, const std::string& spill_dir = {},
                        std::size_t max_resident_bytes = 0);
   ~PackedStore();
@@ -218,8 +229,12 @@ class PackedStore {
     const std::uint64_t* const end = item + batch.items.size();
     while (item != end) {
       const std::uint64_t* const words = item + kRoutedHeader;
-      std::size_t n = fixed_words();
-      if constexpr (!Codec::kFixedWidth) n = static_cast<std::size_t>(item[2]);
+      std::size_t n = 0;
+      if constexpr (Codec::kFixedWidth) {
+        n = codec_.words();
+      } else {
+        n = static_cast<std::size_t>(item[2]);
+      }
       const InternResult r = find_or_insert(item[1], words, n);
       inserted += r.fresh ? 1 : 0;
       fn(static_cast<std::int64_t>(item[0]), r.gid, r.fresh);
@@ -302,18 +317,20 @@ class PackedStore {
     std::uint32_t first_local = 0;  // first local id of the run
   };
 
-  // The fields a probe reads come first, so it touches the shard's first
-  // two cache lines; `extents` is read only for spilled words, and `ends`
-  // only by a variable-width probe whose hash matched.
+  // A shard's entries form one word stream (see stream_span). Its tail
+  // from hot_word on, the words of local ids >= hot_first, is `arena`; the
+  // rest is spilled. The fields a probe reads come first, so it touches the
+  // shard's first two cache lines; `extents` is read only for spilled words.
   struct alignas(64) Shard {
-    std::mutex mu;
     std::vector<std::int32_t> slots;    // open addressing; -1 = empty
     std::vector<std::uint64_t> hashes;  // per local id, for probes + growth
     std::vector<std::uint64_t> arena;   // words of local ids >= hot_first
+    std::vector<std::uint32_t> ends;    // variable width: end word per id
     std::size_t count = 0;
+    std::size_t hot_word = 0;           // first stream word still in `arena`
     std::uint32_t hot_first = 0;        // first local id still in `arena`
     std::vector<Extent> extents;        // spilled runs, ascending first_local
-    std::vector<std::uint32_t> ends;    // variable width: end word per id
+    std::mutex mu;                      // intern()'s; drain() takes none
   };
 
   static std::int64_t pack(std::int32_t local, std::size_t shard) {
@@ -330,28 +347,31 @@ class PackedStore {
   InternResult find_or_insert(std::uint64_t h, const std::uint64_t* words,
                               std::size_t n);
 
-  // Words per configuration of a fixed-width codec; 0 for the others.
-  std::size_t fixed_words() const {
+  // Where `local`'s words sit in its shard's word stream: a fixed stride,
+  // or between the previous entry's end offset and its own. The one place
+  // besides route(), drain() and the insert where the layouts differ.
+  struct Span {
+    std::size_t begin = 0;  // stream offset, in words
+    std::size_t n = 0;      // word count
+  };
+  Span stream_span(const Shard& s, std::size_t local) const {
     if constexpr (Codec::kFixedWidth) {
-      return codec_.words();
+      return {local * codec_.words(), codec_.words()};
     } else {
-      return 0;
+      const std::size_t begin = local == 0 ? 0 : s.ends[local - 1];
+      return {begin, s.ends[local] - begin};
     }
   }
 
-  // The first packed word of `local`. No other thread may change `s`
-  // meanwhile.
-  const std::uint64_t* words_of(const Shard& s, std::size_t local) const {
-    if constexpr (!Codec::kFixedWidth) {
-      return s.arena.data() + (local == 0 ? 0 : s.ends[local - 1]);
-    }
-    if (local >= s.hot_first) {
-      return s.arena.data() + (local - s.hot_first) * fixed_words();
-    }
-    return spilled_words_of(s, local);
+  // The first word of `local`, whose span is `at`. No other thread may
+  // change `s` meanwhile.
+  const std::uint64_t* words_at(const Shard& s, std::size_t local,
+                                Span at) const {
+    if (local >= s.hot_first) return s.arena.data() + (at.begin - s.hot_word);
+    return spilled_words_at(s, local, at);
   }
-  const std::uint64_t* spilled_words_of(const Shard& s,
-                                        std::size_t local) const;
+  const std::uint64_t* spilled_words_at(const Shard& s, std::size_t local,
+                                        Span at) const;
 
   void fail(const char* what);
 

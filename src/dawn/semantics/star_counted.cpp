@@ -86,14 +86,6 @@ StarConfig initial_star_config(const Machine& machine, Label centre,
   return c;
 }
 
-std::vector<StarConfig> star_successors(const Machine& machine,
-                                        const StarConfig& config) {
-  std::vector<StarConfig> out;
-  StarExpander{machine}(config,
-                        [&](const StarConfig& next) { out.push_back(next); });
-  return out;
-}
-
 Verdict star_consensus(const Machine& machine, const StarConfig& config) {
   const Verdict first = machine.verdict(config.centre);
   for (auto [q, n] : config.leaves) {

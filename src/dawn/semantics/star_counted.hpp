@@ -41,11 +41,6 @@ struct StarConfigHash {
 StarConfig initial_star_config(const Machine& machine, Label centre,
                                const std::vector<Label>& leaves);
 
-// All distinct successor configurations under exclusive selection (centre
-// step plus one leaf step per populated leaf state). Silent steps omitted.
-std::vector<StarConfig> star_successors(const Machine& machine,
-                                        const StarConfig& config);
-
 // Verdict of the configuration (Neutral if mixed).
 Verdict star_consensus(const Machine& machine, const StarConfig& config);
 

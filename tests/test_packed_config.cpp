@@ -69,7 +69,7 @@ TEST(PackedCodec, RoundTripAcrossStateAndNodeCounts) {
       for (int trial = 0; trial < 50; ++trial) {
         const Config c = random_config(num_states, nodes, rng);
         codec.encode(c, words.data());
-        codec.decode(words.data(), back);
+        codec.decode(words.data(), words.size(), back);
         ASSERT_EQ(back, c) << "|Q|=" << num_states << " n=" << nodes;
       }
       // Extremes: all-zero and all-max.
@@ -77,10 +77,10 @@ TEST(PackedCodec, RoundTripAcrossStateAndNodeCounts) {
       const Config top(static_cast<std::size_t>(nodes),
                        static_cast<State>(num_states - 1));
       codec.encode(zero, words.data());
-      codec.decode(words.data(), back);
+      codec.decode(words.data(), words.size(), back);
       EXPECT_EQ(back, zero);
       codec.encode(top, words.data());
-      codec.decode(words.data(), back);
+      codec.decode(words.data(), words.size(), back);
       EXPECT_EQ(back, top);
     }
   }
@@ -102,7 +102,7 @@ TEST(PackedCodec, WordBoundaryStraddleIsExact) {
   EXPECT_NE(flipped[0], base[0]);
   EXPECT_NE(flipped[1], base[1]);
   Config back;
-  codec.decode(flipped.data(), back);
+  codec.decode(flipped.data(), flipped.size(), back);
   EXPECT_EQ(back, c);
 }
 
@@ -194,9 +194,6 @@ TEST(CountedCodec, RejectsWhatItCannotEncode) {
   EXPECT_THROW(CountedCodec::encode(over, w), std::logic_error);
   EXPECT_THROW(CountedCodec::encode(zero, w), std::logic_error);
   EXPECT_THROW(CountedCodec::encode(negative, w), std::logic_error);
-  // Only a fixed-width store can spill.
-  EXPECT_THROW(PackedCountedStore(CountedCodec{}, ".", 1024),
-               std::logic_error);
 }
 
 TEST(StarCodec, RoundTripsAndWordsEqualIffConfigsEqual) {

@@ -14,6 +14,8 @@
 #include <span>
 #include <memory>
 #include <optional>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "dawn/automata/config.hpp"
@@ -81,47 +83,83 @@ Graph seeded_cycle(int n) {
   return make_cycle(labels);
 }
 
-TEST(TieredStore, InternDedupesAndValueRoundTripsAcrossSpills) {
-  const PackedCodec codec(5, 31);  // 3 bits x 31 nodes: word-straddling
-  PackedConfigStore store(codec, ".", 1);  // any resident footprint is over
+// Interns eight rounds of 500 draws into a store whose budget any resident
+// footprint exceeds, spilling everything hot at each round's end (a "level
+// boundary"); then dedup, value() and dense() must keep working against
+// fully spilled words. `key` orders values for the reference map.
+template <typename Store, typename Draw, typename Key>
+void expect_round_trips_across_spills(Store& store, Draw draw, Key key) {
+  using Value = typename Store::Value;
   ASSERT_TRUE(store.ok()) << store.error();
-
-  Rng rng(2026);
-  std::map<Config, std::int64_t> gids;
+  std::map<std::invoke_result_t<Key, const Value&>,
+           std::pair<Value, std::int64_t>>
+      gids;
   for (int round = 0; round < 8; ++round) {
     for (int i = 0; i < 500; ++i) {
-      const Config c = random_config(5, 31, rng);
-      const auto r = store.intern(c);
-      const auto [it, fresh] = gids.emplace(c, r.gid);
+      const Value v = draw();
+      const auto r = store.intern(v);
+      const auto [it, fresh] = gids.try_emplace(key(v), v, r.gid);
       EXPECT_EQ(r.fresh, fresh);
-      EXPECT_EQ(it->second, r.gid);
+      EXPECT_EQ(it->second.second, r.gid);
     }
-    // A "level boundary": everything hot goes to disk.
     ASSERT_TRUE(store.spill_to_budget()) << store.error();
   }
   EXPECT_EQ(store.size(), gids.size());
   EXPECT_GT(store.spill_events(), 0u);
   EXPECT_GT(store.spilled_bytes(), 0u);
 
-  // Dedup and decode must keep working against fully spilled words.
-  Config out;
-  for (const auto& [config, gid] : gids) {
-    const auto again = store.intern(config);
+  Value out{};
+  for (const auto& [k, entry] : gids) {
+    const auto& [v, gid] = entry;
+    const auto again = store.intern(v);
     EXPECT_FALSE(again.fresh);
     EXPECT_EQ(again.gid, gid);
-    store.value(gid, out);
-    EXPECT_EQ(out, config);
+    EXPECT_TRUE(store.value(gid, out) == v);
   }
 
   // dense() is a bijection onto [0, size) after finalize().
   store.finalize();
   std::vector<bool> seen(store.size(), false);
-  for (const auto& [config, gid] : gids) {
-    const auto d = static_cast<std::size_t>(store.dense(gid));
+  for (const auto& [k, entry] : gids) {
+    const auto d = static_cast<std::size_t>(store.dense(entry.second));
     ASSERT_LT(d, seen.size());
     EXPECT_FALSE(seen[d]);
     seen[d] = true;
   }
+}
+
+TEST(TieredStore, InternDedupesAndValueRoundTripsAcrossSpills) {
+  const PackedCodec codec(5, 31);  // 3 bits x 31 nodes: word-straddling
+  PackedConfigStore store(codec, ".", 1);
+  Rng rng(2026);
+  expect_round_trips_across_spills(
+      store, [&] { return random_config(5, 31, rng); },
+      [](const Config& c) { return c; });
+}
+
+TEST(TieredStore, CountedAndStarEntriesRoundTripAcrossSpills) {
+  // Entries of one to six words: each is found through its end offset,
+  // resident or spilled.
+  Rng rng(2027);
+  const auto counted = [&] {
+    CountedConfig c;
+    for (State q = 0; q < 6; ++q) {
+      const std::int64_t n = rng.uniform(0, 3);
+      if (n > 0) c.emplace_back(q * 7, n);
+    }
+    if (c.empty()) c.emplace_back(0, 1);
+    return c;
+  };
+  PackedCountedStore counted_store(CountedCodec{}, ".", 1);
+  expect_round_trips_across_spills(counted_store, counted,
+                                   [](const CountedConfig& c) { return c; });
+  PackedStarStore star_store(StarCodec{}, ".", 1);
+  expect_round_trips_across_spills(
+      star_store,
+      [&] {
+        return StarConfig{static_cast<State>(rng.uniform(0, 2)), counted()};
+      },
+      [](const StarConfig& c) { return std::pair(c.centre, c.leaves); });
 }
 
 TEST(TieredStore, ZeroWordCodecNeverSpillsAndRoundTrips) {
