@@ -1,27 +1,30 @@
 // Symmetry reduction + packed-store benchmark for the explicit engine.
 //
 // Explores identically-labelled cliques and cycles — the best case for
-// orbit reduction and a worst case for the plain engine — in three modes:
-//   * vector: explore_and_classify_in on the vector store
-//     (ShardedConfigStore) with the stock ExplicitExpander — the unpacked
-//     reference, since the facade packs every machine that advertises |Q|;
-//   * plain: the facade's default, i.e. the same exploration on the packed
-//     store;
+// orbit reduction and a worst case for the plain engine. The machine
+// advances its state around a 3-cycle unconditionally, so the reachable
+// space from the uniform initial configuration is the full 3^n product and
+// the orbit quotient is tiny (multisets on the clique, necklace classes on
+// the cycle). Three rows per topology:
+//   * vector: no exploration. Every configuration of the 3^n product is
+//     interned into the vector store (ShardedConfigStore), the node-based
+//     map the packed store replaced, for its store bytes: the unpacked
+//     size of what the plain row stores;
+//   * plain: the facade's default, the engine on the packed store; it must
+//     explore exactly 3^n configurations (checked, smoke runs included);
 //   * symmetry: the facade with use_symmetry (packed as well).
-// The machine advances its state around a 3-cycle unconditionally, so the
-// reachable space from the uniform initial configuration is the full 3^n
-// product and the orbit quotient is tiny (multisets on the clique, necklace
-// classes on the cycle).
 //
 // Full-sizing gates (smoke runs only prove determinism and emit the
 // report):
-//   * symmetry stores >= 4x fewer configurations on both topologies;
+//   * symmetry stores >= 4x fewer configurations than plain on both
+//     topologies;
 //   * the packed store (plain) holds >= 4x fewer bytes than the vector
-//     store on the same unreduced exploration (|Q| = 3 <= 16);
-//   * >= 1.5x end-to-end effective configs/sec over the vector row on at
+//     store holding the same 3^n configurations (|Q| = 3 <= 16);
+//   * >= 1.5x end-to-end effective configs/sec over the plain row on at
 //     least one topology, where the reduced run is credited with the
 //     unreduced configuration count (it decides the same instance);
-//   * every mode's ExplicitResult is bit-identical across 1/2/8 threads.
+//   * every explored row's ExplicitResult is bit-identical across 1/2/8
+//     threads.
 //
 // Emits BENCH_symmetry.json (schema v1; validated by bench_schema_check).
 #include <chrono>
@@ -33,13 +36,15 @@
 #include "dawn/automata/machine.hpp"
 #include "dawn/graph/generators.hpp"
 #include "dawn/obs/export.hpp"
-#include "dawn/semantics/explicit_expand.hpp"
 #include "dawn/semantics/explicit_space.hpp"
 #include "dawn/semantics/parallel_explore.hpp"
+#include "dawn/util/hash.hpp"
 #include "dawn/util/table.hpp"
 
 namespace dawn {
 namespace {
+
+constexpr int kTickerStates = 3;
 
 // Unconditional 3-cycle ticker: never silent, neighbour-independent, so the
 // uniform start reaches all 3^n configurations (and the automorphism group
@@ -48,10 +53,10 @@ std::shared_ptr<Machine> ticker_machine() {
   FunctionMachine::Spec spec;
   spec.beta = 1;
   spec.num_labels = 2;
-  spec.num_states = 3;
+  spec.num_states = kTickerStates;
   spec.init = [](Label) { return State{0}; };
   spec.step = [](State s, const Neighbourhood&) {
-    return static_cast<State>((s + 1) % 3);
+    return static_cast<State>((s + 1) % kTickerStates);
   };
   spec.verdict = [](State s) {
     return s == 0 ? Verdict::Accept : Verdict::Reject;
@@ -59,38 +64,35 @@ std::shared_ptr<Machine> ticker_machine() {
   return std::make_shared<FunctionMachine>(spec);
 }
 
-struct Mode {
-  std::string name;
-  bool vector_store = false;
-  bool symmetry = false;
+struct Interned {
+  std::size_t configs = 0;
+  std::size_t bytes = 0;
 };
 
-// One exploration in `mode`: the facade, or — for the vector row — the
-// engine template driven directly on the vector store.
-ExplicitResult explore(const Mode& mode, const Machine& m, const Graph& g,
-                       const ExploreBudget& budget, ExploreStats* stats) {
-  if (!mode.vector_store) {
-    return decide_pseudo_stochastic_parallel(m, g, budget, stats);
-  }
-  ExploreBudget clamped = budget;
-  clamped.max_threads = explore_threads(m, budget);
+// The vector row: every configuration of the ticker's 3^n product, counted
+// up in base 3, interned into the vector store. `configs` is 3^n.
+Interned intern_full_space(int n) {
   ShardedConfigStore<Config, VectorHash<State>> store;
-  const ExploreOutcome out = explore_and_classify_in<Config>(
-      store, initial_config(m, g),
-      [&](int) { return ExplicitExpander{m, g, Neighbourhood{}, Config{}}; },
-      [&](const Config& c) { return consensus(m, c); }, clamped, stats);
-  ExplicitResult r;
-  r.decision = out.decision;
-  r.reason = out.reason;
-  r.num_configs = out.num_configs;
-  r.num_bottom_sccs = out.num_bottom_sccs;
-  return r;
+  Config c(static_cast<std::size_t>(n), 0);
+  for (;;) {
+    store.intern(c);
+    std::size_t v = 0;
+    while (v < c.size() && ++c[v] == kTickerStates) c[v++] = 0;
+    if (v == c.size()) break;
+  }
+  return {store.size(), store.bytes()};
 }
+
+struct Mode {
+  std::string name;
+  bool symmetry = false;
+};
 
 struct Cell {
   std::string topology;
   int n = 0;
   std::string mode;
+  bool explored = true;  // false for the vector row, which only interns
   std::size_t configs = 0;
   std::size_t store_bytes = 0;
   double seconds = 0.0;
@@ -110,8 +112,7 @@ bool same_result(const ExplicitResult& a, const ExplicitResult& b) {
   return a.decision == b.decision && a.reason == b.reason &&
          a.num_configs == b.num_configs &&
          a.num_bottom_sccs == b.num_bottom_sccs &&
-         a.symmetry_reduced == b.symmetry_reduced &&
-         a.packed_store == b.packed_store;
+         a.symmetry_reduced == b.symmetry_reduced;
 }
 
 }  // namespace
@@ -141,11 +142,7 @@ int main(int argc, char** argv) {
     cases.push_back({"cycle", make_cycle(std::vector<Label>(13, 0))});
   }
 
-  const std::vector<Mode> modes = {
-      {"vector", true, false},
-      {"plain", false, false},
-      {"symmetry", false, true},
-  };
+  const std::vector<Mode> modes = {{"plain", false}, {"symmetry", true}};
   const std::vector<int> thread_counts =
       smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 8};
 
@@ -158,16 +155,29 @@ int main(int argc, char** argv) {
   Table t({"topology", "n", "mode", "configs", "store KiB", "seconds",
            "configs/sec", "effective/sec"});
   for (const Case& c : cases) {
-    std::size_t vector_configs = 0;
-    std::size_t vector_bytes = 0;
-    double vector_rate = 0.0;
+    const Interned vector = intern_full_space(c.graph.n());
+    Cell vector_cell;
+    vector_cell.topology = c.topology;
+    vector_cell.n = c.graph.n();
+    vector_cell.mode = "vector";
+    vector_cell.explored = false;
+    vector_cell.configs = vector.configs;
+    vector_cell.store_bytes = vector.bytes;
+    cells.push_back(vector_cell);
+    t.add_row({c.topology, std::to_string(c.graph.n()), "vector",
+               std::to_string(vector.configs),
+               std::to_string(vector.bytes / 1024), "-", "-", "-"});
+
+    std::size_t plain_configs = 0;
+    double plain_rate = 0.0;
     for (const Mode& mode : modes) {
       ExploreBudget budget = {.max_configs = cap,
                               .max_threads = bench_threads,
                               .use_symmetry = mode.symmetry};
       ExploreStats stats;
       const auto start = std::chrono::steady_clock::now();
-      const ExplicitResult r = explore(mode, *machine, c.graph, budget, &stats);
+      const ExplicitResult r =
+          decide_pseudo_stochastic_parallel(*machine, c.graph, budget, &stats);
       const double secs = now_minus(start);
       if (r.decision == Decision::Unknown) {
         std::fprintf(stderr, "instance exceeds the bench cap\n");
@@ -178,6 +188,13 @@ int main(int argc, char** argv) {
                      c.topology.c_str());
         return 1;
       }
+      if (!mode.symmetry && r.num_configs != vector.configs) {
+        std::fprintf(stderr,
+                     "plain %s explored %zu configurations, not 3^%d = %zu\n",
+                     c.topology.c_str(), r.num_configs, c.graph.n(),
+                     vector.configs);
+        return 1;
+      }
 
       // Determinism: the full result must be bit-identical at every thread
       // count, reduced or not.
@@ -185,7 +202,7 @@ int main(int argc, char** argv) {
         ExploreBudget b = budget;
         b.max_threads = threads;
         const ExplicitResult again =
-            explore(mode, *machine, c.graph, b, nullptr);
+            decide_pseudo_stochastic_parallel(*machine, c.graph, b);
         if (!same_result(again, r)) {
           std::fprintf(stderr,
                        "determinism violation: %s/%s differs at %d threads\n",
@@ -202,13 +219,14 @@ int main(int argc, char** argv) {
       cell.store_bytes = stats.store_bytes;
       cell.seconds = secs;
       cell.configs_per_sec = static_cast<double>(r.num_configs) / secs;
-      if (mode.vector_store) {
-        vector_configs = r.num_configs;
-        vector_bytes = stats.store_bytes;
-        vector_rate = cell.configs_per_sec;
+      if (!mode.symmetry) {
+        plain_configs = r.num_configs;
+        plain_rate = cell.configs_per_sec;
+        // Packing alone: the same 3^n configurations, a smaller store.
+        if (vector.bytes < 4 * cell.store_bytes) gate_packing_bytes = false;
       }
       cell.effective_configs_per_sec =
-          static_cast<double>(vector_configs) / secs;
+          static_cast<double>(plain_configs) / secs;
       cells.push_back(cell);
       t.add_row({cell.topology, std::to_string(cell.n), cell.mode,
                  std::to_string(cell.configs),
@@ -218,23 +236,16 @@ int main(int argc, char** argv) {
                  std::to_string(
                      static_cast<long long>(cell.effective_configs_per_sec))});
 
-      if (mode.name == "plain") {
-        // Packing alone: same exploration, smaller store.
-        if (!r.packed_store || r.num_configs != vector_configs ||
-            vector_bytes < 4 * cell.store_bytes) {
-          gate_packing_bytes = false;
-        }
-      }
       if (mode.symmetry) {
-        const bool reduced_enough = vector_configs >= 4 * r.num_configs;
+        const bool reduced_enough = plain_configs >= 4 * r.num_configs;
         if (c.topology == "cycle" && !reduced_enough) {
           gate_cycle_reduction = false;
         }
         if (c.topology == "clique" && !reduced_enough) {
           gate_clique_reduction = false;
         }
-        if (vector_rate > 0.0 &&
-            cell.effective_configs_per_sec >= 1.5 * vector_rate) {
+        if (plain_rate > 0.0 &&
+            cell.effective_configs_per_sec >= 1.5 * plain_rate) {
           gate_effective_speedup = true;
         }
       }
@@ -252,13 +263,15 @@ int main(int argc, char** argv) {
               obs::JsonValue(gate_effective_speedup));
   for (const Cell& c : cells) {
     obs::JsonValue& row = report.add_row();
-    row.set("kind", obs::JsonValue(std::string("explore")));
+    row.set("kind",
+            obs::JsonValue(std::string(c.explored ? "explore" : "intern")));
     row.set("topology", obs::JsonValue(c.topology));
     row.set("n", obs::JsonValue(c.n));
     row.set("mode", obs::JsonValue(c.mode));
     row.set("configs", obs::JsonValue(static_cast<std::uint64_t>(c.configs)));
     row.set("store_bytes",
             obs::JsonValue(static_cast<std::uint64_t>(c.store_bytes)));
+    if (!c.explored) continue;
     row.set("seconds", obs::JsonValue(c.seconds));
     row.set("configs_per_sec", obs::JsonValue(c.configs_per_sec));
     row.set("effective_configs_per_sec",

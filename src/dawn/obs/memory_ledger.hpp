@@ -34,8 +34,9 @@ class JsonValue;
 
 enum class MemoryAccount : std::uint8_t {
   VectorStoreBytes,  // ShardedConfigStore occupancy, per entry: node, value,
-                     // one bucket pointer, one key pointer; no decide
-                     // fills it (the repository benchmark's replay does)
+                     // one bucket pointer. Nothing fills it: no engine path
+                     // takes that store. Kept for the wire format and the
+                     // repository benchmark, which reads it
   PackedStoreBytes,  // PackedStore arenas + end offsets + hashes + a
                      // per-entry index charge; every exploring decide
   InternerBytes,     // lazily-interned machine states, all compiled layers;

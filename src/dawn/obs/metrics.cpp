@@ -57,7 +57,6 @@ const char* name(Gauge g) {
 
 const char* name(Timer t) {
   switch (t) {
-    case Timer::SimulateTotal: return "time.simulate";
     case Timer::AbsenceSuperStep: return "time.absence_super_step";
     case Timer::OverlayBroadcast: return "time.overlay_broadcast";
     case Timer::kCount: break;

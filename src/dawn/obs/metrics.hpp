@@ -85,7 +85,6 @@ enum class Gauge : std::uint16_t {
 // Wall-clock stage timings (RAII Stopwatch). Merge: count/total add, max max.
 // NOT part of the determinism contract.
 enum class Timer : std::uint16_t {
-  SimulateTotal,      // one simulate() call
   AbsenceSuperStep,   // one abstract absence super-step
   OverlayBroadcast,   // one abstract broadcast round
   kCount,

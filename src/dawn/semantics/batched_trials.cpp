@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <numeric>
@@ -318,7 +317,6 @@ void finish_lane(Workspace& ws, std::uint32_t lane, bool converged,
 void run_block(Workspace& ws, const Machine& machine, const Graph& g,
                BatchScheduler& sched, const SimulateOptions& sim,
                std::span<TrialOutcome> outs) {
-  [[maybe_unused]] const auto start = std::chrono::steady_clock::now();
   const auto n = static_cast<std::size_t>(g.n());
   const std::size_t lanes = outs.size();
   const std::size_t stride = lane_stride(lanes);
@@ -477,23 +475,6 @@ void run_block(Workspace& ws, const Machine& machine, const Graph& g,
                 sim.collect_metrics, outs[l]);
   }
   ws.active.clear();
-#ifndef DAWN_OBS_DISABLED
-  if (sim.collect_metrics) {
-    // One SimulateTotal sample per lane, as the scalar path's Stopwatch
-    // records one per run (and, like it, none when the obs layer is
-    // compiled out). Lanes share the block, so each gets the block's wall
-    // time — timers are outside the determinism contract (obs/metrics.hpp).
-    const auto ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
-    for (auto& out : outs) {
-      out.result.metrics
-          .timers[static_cast<std::size_t>(obs::Timer::SimulateTotal)]
-          .record(ns);
-    }
-  }
-#endif
 }
 
 }  // namespace

@@ -125,7 +125,7 @@ DecisionReport decide(const Machine& machine, const Graph& g,
           decide_pseudo_stochastic_parallel(machine, g, request.budget);
       fill(report, r);
       report.symmetry_reduced = r.symmetry_reduced;
-      report.packed_store = r.packed_store;
+      report.packed_store = true;
       if (request.cross_check) {
         const ExplicitResult seq =
             decide_pseudo_stochastic(machine, g, request.budget);

@@ -100,7 +100,6 @@ ExplicitResult decide_pseudo_stochastic_parallel(const Machine& machine,
 
   ExplicitResult result = explicit_result(out);
   result.symmetry_reduced = grp != nullptr;
-  result.packed_store = true;
   result.tiered_store = store.spills();
   return result;
 }

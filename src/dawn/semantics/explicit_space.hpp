@@ -36,18 +36,15 @@ struct ExplicitResult {
   std::size_t num_configs = 0;   // configurations explored
   std::size_t num_bottom_sccs = 0;
   // Whether the parallel engine interned canonical orbit representatives
-  // (budget.use_symmetry and the graph had a nontrivial automorphism group)
-  // and whether the bit-packed store was used (always, for the parallel
-  // engine). When symmetry_reduced is set,
-  // num_configs / num_bottom_sccs count orbits, not raw configurations —
-  // the decision is unchanged (docs/SYMMETRY.md). Always false for the
-  // sequential decider.
+  // (budget.use_symmetry and the graph had a nontrivial automorphism group).
+  // When set, num_configs / num_bottom_sccs count orbits, not raw
+  // configurations — the decision is unchanged (docs/SYMMETRY.md). Always
+  // false for the sequential decider.
   bool symmetry_reduced = false;
-  bool packed_store = false;
   // Whether the engine ran in spill mode, out of core on the packed store
   // (budget.max_store_bytes > 0, budget.spill_dir set, and the spill file
   // opened). When the spill dir is unusable the engine warns and runs in
-  // memory instead, leaving this false. tiered_store implies packed_store.
+  // memory instead, leaving this false.
   bool tiered_store = false;
 };
 

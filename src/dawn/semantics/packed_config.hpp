@@ -30,7 +30,7 @@
 //     they cost 4 B per configuration and, with the routed length, 10%
 //     more peak RSS on the table-machine benchmark (4-vCPU AVX2 host).
 //     Configurations come in through the locked intern() or, in the
-//     explicit engine, through route() and an owner's lock-free drain().
+//     exploration engine, through route() and an owner's lock-free drain().
 //     PackedConfigStore, PackedCountedStore and PackedStarStore name its
 //     three instances.
 //
@@ -77,7 +77,6 @@
 #include <vector>
 
 #include "dawn/automata/config.hpp"
-#include "dawn/obs/memory_ledger.hpp"
 #include "dawn/semantics/clique_counted.hpp"
 #include "dawn/semantics/star_counted.hpp"
 #include "dawn/util/hash.hpp"
@@ -157,11 +156,13 @@ class StarCodec {
   static void decode(const std::uint64_t* in, std::size_t n, StarConfig& out);
 };
 
-// The packed store over one codec: the shard/gid/dense and route/drain
-// contract of ShardedConfigStore (parallel_explore.hpp), but values live
-// packed in per-shard word arenas — one amortised vector append per fresh
-// configuration, no per-config heap node. Any store may spill its arenas
-// to disk (see "Spill mode" above).
+// The packed store over one codec, the store explore_and_classify_in
+// (parallel_explore.hpp) interns into. Values live packed in per-shard word
+// arenas — one amortised vector append per fresh configuration, no
+// per-config heap node. A value's gid packs (local id, shard); after
+// exploration finalize() freezes per-shard prefix offsets and dense() maps
+// gids onto [0, size). Any store may spill its arenas to disk (see "Spill
+// mode" above).
 template <typename Codec>
 class PackedStore {
  public:
@@ -170,10 +171,6 @@ class PackedStore {
   static constexpr int kShardBits = 6;
   static constexpr std::size_t kNumShards = std::size_t{1} << kShardBits;
   static constexpr std::size_t kShardMask = kNumShards - 1;
-
-  // Which MemoryLedger account this store's bytes() lands in.
-  static constexpr obs::MemoryAccount kMemoryAccount =
-      obs::MemoryAccount::PackedStoreBytes;
 
   struct InternResult {
     std::int64_t gid = 0;

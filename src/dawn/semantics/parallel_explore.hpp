@@ -25,8 +25,8 @@
 //    closure leaves, classify its bottom SCCs.
 //
 // LevelExplorer holds the level loop's steps, and explore_and_classify_in
-// drives them. Spill mode: when the store spills (a PackedConfigStore given
-// a spill dir and a byte budget), the same steps run out of core, with full
+// drives them. Spill mode: when the store spills (a PackedStore given a
+// spill dir and a byte budget), the same steps run out of core, with full
 // edge blocks in per-owner EdgeSpool files (semantics/tiered_config.hpp)
 // that each owner sorts back from; docs/ENGINE.md "The tiered store" has
 // the rules.
@@ -69,6 +69,7 @@
 #include "dawn/obs/telemetry.hpp"
 #include "dawn/semantics/budget.hpp"
 #include "dawn/semantics/decision.hpp"
+#include "dawn/semantics/packed_config.hpp"
 #include "dawn/semantics/scc.hpp"
 #include "dawn/semantics/tiered_config.hpp"
 #include "dawn/semantics/trials.hpp"
@@ -127,125 +128,50 @@ inline double shard_chi_square(const std::size_t* occupancies,
 }
 
 // Striped concurrent interner over node-based maps, one value per heap
-// node: the vector store. No decide uses it any more — every exploring
-// decide interns into the packed store (packed_config.hpp), which keeps
-// this contract — but the repository benchmark's replay, bench_symmetry's
-// unpacked baseline row and test_packed_config's engine differential
-// still do, so it stays until the next benchmark change.
+// node: the vector store. It is the repository benchmark's replay map
+// (perfbench/layers.cpp), and bench_symmetry and test_packed_config
+// measure the packed store's bytes against it. No engine path can take
+// it: explore_and_classify_in interns only into a PackedStore. It goes
+// with the next benchmark change.
 //
 // Values are spread over 2^kShardBits independently locked shards by
-// (high) hash bits, so concurrent interning mostly touches distinct locks.
-// A value's *global* id packs (local id, shard): gids are stable while
-// exploring but not dense; after exploration finalize() freezes per-shard
-// prefix offsets and dense() maps gids onto [0, size) for the SCC pass.
-//
-// Two ways in. intern() locks the value's shard and may be called from any
-// thread. route() + drain() are the owner-partitioned path of
-// explore_and_classify_in: route() (const, lock-free) appends a value to the
-// batch of the worker that owns its shard, and drain() — called only by
-// that owner, while no other thread touches its shards — interns a batch
-// without locking. Both paths share one probe-and-insert step, so they
-// assign ids and charge bytes() identically. value() reads a stored value
-// back by gid, lock-free, while no thread changes its shard: each shard
-// keeps a pointer to every stored key (unordered_map nodes never move).
+// (mixed) hash bits, so concurrent interning mostly touches distinct locks.
+// A value's global id packs (local id, shard); after interning, finalize()
+// freezes per-shard prefix offsets and dense() maps gids onto [0, size).
 template <typename ConfigT, typename Hash>
 class ShardedConfigStore {
-  struct Routed {
-    std::int64_t src = 0;
-    std::uint32_t shard = 0;
-    ConfigT value;
-  };
-
  public:
   static constexpr int kShardBits = 6;
   static constexpr std::size_t kNumShards = std::size_t{1} << kShardBits;
   static constexpr std::size_t kShardMask = kNumShards - 1;
-
-  // Which MemoryLedger account this store's bytes() lands in.
-  static constexpr obs::MemoryAccount kMemoryAccount =
-      obs::MemoryAccount::VectorStoreBytes;
 
   struct InternResult {
     std::int64_t gid = 0;
     bool fresh = false;
   };
 
-  // Values routed to one owner: (source gid, shard, value copy) items.
-  // clear() keeps the items and their capacity, so a batch that is reused
-  // level after level allocates only when it outgrows every earlier level.
-  // One cache line each: a worker grows its batches on every successor.
-  class alignas(64) Batch {
-   public:
-    void clear() { size_ = 0; }
-    std::size_t size() const { return size_; }
-
-   private:
-    friend class ShardedConfigStore;
-    std::vector<Routed> items_;
-    std::size_t size_ = 0;
-  };
-
+  // Locks the value's shard; any thread may call it.
   InternResult intern(const ConfigT& value) {
-    const std::size_t shard_idx = shard_of(value);
-    Shard& s = shards_[shard_idx];
+    // Run the hash through a splitmix finalizer before extracting shard
+    // bits: raw high-middle bits carry little entropy for some key
+    // families. unordered_map buckets still consume the unmixed low bits,
+    // so shard choice and in-shard placement stay decorrelated.
+    const auto shard =
+        static_cast<std::size_t>(hash_mix(Hash{}(value))) & kShardMask;
+    Shard& s = shards_[shard];
     std::lock_guard<std::mutex> lock(s.mu);
-    const auto [it, fresh] = find_or_insert(s, value);
-    if (fresh) total_.fetch_add(1, std::memory_order_relaxed);
-    return {pack(it->second, shard_idx), fresh};
-  }
-
-  // Appends (src, value) to batches[owner_of_shard[shard_of(value)]],
-  // hashing the value once. Reads no shard.
-  void route(const ConfigT& value, std::int64_t src, std::span<Batch> batches,
-             std::span<const std::uint32_t, kNumShards> owner_of_shard) const {
-    const std::size_t shard = shard_of(value);
-    Batch& b = batches[owner_of_shard[shard]];
-    if (b.size_ == b.items_.size()) {
-      b.items_.push_back({src, static_cast<std::uint32_t>(shard), value});
-    } else {
-      Routed& r = b.items_[b.size_];
-      r.src = src;
-      r.shard = static_cast<std::uint32_t>(shard);
-      r.value = value;
+    const auto local = static_cast<std::int32_t>(s.ids.size());
+    const auto [it, fresh] = s.ids.try_emplace(value, local);
+    if (fresh) {
+      s.entry_bytes += entry_bytes(it->first);
+      total_.fetch_add(1, std::memory_order_relaxed);
     }
-    ++b.size_;
-  }
-
-  // Interns every item of `batch`, in order, calling fn(src, gid, fresh)
-  // for each, where `fresh` says whether this call inserted it.
-  // Owner-only: the caller must be the one thread touching the batch's
-  // shards until it returns. Takes no lock.
-  template <typename Fn>
-  void drain(const Batch& batch, Fn&& fn) {
-    std::size_t inserted = 0;
-    for (std::size_t i = 0; i < batch.size_; ++i) {
-      const Routed& r = batch.items_[i];
-      const auto [it, fresh] = find_or_insert(shards_[r.shard], r.value);
-      inserted += fresh ? 1 : 0;
-      fn(r.src, pack(it->second, r.shard), fresh);
-    }
-    total_.fetch_add(inserted, std::memory_order_relaxed);
-  }
-
-  // The stored value of a gid. Lock-free: no thread may change the gid's
-  // shard meanwhile. `scratch` is unused; the packed store decodes into it.
-  const ConfigT& value(std::int64_t gid, ConfigT& /*scratch*/) const {
-    const Shard& s = shards_[static_cast<std::size_t>(gid) & kShardMask];
-    return *s.keys[static_cast<std::size_t>(gid >> kShardBits)];
+    return {(static_cast<std::int64_t>(it->second) << kShardBits) |
+                static_cast<std::int64_t>(shard),
+            fresh};
   }
 
   std::size_t size() const { return total_.load(std::memory_order_relaxed); }
-
-  // The shard intern(value) would land in, without interning: route()'s
-  // key.
-  std::size_t shard_of(const ConfigT& value) const {
-    // Run the hash through a splitmix finalizer before extracting shard
-    // bits: raw high-middle bits (the old `h >> 24`) carry little entropy
-    // for some key families and concentrated whole workloads onto a few
-    // shards. unordered_map buckets still consume the unmixed low bits, so
-    // shard choice and in-shard placement stay decorrelated.
-    return static_cast<std::size_t>(hash_mix(Hash{}(value))) & kShardMask;
-  }
 
   // Freezes the dense remap. Call once, after all interning is done, on at
   // most INT32_MAX values.
@@ -256,9 +182,7 @@ class ShardedConfigStore {
     std::int32_t offset = 0;
     for (std::size_t sh = 0; sh < kNumShards; ++sh) {
       offsets_[sh] = offset;
-      const std::size_t occupancy = shards_[sh].ids.size();
-      offset += static_cast<std::int32_t>(occupancy);
-      if (occupancy > shard_peak_) shard_peak_ = occupancy;
+      offset += static_cast<std::int32_t>(shards_[sh].ids.size());
     }
   }
 
@@ -269,32 +193,16 @@ class ShardedConfigStore {
            static_cast<std::int32_t>(gid >> kShardBits);
   }
 
-  std::size_t shard_peak() const { return shard_peak_; }
-
-  // Final occupancy of each shard, for the chi-square balance statistic.
-  // Single-threaded accounting: call after exploration, not during.
-  std::array<std::size_t, kNumShards> shard_occupancies() const {
-    std::array<std::size_t, kNumShards> out{};
-    for (std::size_t sh = 0; sh < kNumShards; ++sh) {
-      out[sh] = shards_[sh].ids.size();
-    }
-    return out;
-  }
-
-  // Byte-level occupancy: per-entry value payload (including a vector
+  // Byte-level occupancy, per entry: the value payload (including a vector
   // value's heap block), the hash-node overhead (next pointer + cached
-  // hash), one bucket pointer and value()'s key pointer. An estimate —
-  // node layouts and bucket growth are implementation-defined — but
-  // measured the same way for every store so packed-vs-vector ratios are
-  // meaningful. Every charge is per entry, so the total depends only on
-  // the stored values, not on how they spread over shards: that spread
-  // follows state ids, which a compiled machine assigns in thread-timing
-  // order. Single-threaded accounting: call after exploration, not during.
+  // hash) and one bucket pointer. An estimate — node layouts and bucket
+  // growth are implementation-defined — but charged per entry, so the
+  // total depends only on the stored values. Call after interning, not
+  // during.
   std::size_t bytes() const {
     std::size_t total = 0;
     for (const Shard& s : shards_) {
-      total += s.ids.size() * sizeof(void*) +
-               s.keys.size() * sizeof(const ConfigT*) + s.entry_bytes;
+      total += s.ids.size() * sizeof(void*) + s.entry_bytes;
     }
     return total;
   }
@@ -305,27 +213,11 @@ class ShardedConfigStore {
   struct alignas(64) Shard {
     std::mutex mu;
     Map ids;
-    std::vector<const ConfigT*> keys;  // by local id: the stored key
     std::size_t entry_bytes = 0;  // sum of entry_bytes() over ids
   };
 
-  // The probe-and-insert step of intern() and drain(). The caller holds
-  // s.mu or owns the shard; it also counts a fresh insert into total_.
-  static std::pair<typename Map::const_iterator, bool> find_or_insert(
-      Shard& s, const ConfigT& value) {
-    const auto local = static_cast<std::int32_t>(s.ids.size());
-    const auto [it, fresh] = s.ids.try_emplace(value, local);
-    if (fresh) {
-      s.entry_bytes += entry_bytes(it->first);
-      s.keys.push_back(&it->first);
-    }
-    return {it, fresh};
-  }
-
-  // One entry's share of bytes(): the stored key (with a vector key's heap
-  // block) and id, plus the hash node's next pointer and cached hash. Keys
-  // are immutable once stored, so summing this at insert time equals a walk
-  // over the nodes.
+  // One entry's share of bytes(). Keys are immutable once stored, so
+  // summing this at insert time equals a walk over the nodes.
   static std::size_t entry_bytes(const ConfigT& key) {
     std::size_t bytes = sizeof(typename Map::value_type) + 2 * sizeof(void*);
     if constexpr (requires { key.capacity(); }) {
@@ -334,15 +226,9 @@ class ShardedConfigStore {
     return bytes;
   }
 
-  static std::int64_t pack(std::int32_t local, std::size_t shard) {
-    return (static_cast<std::int64_t>(local) << kShardBits) |
-           static_cast<std::int64_t>(shard);
-  }
-
   std::array<Shard, kNumShards> shards_;
   std::array<std::int32_t, kNumShards> offsets_{};
   std::atomic<std::size_t> total_{0};
-  std::size_t shard_peak_ = 0;
 };
 
 // Worker count for exploring `machine` under `budget`: machines whose
@@ -352,21 +238,6 @@ inline int explore_threads(const Machine& machine,
                            const ExploreBudget& budget) {
   const int t = budget.resolve_threads();
   return machine.parallel_step_safe() ? t : 1;
-}
-
-// The memory ledger of a completed in-memory run: only
-// thread-count-invariant quantities (final store occupancy, peak frontier
-// level, edge count), so the ledger keeps the DecisionReport bit-identical
-// across thread counts.
-inline void account_explored(obs::MemoryLedger& ledger,
-                             obs::MemoryAccount store_account,
-                             std::size_t store_bytes,
-                             std::size_t frontier_peak, std::uint64_t edges) {
-  ledger.set_max(store_account, store_bytes);
-  ledger.set_max(obs::MemoryAccount::FrontierBytes,
-                 frontier_peak * sizeof(std::int64_t));
-  ledger.set_max(obs::MemoryAccount::EdgeBytes,
-                 edges * sizeof(GidEdges::value_type));
 }
 
 // Whether a store of `size` configurations, with `occupancies` per shard
@@ -388,10 +259,9 @@ inline bool fits_engine_ids(std::size_t size,
 // after the last level finish_levels() and, for a completed run,
 // classify(). explore_and_classify_in below drives them.
 //
-//  * `store` implements the ShardedConfigStore contract — intern() /
-//    route() / drain() / value() / size() / finalize() / dense() /
-//    shard_peak() / bytes(). Decides pass a PackedStore
-//    (semantics/packed_config.hpp), the only store that can spill.
+//  * `store` is the packed store (semantics/packed_config.hpp) over
+//    `Codec`, whose Codec::Value is the configuration type; the run goes
+//    out of core when the store spills.
 //  * make_expander(worker) must return a per-worker expander; calling
 //    expander(config, emit) invokes emit(succ) once per successor of
 //    `config` (duplicates allowed; silent self-steps must be skipped). The
@@ -408,11 +278,11 @@ inline bool fits_engine_ids(std::size_t size,
 // none. Both callables run concurrently on budget.resolve_threads()
 // workers; pass a budget clamped via explore_threads() when the machine is
 // not thread-safe.
-template <typename ConfigT, typename Store, typename MakeExpander,
-          typename VerdictOf>
+template <typename Codec, typename MakeExpander, typename VerdictOf>
 class LevelExplorer {
+  using Store = PackedStore<Codec>;
+  using ConfigT = typename Codec::Value;
   using Expander = std::invoke_result_t<MakeExpander&, int>;
-  static constexpr bool kCanSpill = requires(Store& s) { s.spill_to_budget(); };
 
   // One worker's state, on cache lines of its own. In phase B an owner
   // also clears the batches routed to it, each on its own line.
@@ -478,14 +348,11 @@ class LevelExplorer {
       workers_.emplace_back(make_expander(static_cast<int>(w)));
       workers_.back().out.resize(num_owners_);
     }
-    // Spill mode: only the packed store can spill, and it does when its
-    // budget names a spill dir and a byte cap. Edges then go to one spool
-    // file per owner.
-    if constexpr (kCanSpill) {
-      if (store.spills()) {
-        spool_.emplace(budget.spill_dir, static_cast<int>(num_owners_));
-        io_failed_ = !spool_->ok();
-      }
+    // Spill mode: the store spills when its budget names a spill dir and
+    // a byte cap. Edges then go to one spool file per owner.
+    if (store.spills()) {
+      spool_.emplace(budget.spill_dir, static_cast<int>(num_owners_));
+      io_failed_ = !spool_->ok();
     }
     edge_block_ = spool_ ? EdgeSpool::kBlockPairs : kEdgeBlock;
     stats_.threads = pool_.num_workers();
@@ -613,15 +480,13 @@ class LevelExplorer {
     if (!fits_engine_ids(store_.size(), occupancies, Store::kShardBits)) {
       return LevelEnd::MemoryCap;
     }
-    if constexpr (kCanSpill) {
-      if (spool_ && store_.resident_bytes() > store_.max_resident_bytes()) {
-        obs::SpanScope spill_span(tel_.spans, obs::Phase::ExploreSpill,
-                                  store_.resident_bytes());
-        if (!store_.spill_to_budget()) return LevelEnd::IoFailed;
-        ++stats_.spill_events;
-        if (store_.resident_bytes() > store_.max_resident_bytes()) {
-          return LevelEnd::MemoryCap;
-        }
+    if (spool_ && store_.resident_bytes() > store_.max_resident_bytes()) {
+      obs::SpanScope spill_span(tel_.spans, obs::Phase::ExploreSpill,
+                                store_.resident_bytes());
+      if (!store_.spill_to_budget()) return LevelEnd::IoFailed;
+      ++stats_.spill_events;
+      if (store_.resident_bytes() > store_.max_resident_bytes()) {
+        return LevelEnd::MemoryCap;
       }
     }
     return LevelEnd::Next;
@@ -637,18 +502,16 @@ class LevelExplorer {
       decltype(worker.next)().swap(worker.next);
     }
     decltype(frontier_)().swap(frontier_);
-    if constexpr (kCanSpill) {
-      if (spool_) {
-        for (std::size_t owner = 0; owner < num_owners_; ++owner) {
-          GidEdges& tail = workers_[owner].edges.back();
-          spool_->append_block(static_cast<int>(owner), tail);
-          GidEdges().swap(tail);
-        }
-        io_failed_ = io_failed_ || !spool_->ok();
-        stats_.spill_arena_bytes = store_.spilled_bytes();
-        stats_.spill_edge_bytes = io_failed_ ? 0 : spool_->bytes();
-        stats_.resident_bytes = store_.resident_bytes();
+    if (spool_) {
+      for (std::size_t owner = 0; owner < num_owners_; ++owner) {
+        GidEdges& tail = workers_[owner].edges.back();
+        spool_->append_block(static_cast<int>(owner), tail);
+        GidEdges().swap(tail);
       }
+      io_failed_ = io_failed_ || !spool_->ok();
+      stats_.spill_arena_bytes = store_.spilled_bytes();
+      stats_.spill_edge_bytes = io_failed_ ? 0 : spool_->bytes();
+      stats_.resident_bytes = store_.resident_bytes();
     }
     return !io_failed_;
   }
@@ -706,15 +569,13 @@ class LevelExplorer {
     }
     obs::SpanScope scc_span(spans, obs::Phase::ExploreScc, verdicts.size());
     const auto root = static_cast<std::size_t>(dense(root_));
-    if constexpr (kCanSpill) {
-      if (spool_) {
-        // A formula over the budget, so MemoryCap here is deterministic.
-        const std::size_t classify_cap =
-            std::max<std::size_t>(store_.max_resident_bytes() * 8, 64u << 20);
-        return classify_bottom_sccs_external(
-            pool_, *spool_, std::span<const std::size_t>(bounds), verdicts,
-            dense, root, classify_cap);
-      }
+    if (spool_) {
+      // A formula over the budget, so MemoryCap here is deterministic.
+      const std::size_t classify_cap =
+          std::max<std::size_t>(store_.max_resident_bytes() * 8, 64u << 20);
+      return classify_bottom_sccs_external(
+          pool_, *spool_, std::span<const std::size_t>(bounds), verdicts,
+          dense, root, classify_cap);
     }
     const BottomClassification cls =
         classify_bottom_sccs_reverse(reverse, verdicts, root);
@@ -774,16 +635,15 @@ class LevelExplorer {
 // SCCs, interning into a caller-supplied store: LevelExplorer's local
 // driver. A run stops at the level that hit the config cap, the deadline
 // or (spill mode) the memory cap.
-template <typename ConfigT, typename Store, typename MakeExpander,
-          typename VerdictOf>
-ExploreOutcome explore_and_classify_in(Store& store, const ConfigT& initial,
+template <typename Codec, typename MakeExpander, typename VerdictOf>
+ExploreOutcome explore_and_classify_in(PackedStore<Codec>& store,
+                                       const typename Codec::Value& initial,
                                        MakeExpander&& make_expander,
                                        VerdictOf&& verdict_of,
                                        const ExploreBudget& budget,
                                        ExploreStats* stats_out = nullptr) {
-  using Run =
-      LevelExplorer<ConfigT, Store, std::remove_reference_t<MakeExpander>,
-                    std::remove_reference_t<VerdictOf>>;
+  using Run = LevelExplorer<Codec, std::remove_reference_t<MakeExpander>,
+                            std::remove_reference_t<VerdictOf>>;
   Run run(store, make_expander, verdict_of, budget);
   const obs::Telemetry tel = obs::telemetry();
   run.seed(initial);
@@ -822,20 +682,25 @@ ExploreOutcome explore_and_classify_in(Store& store, const ConfigT& initial,
   }
 
   // Memory ledger — completed runs only: capped/deadline runs stop at a
-  // scheduling-dependent point and are deliberately not accounted. Spill
-  // mode accounts its level-end spills, also thread-count-invariant.
-  if (completed && tel.ledger != nullptr && !run.spills()) {
-    account_explored(*tel.ledger, Store::kMemoryAccount, stats.store_bytes,
-                     stats.frontier_peak, stats.edges);
-  } else if (completed && tel.ledger != nullptr) {
-    tel.ledger->set_max(obs::MemoryAccount::FrontierBytes,
-                        stats.frontier_peak * sizeof(std::int64_t));
-    tel.ledger->set_max(obs::MemoryAccount::TieredResidentBytes,
-                        stats.resident_bytes);
-    tel.ledger->set_max(obs::MemoryAccount::SpillArenaBytes,
-                        stats.spill_arena_bytes);
-    tel.ledger->set_max(obs::MemoryAccount::SpillEdgeBytes,
-                        stats.spill_edge_bytes);
+  // scheduling-dependent point and are deliberately not accounted. Every
+  // account is thread-count-invariant: final store occupancy, the peak
+  // frontier level, the edge count, and in spill mode the level-end spills.
+  if (completed && tel.ledger != nullptr) {
+    obs::MemoryLedger& ledger = *tel.ledger;
+    ledger.set_max(obs::MemoryAccount::FrontierBytes,
+                   stats.frontier_peak * sizeof(std::int64_t));
+    if (run.spills()) {
+      ledger.set_max(obs::MemoryAccount::TieredResidentBytes,
+                     stats.resident_bytes);
+      ledger.set_max(obs::MemoryAccount::SpillArenaBytes,
+                     stats.spill_arena_bytes);
+      ledger.set_max(obs::MemoryAccount::SpillEdgeBytes,
+                     stats.spill_edge_bytes);
+    } else {
+      ledger.set_max(obs::MemoryAccount::PackedStoreBytes, stats.store_bytes);
+      ledger.set_max(obs::MemoryAccount::EdgeBytes,
+                     stats.edges * sizeof(GidEdges::value_type));
+    }
   }
   if (stats_out != nullptr) *stats_out = stats;
   obs::count(obs::Counter::ExploreConfigs, stats.configs);

@@ -41,7 +41,6 @@ SimulateResult simulate(const Machine& machine, const Graph& g,
   obs::TraceLog* const trace = opts.trace;
   {
     obs::SpanScope span(obs::spans(), obs::Phase::SimulateRun);
-    obs::Stopwatch watch(obs::Timer::SimulateTotal);
     if (trace != nullptr) {
       trace->run_start(static_cast<std::size_t>(g.n()),
                        opts.engine == StepEngine::Incremental ? "incremental"

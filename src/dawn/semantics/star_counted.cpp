@@ -47,20 +47,20 @@ struct StarExpander {
   }
 };
 
-template <typename Visit>
-bool explore(const Machine& machine, const StarConfig& start,
-             std::size_t max_configs, Visit visit) {
-  // BFS; returns false if the budget is exhausted. `visit` may return false
-  // to abort early (used by the stable-rejection test).
+// Whether every configuration reachable from `start` has verdict `want`:
+// a BFS that stops at the first configuration without it. nullopt if the
+// budget runs out first.
+std::optional<bool> is_stably(const Machine& machine, const StarConfig& start,
+                              std::size_t max_configs, Verdict want) {
   Interner<StarConfig, StarConfigHash> configs;
   StarExpander expand{machine};
   configs.id(start);
   for (std::size_t head = 0; head < configs.size(); ++head) {
-    if (configs.size() > max_configs) return false;
+    if (configs.size() > max_configs) return std::nullopt;
     // Interned values never move, so `current` outlives the inserts below.
     const StarConfig& current =
         configs.value(static_cast<std::int32_t>(head));
-    if (!visit(current)) return true;
+    if (star_consensus(machine, current) != want) return false;
     expand(current, [&](const StarConfig& next) { configs.id(next); });
   }
   return true;
@@ -119,33 +119,13 @@ ExploreOutcome decide_star_pseudo_stochastic_parallel(
 std::optional<bool> is_stably_rejecting(const Machine& machine,
                                         const StarConfig& config,
                                         std::size_t max_configs) {
-  bool all_rejecting = true;
-  const bool complete =
-      explore(machine, config, max_configs, [&](const StarConfig& c) {
-        if (star_consensus(machine, c) != Verdict::Reject) {
-          all_rejecting = false;
-          return false;  // abort: found a non-rejecting reachable config
-        }
-        return true;
-      });
-  if (!complete) return std::nullopt;
-  return all_rejecting;
+  return is_stably(machine, config, max_configs, Verdict::Reject);
 }
 
 std::optional<bool> is_stably_accepting(const Machine& machine,
                                         const StarConfig& config,
                                         std::size_t max_configs) {
-  bool all_accepting = true;
-  const bool complete =
-      explore(machine, config, max_configs, [&](const StarConfig& c) {
-        if (star_consensus(machine, c) != Verdict::Accept) {
-          all_accepting = false;
-          return false;
-        }
-        return true;
-      });
-  if (!complete) return std::nullopt;
-  return all_accepting;
+  return is_stably(machine, config, max_configs, Verdict::Accept);
 }
 
 }  // namespace dawn

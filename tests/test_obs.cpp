@@ -260,13 +260,13 @@ TEST(Metrics, ScopeInstallsAndRestoresTheSink) {
 
 TEST(Metrics, StopwatchRecordsOnlyWhenSinkInstalled) {
   obs::RunMetrics m;
-  { obs::Stopwatch unsinked(obs::Timer::SimulateTotal); }
+  { obs::Stopwatch unsinked(obs::Timer::OverlayBroadcast); }
   EXPECT_TRUE(m.empty());
   {
     obs::MetricsScope scope(m);
-    obs::Stopwatch sw(obs::Timer::SimulateTotal);
+    obs::Stopwatch sw(obs::Timer::OverlayBroadcast);
   }
-  EXPECT_EQ(m.timer(obs::Timer::SimulateTotal).count,
+  EXPECT_EQ(m.timer(obs::Timer::OverlayBroadcast).count,
             kObsCompiledIn ? 1u : 0u);
 }
 
@@ -418,12 +418,12 @@ TEST(BenchReport, AddMetricsFlattensNonzeroColumns) {
   obs::RunMetrics m;
   m.add(obs::Counter::SimSteps, 12);
   m.gauge_max(obs::Gauge::MaxSelectionSize, 2);
-  m.timers[static_cast<std::size_t>(obs::Timer::SimulateTotal)].record(50);
+  m.timers[static_cast<std::size_t>(obs::Timer::OverlayBroadcast)].record(50);
   obs::JsonValue& row = report.add_row();
   report.add_metrics(row, m);
   EXPECT_EQ(row.get("metrics.sim.steps")->as_int(), 12);
   EXPECT_EQ(row.get("metrics.sim.max_selection_size")->as_int(), 2);
-  EXPECT_EQ(row.get("metrics.time.simulate.count")->as_int(), 1);
+  EXPECT_EQ(row.get("metrics.time.overlay_broadcast.count")->as_int(), 1);
   EXPECT_EQ(row.get("metrics.sim.runs"), nullptr);  // zero: omitted
   std::string error;
   EXPECT_TRUE(obs::BenchReport::validate(report.json(), &error)) << error;

@@ -2,9 +2,10 @@
 // round-trips across state-space sizes including 1-bit and word-straddling
 // layouts, the counted and star codecs' word properties, hash/equality
 // consistency against the vector store, byte-level occupancy and its
-// per-entry charge, shard balance under the mixed shard selector, and the
+// per-entry charge, shard balance under the mixed shard selector, the
 // owner-partitioned route()/drain() path against the locked intern() at
-// fixed and variable width.
+// fixed and variable width, and the engine on the packed store against the
+// sequential reference decider.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -294,29 +295,24 @@ TEST(PackedStore, PackingShrinksStoreBytesAtLeastFourfold) {
 }
 
 TEST(PackedStore, ShardsStayBalancedUnderMixedSelector) {
-  // The satellite fix: shard bits come from a splitmix-mixed hash, so no
-  // key family may concentrate the store onto a few shards. Peak occupancy
-  // within 2x of the perfectly even split, for both store flavours.
+  // Shard bits come from a splitmix-mixed hash, so no key family may
+  // concentrate the store onto a few shards. Peak occupancy within 2x of
+  // the perfectly even split.
   Rng rng(15);
   const int num_states = 5;
   const int nodes = 16;
   PackedConfigStore packed(PackedCodec(num_states, nodes));
-  ShardedConfigStore<Config, VectorHash<State>> reference;
   std::size_t distinct = 0;
   std::set<Config> seen;
   while (distinct < 20'000) {
     const Config c = random_config(num_states, nodes, rng);
     if (seen.insert(c).second) ++distinct;
     packed.intern(c);
-    reference.intern(c);
   }
   packed.finalize();
-  reference.finalize();
   ASSERT_EQ(packed.size(), 20'000u);
-  ASSERT_EQ(reference.size(), 20'000u);
   const std::size_t even = 20'000 / PackedConfigStore::kNumShards;
   EXPECT_LE(packed.shard_peak(), 2 * even);
-  EXPECT_LE(reference.shard_peak(), 2 * even);
 }
 
 // Feeds `stream` through route() + drain() into `routed` and through the
@@ -415,27 +411,6 @@ TEST(PackedStore, RouteAndDrainInternExactlyLikeIntern) {
   }
 }
 
-TEST(VectorStore, RouteAndDrainInternExactlyLikeIntern) {
-  Rng rng(18);
-  std::vector<CountedConfig> pool;
-  for (int i = 0; i < 2'000; ++i) {
-    CountedConfig c;
-    for (State q = 0; q < 6; ++q) {
-      const std::int64_t n = rng.uniform(0, 4);
-      if (n > 0) c.emplace_back(q, n);
-    }
-    pool.push_back(c);
-  }
-  std::vector<CountedConfig> stream;
-  for (int i = 0; i < 6'000; ++i) {
-    stream.push_back(pool[static_cast<std::size_t>(rng.uniform(0, 1'999))]);
-  }
-  ShardedConfigStore<CountedConfig, CountedConfigHash> routed;
-  ShardedConfigStore<CountedConfig, CountedConfigHash> interned;
-  expect_route_drain_matches_intern(routed, interned, stream);
-  EXPECT_GT(routed.size(), 1'000u);
-}
-
 TEST(PackedStore, CountedRouteAndDrainInternExactlyLikeIntern) {
   // Variable-width entries: every routed item carries its word count, and
   // the shard finds each entry through its end offset.
@@ -504,55 +479,38 @@ std::shared_ptr<Machine> flip_machine() {
   return std::make_shared<FunctionMachine>(spec);
 }
 
-TEST(PackedStore, EngineResultsIdenticalWithPackingAndBytesShrink) {
-  // End to end: the explicit engine must return the exact same outcome on
-  // the packed store as on the vector store, with a smaller store, and keep
-  // its shards balanced (the ExploreStats-level shard-balance assertion of
-  // the shard-mix fix). Both runs drive explore_and_classify_in with the
-  // same ExplicitExpander, so only the store differs.
+TEST(PackedStore, EngineMatchesSequentialReferenceAtOneAndFourWorkers) {
+  // End to end: explore_and_classify_in on the packed store, at one and at
+  // four workers, against the sequential reference decide_pseudo_stochastic
+  // (an Interner store, a forward CSR and a full Tarjan, with its own
+  // successor loop) on the same 16-cycle. The engine's shards must stay
+  // balanced too: the ExploreStats-level check of the mixed shard selector.
   const auto m = flip_machine();
   std::vector<Label> labels(16, 0);
   for (std::size_t i = 0; i < labels.size(); i += 3) labels[i] = 1;
   const Graph g = make_cycle(labels);
-  const ExploreBudget budget = {.max_configs = 500'000, .max_threads = 4};
-  const auto explore = [&](auto& store, ExploreStats& stats) {
-    return explore_and_classify_in<Config>(
+  const ExplicitResult reference =
+      decide_pseudo_stochastic(*m, g, {.max_configs = 500'000});
+  ASSERT_NE(reference.decision, Decision::Unknown);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << threads << " workers");
+    PackedConfigStore store(PackedCodec(*m->num_states(), g.n()));
+    ExploreStats stats;
+    const ExploreOutcome packed = explore_and_classify_in(
         store, initial_config(*m, g),
         [&](int) {
           return ExplicitExpander{*m, g, Neighbourhood{}, Config{}};
         },
-        [&](const Config& c) { return consensus(*m, c); }, budget, &stats);
-  };
-
-  ExploreStats vector_stats;
-  ShardedConfigStore<Config, VectorHash<State>> vector_store;
-  const ExploreOutcome plain = explore(vector_store, vector_stats);
-  ASSERT_NE(plain.decision, Decision::Unknown);
-
-  ExploreStats packed_stats;
-  PackedConfigStore packed_store(PackedCodec(*m->num_states(), g.n()));
-  const ExploreOutcome packed = explore(packed_store, packed_stats);
-  EXPECT_EQ(packed.decision, plain.decision);
-  EXPECT_EQ(packed.reason, plain.reason);
-  EXPECT_EQ(packed.num_configs, plain.num_configs);
-  EXPECT_EQ(packed.num_bottom_sccs, plain.num_bottom_sccs);
-
-  // The facade picks the packed store by itself for an enumerable machine.
-  const ExplicitResult facade = decide_pseudo_stochastic_parallel(*m, g, budget);
-  EXPECT_TRUE(facade.packed_store);
-  EXPECT_EQ(facade.decision, packed.decision);
-  EXPECT_EQ(facade.num_configs, packed.num_configs);
-  EXPECT_EQ(facade.num_bottom_sccs, packed.num_bottom_sccs);
-
-  ASSERT_GT(vector_stats.store_bytes, 0u);
-  ASSERT_GT(packed_stats.store_bytes, 0u);
-  EXPECT_GE(vector_stats.store_bytes, 4 * packed_stats.store_bytes);
-
-  if (packed_stats.configs >= 10'000) {
-    const std::size_t even =
-        packed_stats.configs / PackedConfigStore::kNumShards;
-    EXPECT_LE(packed_stats.shard_peak, 2 * even + 8);
-    EXPECT_LE(vector_stats.shard_peak, 2 * even + 8);
+        [&](const Config& c) { return consensus(*m, c); },
+        {.max_configs = 500'000, .max_threads = threads}, &stats);
+    EXPECT_EQ(packed.decision, reference.decision);
+    EXPECT_EQ(packed.reason, reference.reason);
+    EXPECT_EQ(packed.num_configs, reference.num_configs);
+    EXPECT_EQ(packed.num_bottom_sccs, reference.num_bottom_sccs);
+    EXPECT_EQ(stats.threads, threads);
+    ASSERT_GE(stats.configs, 10'000u);
+    const std::size_t even = stats.configs / PackedConfigStore::kNumShards;
+    EXPECT_LE(stats.shard_peak, 2 * even + 8);
   }
 }
 
@@ -565,7 +523,7 @@ TEST(PackedStore, WorkersPastTheSixtyFourthOwnNoShardAndChangeNothing) {
   const auto explore = [&](int threads) {
     PackedConfigStore store(PackedCodec(*m->num_states(), g.n()));
     ExploreStats stats;
-    const ExploreOutcome out = explore_and_classify_in<Config>(
+    const ExploreOutcome out = explore_and_classify_in(
         store, initial_config(*m, g),
         [&](int) {
           return ExplicitExpander{*m, g, Neighbourhood{}, Config{}};

@@ -440,7 +440,6 @@ TEST(TieredEngine, MatchesInMemoryAndIsThreadCountInvariant) {
       const ExplicitResult tiered =
           decide_pseudo_stochastic_parallel(machine, g, budget, &stats);
       ASSERT_TRUE(tiered.tiered_store);
-      EXPECT_TRUE(tiered.packed_store);
       EXPECT_EQ(tiered.decision, mem.decision);
       EXPECT_EQ(tiered.reason, mem.reason);
       EXPECT_EQ(tiered.num_configs, mem.num_configs);
